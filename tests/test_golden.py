@@ -1,0 +1,158 @@
+"""Golden hashes pinning the random stream of the ABM engine.
+
+run_abm promises bit-identical trajectories per seed, and mc_coefficients
+promises bit-identical estimates per seed in single-update modes. Each
+case below runs one valid selection x noise kind x update mode variant
+from a fixed seed and compares the sha256 of the raw float64 output with
+a recorded value, so any refactor that moves a draw or reorders the
+arithmetic of a step shows up here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from opinion_limits.abm import (
+    DegreeWeighted,
+    ModelSpec,
+    ProbabilityProportional,
+    UniformWithoutReplacement,
+    UniformWithReplacement,
+    UpdateMode,
+    run_abm,
+)
+from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi
+from opinion_limits.limitcheck import mc_coefficients
+from opinion_limits.noise import GaussianScaled, NoiseFamily, NoiseKind
+
+KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
+
+# (name, selection factory of n, update mode, double weighting)
+_SCHEMES = [
+    ("uwr_single", lambda n: UniformWithReplacement(), UpdateMode.SINGLE, False),
+    ("uwr_both", lambda n: UniformWithReplacement(), UpdateMode.BOTH, False),
+    (
+        "uwor",
+        lambda n: UniformWithoutReplacement(),
+        UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
+        False,
+    ),
+    ("degree", lambda n: DegreeWeighted(erdos_renyi(n, 0.5, seed=n)), UpdateMode.SINGLE, False),
+    ("proportional", lambda n: ProbabilityProportional(), UpdateMode.SINGLE, False),
+    ("proportional_double", lambda n: ProbabilityProportional(), UpdateMode.SINGLE, True),
+]
+_KINDS = list(NoiseKind)
+
+
+def _noise(kind: NoiseKind, n: int) -> NoiseFamily:
+    if kind is NoiseKind.NONE:
+        return NoiseFamily()
+    if kind is NoiseKind.RANDOM_UPDATE_DISTANCE:
+        return NoiseFamily(kind, GaussianScaled(float(n), 2.0))
+    return NoiseFamily(kind, GaussianScaled(0.0, 0.05))
+
+
+def _case(si: int, ki: int):
+    name, selection, mode, double = _SCHEMES[si]
+    kind = _KINDS[ki]
+    n = 6 + (si + ki) % 5
+    spec = ModelSpec(
+        n_agents=n,
+        h=1e-3,
+        horizon=2.0,
+        kernel=KERNEL,
+        selection=selection(n),
+        update_mode=mode,
+        noise=_noise(kind, n),
+        double_weighting=double,
+    )
+    x0 = np.random.default_rng([7, si, ki]).uniform(-1.0, 1.0, n)
+    return f"{name}-{kind.value}", spec, x0, [7, si, ki, 1]
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+_ALL = [(si, ki) for si in range(len(_SCHEMES)) for ki in range(len(_KINDS))]
+_SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][2] is not UpdateMode.BOTH]
+
+# first 16 hex digits of each sha256
+RUN_ABM_SHA256 = {
+    "uwr_single-none": "4793a3360df80097",
+    "uwr_single-ambiguity": "3bcb3ef485b5529d",
+    "uwr_single-external": "f1c7a48882adc2fc",
+    "uwr_single-adaptation": "8ad5314db8eef116",
+    "uwr_single-random_update_distance": "c47f99512b14ad50",
+    "uwr_both-none": "d3da0f14d4027bbd",
+    "uwr_both-ambiguity": "eaa7a64c0f6395a7",
+    "uwr_both-external": "3ebab76bb804a4b7",
+    "uwr_both-adaptation": "d9827b06edd50357",
+    "uwr_both-random_update_distance": "f55d89ecc5aa27df",
+    "uwor-none": "7c916fc4d5b58cc3",
+    "uwor-ambiguity": "996048e61d5e5eeb",
+    "uwor-external": "bdd16fa7d49ff452",
+    "uwor-adaptation": "a4428c0ccafda86a",
+    "uwor-random_update_distance": "7bc04343a284d0d8",
+    "degree-none": "9d11925e9d9cf6b7",
+    "degree-ambiguity": "541843e159b3a10b",
+    "degree-external": "24f0afc11b62626e",
+    "degree-adaptation": "9a14e2a8a059109c",
+    "degree-random_update_distance": "11b1add4b761e130",
+    "proportional-none": "dfb4d0c8d9db6880",
+    "proportional-ambiguity": "36b6d4a8374487ed",
+    "proportional-external": "4144605c6b18bb5f",
+    "proportional-adaptation": "86c45853627827bc",
+    "proportional-random_update_distance": "8152b3749091461b",
+    "proportional_double-none": "f71305884034232c",
+    "proportional_double-ambiguity": "e8916bcba8971763",
+    "proportional_double-external": "755a34a5cd863f29",
+    "proportional_double-adaptation": "08cbb570bef34d5a",
+    "proportional_double-random_update_distance": "342a240de8fbf036",
+}
+
+MC_SHA256 = {
+    "uwr_single-none": "9e2802259b054ccc",
+    "uwr_single-ambiguity": "7fa524e2d735edd5",
+    "uwr_single-external": "43d1cee3e98e88df",
+    "uwr_single-adaptation": "c9a0a8167c8edf12",
+    "uwr_single-random_update_distance": "bd5b344ca03904ae",
+    "uwor-none": "c6774e56c1fd675e",
+    "uwor-ambiguity": "3e30e334ba70784a",
+    "uwor-external": "3cf700c182ef2d1f",
+    "uwor-adaptation": "16b5309a3a67191b",
+    "uwor-random_update_distance": "67d39d7cc5334453",
+    "degree-none": "bdea6a480071ef16",
+    "degree-ambiguity": "ce50775ebb03a664",
+    "degree-external": "837fd4511b928a60",
+    "degree-adaptation": "f45263452c4d8cc8",
+    "degree-random_update_distance": "99fdf895fcaa7fe0",
+    "proportional-none": "bdcc741d25011f37",
+    "proportional-ambiguity": "fe53b98a5cab6ac1",
+    "proportional-external": "ff745cbe1d6c79b8",
+    "proportional-adaptation": "26d95e9b5a5775d7",
+    "proportional-random_update_distance": "c71234e4cae74d9f",
+    "proportional_double-none": "0f1b80d75a7704c4",
+    "proportional_double-ambiguity": "f94e3a440a9defbc",
+    "proportional_double-external": "f030d4398b873b43",
+    "proportional_double-adaptation": "ab6ed18058c2e311",
+    "proportional_double-random_update_distance": "7af8f71b134aa1e1",
+}
+
+
+@pytest.mark.parametrize("si,ki", _ALL)
+def test_run_abm_golden_hash(si, ki):
+    label, spec, x0, seed = _case(si, ki)
+    traj = run_abm(spec, x0, np.linspace(0.0, 2.0, 5), np.random.default_rng(seed))
+    assert _sha(traj.values) == RUN_ABM_SHA256[label], label
+
+
+@pytest.mark.parametrize("si,ki", _SINGLE)
+def test_mc_coefficients_golden_hash(si, ki):
+    label, spec, x0, seed = _case(si, ki)
+    rep = mc_coefficients(x0, spec, 10_000, np.random.default_rng(seed))
+    assert _sha(rep.b_h, rep.a_h_diag) == MC_SHA256[label], label
