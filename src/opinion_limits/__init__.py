@@ -3,14 +3,12 @@
 from .abm import (
     DegreeWeighted,
     ModelSpec,
-    OpinionState,
     ProbabilityProportional,
     UniformWithoutReplacement,
     UniformWithReplacement,
     UpdateMode,
     abm_step,
     run_abm,
-    select_pair,
 )
 from .analysis import (
     EnsembleStats,

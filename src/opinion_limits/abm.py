@@ -12,13 +12,12 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .kernel import InteractionKernel, Network, eval_kernel, pairwise_matrix
+from .kernel import InteractionKernel, Network, eval_kernel
 from .noise import NoiseFamily, NoiseKind
 from .trajectory import Trajectory
 
@@ -30,8 +29,6 @@ __all__ = [
     "SelectionScheme",
     "UpdateMode",
     "ModelSpec",
-    "OpinionState",
-    "select_pair",
     "abm_step",
     "run_abm",
 ]
@@ -41,7 +38,11 @@ _CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class UniformWithReplacement:
-    """i and j independent uniform; i == j is a genuine no-op draw."""
+    """i and j independent uniform.
+
+    i == j brings no attraction, but it is not a no-op: any noise the step
+    carries (external, adaptation, ambiguity) still reaches agent i.
+    """
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,14 @@ SelectionScheme = Union[
 
 
 class UpdateMode(enum.Enum):
+    """Which agents a step moves.
+
+    SINGLE moves i toward j. BOTH also moves j toward i, each agent with its
+    own noise draw; when i == j the j-side update is written last and is the
+    one that lands, so the agent gets one noise draw, not two.
+    SINGLE_WITHOUT_REPLACEMENT moves i toward some j != i.
+    """
+
     SINGLE = "single"
     BOTH = "both"
     SINGLE_WITHOUT_REPLACEMENT = "single_without_replacement"
@@ -128,126 +137,31 @@ class ModelSpec:
         return (self.n_agents - 1) * self.h
 
 
-@dataclass(frozen=True)
-class OpinionState:
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("opinion state contains non-finite entries")
-        object.__setattr__(self, "x", x)
-
-
-def select_pair(
-    scheme: SelectionScheme,
-    x: np.ndarray,
-    kernel: InteractionKernel,
-    rng: np.random.Generator,
-) -> tuple[int, int, bool]:
-    """Draw the pair (i, j); the flag marks selection that skips acceptance."""
-    n = len(x)
-    i = int(rng.integers(n))
-    if isinstance(scheme, UniformWithReplacement):
-        return i, int(rng.integers(n)), False
-    if isinstance(scheme, UniformWithoutReplacement):
-        j = int(rng.integers(n - 1))
-        return i, j + (j >= i), False
-    if isinstance(scheme, DegreeWeighted):
-        a = scheme.network.adjacency
-        j = int(rng.choice(n, p=a[i] / a[i].sum()))
-        return i, j, False
-    if isinstance(scheme, ProbabilityProportional):
-        w = np.asarray(eval_kernel(kernel, np.abs(x - x[i])), dtype=float)
-        total = w.sum()
-        if total <= 0.0:
-            raise RuntimeError(
-                f"agent {i} has zero total interaction probability; "
-                "probability-proportional selection is undefined"
-            )
-        j = int(rng.choice(n, p=w / total))
-        return i, j, True
-    raise TypeError(f"unknown selection scheme {scheme!r}")
-
-
 def abm_step(
-    state: OpinionState,
+    x: Sequence[float],
     spec: ModelSpec,
     rng: np.random.Generator,
     pair: tuple[int, int] | None = None,
-    force_accept: bool | None = None,
-) -> OpinionState:
-    """Advance the model by one timestep of size h.
+) -> np.ndarray:
+    """Advance the state x by one timestep of size h; returns the new state.
 
-    pair and force_accept bypass selection and the acceptance draw; they
-    exist so tests can pin down a single transition.
+    From the same stream this is the state a one-step run_abm reaches.
+    pair, if given, replaces the drawn (i, j) so tests can pin down a
+    single transition.
     """
-    x = state.x.copy()
+    x = np.asarray(x, dtype=float)
     n = spec.n_agents
     if len(x) != n:
         raise ValueError("state size does not match spec")
-    mu = spec.mu
-    kind = spec.noise.kind
-
-    if pair is None:
-        i, j, always = select_pair(spec.selection, x, spec.kernel, rng)
-    else:
+    draws = _draw(spec, 1, rng)
+    if pair is not None:
         i, j = pair
-        always = isinstance(spec.selection, ProbabilityProportional)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError("pair index out of range")
-
-    def accepted(p: float) -> bool:
-        if force_accept is not None:
-            return force_accept
-        if always and not spec.double_weighting:
-            return True
-        return rng.random() < p
-
-    if kind is NoiseKind.AMBIGUITY:
-        eta = float(spec.noise.law.sample(spec.h, rng))
-        omega = x[j] + eta
-        p = eval_kernel(spec.kernel, abs(omega - x[i]))
-        if accepted(p):
-            if spec.update_mode is UpdateMode.BOTH:
-                # each agent hears an independently perturbed opinion
-                omega_i = x[i] + float(spec.noise.law.sample(spec.h, rng))
-                x[i] += mu * (omega - x[i])
-                x[j] += mu * (omega_i - x[j])
-            else:
-                x[i] += mu * (omega - x[i])
-    else:
-        p = eval_kernel(spec.kernel, abs(x[j] - x[i]))
-        ok = accepted(p)
-        d = x[j] - x[i]
-        if kind is NoiseKind.NONE:
-            if ok:
-                if spec.update_mode is UpdateMode.BOTH:
-                    x[i] += mu * d
-                    x[j] -= mu * d
-                else:
-                    x[i] += mu * d
-        elif kind is NoiseKind.EXTERNAL:
-            xi = float(spec.noise.law.sample(spec.h, rng))
-            x[i] += xi + (mu * d if ok else 0.0)
-            if ok and spec.update_mode is UpdateMode.BOTH:
-                x[j] += float(spec.noise.law.sample(spec.h, rng)) - mu * d
-        elif kind is NoiseKind.ADAPTATION:
-            if ok:
-                x[i] += mu * d + float(spec.noise.law.sample(spec.h, rng))
-                if spec.update_mode is UpdateMode.BOTH:
-                    x[j] += -mu * d + float(spec.noise.law.sample(spec.h, rng))
-        elif kind is NoiseKind.RANDOM_UPDATE_DISTANCE:
-            if ok:
-                nu = float(spec.noise.law.sample(spec.h, rng))
-                x[i] += nu * d
-                if spec.update_mode is UpdateMode.BOTH:
-                    x[j] -= nu * d
-        else:
-            raise TypeError(f"unknown noise kind {kind!r}")
-
-    return OpinionState(t=state.t + spec.h, x=x)
+        draws = draws._replace(ii=np.array([i]), jj=np.array([j]))
+    out = x.tolist()
+    _apply(spec, out, draws, 0.0, 0.0, False)
+    return np.array(out)
 
 
 def run_abm(
@@ -290,50 +204,78 @@ def run_abm(
             break
         stop = total if ti >= len(targets) else targets[ti]
         m = min(_CHUNK, stop - done)
-        _run_chunk(spec, x, m, rng, lo, hi, check_hull)
+        _apply(spec, x, _draw(spec, m, rng), lo, hi, check_hull)
         done += m
 
     return Trajectory(times, out)
 
 
-def _run_chunk(spec, x, m, rng, lo, hi, check_hull):
-    """Execute m steps in place on the opinion list x.
+class _Draws(NamedTuple):
+    """The random inputs of m steps.
 
-    Random draws happen in a fixed order per chunk (pair indices, then
-    acceptance uniforms, then noise) so runs are reproducible per seed.
+    jj is None under probability-proportional selection, where j depends
+    on the state at each step; uj then holds the uniforms that resolve it.
+    zz is None without noise, (m, 2) when both agents take their own noise
+    draw, and (m,) otherwise.
+    """
+
+    ii: np.ndarray
+    jj: np.ndarray | None
+    uj: np.ndarray | None
+    ua: np.ndarray
+    zz: np.ndarray | None
+
+
+def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
+    """Draw m steps in the fixed order: pair indices, then acceptance
+    uniforms, then noise. run_abm, abm_step and the Monte Carlo coefficient
+    check all take their randomness from here, so one seed gives one chain.
     """
     n = spec.n_agents
-    h = spec.h
+    sel = spec.selection
+    ii = rng.integers(0, n, m)
+    jj = uj = None
+    if isinstance(sel, UniformWithReplacement):
+        jj = rng.integers(0, n, m)
+    elif isinstance(sel, UniformWithoutReplacement):
+        raw = rng.integers(0, n - 1, m)
+        jj = raw + (raw >= ii)
+    elif isinstance(sel, DegreeWeighted):
+        jj = _bisect_rows(np.cumsum(sel.network.adjacency, axis=1), ii, rng.random(m))
+    else:  # ProbabilityProportional: j depends on the current state
+        uj = rng.random(m)
+    ua = rng.random(m)
+    kind = spec.noise.kind
+    if kind is NoiseKind.NONE:
+        zz = None
+    elif spec.update_mode is UpdateMode.BOTH and kind is not NoiseKind.RANDOM_UPDATE_DISTANCE:
+        zz = np.asarray(spec.noise.law.sample(spec.h, rng, (m, 2)))
+    else:
+        zz = np.asarray(spec.noise.law.sample(spec.h, rng, m))
+    return _Draws(ii, jj, uj, ua, zz)
+
+
+def _bisect_rows(cum: np.ndarray, ii: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """bisect_right of u[k] times the row total in row ii[k] of the running
+    sums cum, one distinct row at a time so memory stays O(len(ii))."""
+    r = u * cum[ii, -1]
+    jj = np.empty(len(ii), dtype=np.int64)
+    for i in np.unique(ii):
+        k = ii == i
+        jj[k] = np.searchsorted(cum[i], r[k], side="right")
+    return np.minimum(jj, len(cum) - 1)
+
+
+def _apply(spec, x, draws, lo, hi, check_hull):
+    """Execute the drawn steps in order, in place on the opinion list x."""
+    n = spec.n_agents
     mu = spec.mu
     kind = spec.noise.kind
     pfn = spec.kernel.scalar_fn()
     both = spec.update_mode is UpdateMode.BOTH
-    sel = spec.selection
-
-    ii = rng.integers(0, n, m).tolist()
-    if isinstance(sel, UniformWithReplacement):
-        jj = rng.integers(0, n, m).tolist()
-    elif isinstance(sel, UniformWithoutReplacement):
-        raw = rng.integers(0, n - 1, m)
-        jj = (raw + (raw >= np.asarray(ii))).tolist()
-    elif isinstance(sel, DegreeWeighted):
-        uj = rng.random(m)
-        cum = np.cumsum(sel.network.adjacency, axis=1)
-        jj = [bisect_right(cum[i].tolist(), u * cum[i][-1]) for i, u in zip(ii, uj)]
-        jj = [min(j, n - 1) for j in jj]
-    else:  # ProbabilityProportional: j depends on the current state
-        uj = rng.random(m).tolist()
-        jj = None
-    ua = rng.random(m).tolist()
-
-    if kind is NoiseKind.NONE:
-        zz = None
-    elif both and kind in (NoiseKind.EXTERNAL, NoiseKind.ADAPTATION, NoiseKind.AMBIGUITY):
-        zz = np.asarray(spec.noise.law.sample(h, rng, (m, 2)))
-    else:
-        zz = np.asarray(spec.noise.law.sample(h, rng, m)).tolist()
-
-    always = isinstance(sel, ProbabilityProportional) and not spec.double_weighting
+    always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
+    ii, jj, uj, ua, zz = (None if a is None else a.tolist() for a in draws)
+    m = len(ii)
 
     for k in range(m):
         i = ii[k]
@@ -396,13 +338,3 @@ def _run_chunk(spec, x, m, rng, lo, hi, check_hull):
                 x[i] = xi + zz[k] * d
                 if both:
                     x[j] = xj - zz[k] * d
-
-
-def acceptance_probability(spec: ModelSpec, x: np.ndarray, i: int, j: int) -> float:
-    """Probability that a proposed (i, j) encounter leads to an interaction."""
-    return eval_kernel(spec.kernel, abs(float(x[j]) - float(x[i])))
-
-
-def interaction_matrix(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Pairwise interaction probabilities at state x."""
-    return pairwise_matrix(spec.kernel, x)

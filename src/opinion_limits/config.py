@@ -288,7 +288,11 @@ class ExperimentConfig:
                 model = build_limit(spec)
             except ValueError as e:
                 raise ConfigError(str(e)) from None
-            self.integrator(model.has_diffusion)
+            integrator = self.integrator(model.has_diffusion)
+            try:
+                integrator.steps(spec.horizon)
+            except ValueError as e:
+                raise ConfigError(f"[model] horizon: {e}") from None
         if self.experiment in ("sweep_h", "limitcheck") and not self.h_list:
             raise ConfigError("[experiment] h_list: must be non-empty")
 

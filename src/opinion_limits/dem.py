@@ -66,6 +66,13 @@ class IntegratorSpec:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
+    def steps(self, t: float) -> int:
+        """Number of dt steps up to time t; raises ValueError off the dt grid."""
+        m = t / self.dt
+        if abs(m - round(m)) > 1e-9 / self.dt:
+            raise ValueError(f"time {t} is not a multiple of dt={self.dt}")
+        return int(round(m))
+
 
 def build_limit(spec: ModelSpec) -> LimitModel:
     """Construct the limiting system matching the ABM configuration."""
@@ -166,9 +173,9 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step integration, recording states at the sample times.
 
-    Sample times must fall on the dt grid. Euler-Maruyama draws one
-    standard normal per agent per step, in agent order, from the
-    supplied stream.
+    The horizon and the sample times must fall on the dt grid.
+    Euler-Maruyama draws one standard normal per agent per step, in agent
+    order, from the supplied stream.
     """
     x = np.asarray(x0, dtype=float).copy()
     dt = integrator.dt
@@ -181,13 +188,8 @@ def integrate(
     times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
-    steps = int(round(horizon / dt))
-    targets = []
-    for s in times:
-        m = s / dt
-        if abs(m - round(m)) > 1e-9 / dt:
-            raise ValueError(f"sample time {s} is not a multiple of dt={dt}")
-        targets.append(int(round(m)))
+    steps = integrator.steps(horizon)
+    targets = [integrator.steps(s) for s in times]
     if targets and (targets[0] < 0 or targets[-1] > steps):
         raise ValueError("sample times must lie within [0, T]")
 

@@ -201,34 +201,19 @@ class Network:
         return cls(a)
 
 
-def pairwise_probability(
-    kernel: InteractionKernel,
-    x: np.ndarray,
-    i: int,
-    j: int,
-    network_mask: Network | None = None,
-) -> float:
+def pairwise_probability(kernel: InteractionKernel, x: np.ndarray, i: int, j: int) -> float:
     """Interaction probability for the pair (i, j) at state x."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"agent index out of range for population of {n}")
-    p = eval_kernel(kernel, abs(x[i] - x[j]))
-    if network_mask is not None:
-        p *= network_mask.adjacency[i, j]
-    return float(p)
+    return float(eval_kernel(kernel, abs(x[i] - x[j])))
 
 
-def pairwise_matrix(
-    kernel: InteractionKernel, x: np.ndarray, network_mask: Network | None = None
-) -> np.ndarray:
+def pairwise_matrix(kernel: InteractionKernel, x: np.ndarray) -> np.ndarray:
     """Full N x N matrix of pairwise interaction probabilities."""
     x = np.asarray(x, dtype=float)
-    d = np.abs(x[:, None] - x[None, :])
-    p = kernel.eval(d)
-    if network_mask is not None:
-        p = p * network_mask.adjacency
-    return p
+    return kernel.eval(np.abs(x[:, None] - x[None, :]))
 
 
 def erdos_renyi(n: int, p_conn: float, seed: int) -> Network:

@@ -21,6 +21,8 @@ from .abm import (
     UniformWithoutReplacement,
     UniformWithReplacement,
     UpdateMode,
+    _bisect_rows,
+    _draw,
 )
 from .dem import build_limit
 from .kernel import eval_kernel, pairwise_matrix
@@ -132,79 +134,53 @@ def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport
     )
 
 
-def _sample_increments(x, spec, m, rng):
-    """m independent one-step increments from x, in sparse form.
+def _increments(x, spec, draws):
+    """One-step increments of the chain from the fixed state x, one per draw.
 
-    Returns (ii, di, jj, dj); jj/dj are None unless both agents move.
+    Returns (ii, di, jj, dj) in sparse form: agent ii[k] moves by di[k] and
+    agent jj[k] by dj[k]; jj/dj are None unless both agents move. This is
+    the vectorised form of abm._apply for steps that all start from x.
     """
-    n = spec.n_agents
-    h = spec.h
     mu = spec.mu
     kind = spec.noise.kind
-    sel = spec.selection
     p = pairwise_matrix(spec.kernel, x)
     both = spec.update_mode is UpdateMode.BOTH
-
-    ii = rng.integers(0, n, m)
-    always = False
-    if isinstance(sel, UniformWithReplacement):
-        jj = rng.integers(0, n, m)
-    elif isinstance(sel, UniformWithoutReplacement):
-        raw = rng.integers(0, n - 1, m)
-        jj = raw + (raw >= ii)
-    elif isinstance(sel, DegreeWeighted):
-        cum = np.cumsum(sel.network.adjacency, axis=1)
-        r = rng.random(m) * cum[ii, -1]
-        jj = np.minimum((cum[ii] < r[:, None]).sum(axis=1), n - 1)
-    else:
+    ii, jj, uj, ua, zz = draws
+    always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
+    if jj is None:  # probability-proportional: resolve j against x
         norm = p.sum(axis=1)
         if np.any(norm <= 0.0):
             bad = int(np.argmin(norm))
             raise RuntimeError(f"agent {bad} has zero total interaction probability")
-        cum = np.cumsum(p, axis=1)
-        r = rng.random(m) * cum[ii, -1]
-        jj = np.minimum((cum[ii] < r[:, None]).sum(axis=1), n - 1)
-        always = not spec.double_weighting
-
-    ua = rng.random(m)
-    dx = x[jj] - x[ii]
+        jj = _bisect_rows(np.cumsum(p, axis=1), ii, uj)
+    z, z2 = (zz[:, 0], zz[:, 1]) if zz is not None and zz.ndim == 2 else (zz, None)
 
     if kind is NoiseKind.AMBIGUITY:
-        eta = np.asarray(spec.noise.law.sample(h, rng, m))
-        dd = x[jj] + eta - x[ii]
-        acc = np.ones(m, bool) if always else ua < eval_kernel(spec.kernel, np.abs(dd))
+        dd = x[jj] + z - x[ii]
+        acc = np.ones(len(ii), bool) if always else ua < eval_kernel(spec.kernel, np.abs(dd))
         di = np.where(acc, mu * dd, 0.0)
-        if both:
-            eta2 = np.asarray(spec.noise.law.sample(h, rng, m))
-            dj = np.where(acc, mu * (x[ii] + eta2 - x[jj]), 0.0)
-            return ii, di, jj, dj
-        return ii, di, None, None
+        dj = np.where(acc, mu * (x[ii] + z2 - x[jj]), 0.0) if both else None
+    else:
+        acc = np.ones(len(ii), bool) if always else ua < p[ii, jj]
+        dx = x[jj] - x[ii]
+        if kind is NoiseKind.NONE:
+            di = np.where(acc, mu * dx, 0.0)
+            dj = -di
+        elif kind is NoiseKind.EXTERNAL:
+            pull = np.where(acc, mu * dx, 0.0)
+            di = z + pull
+            dj = z2 - pull if both else None
+        elif kind is NoiseKind.ADAPTATION:
+            di = np.where(acc, mu * dx + z, 0.0)
+            dj = np.where(acc, -mu * dx + z2, 0.0) if both else None
+        else:  # random update distance
+            di = np.where(acc, z * dx, 0.0)
+            dj = -di
 
-    acc = np.ones(m, bool) if always else ua < p[ii, jj]
-
-    if kind is NoiseKind.NONE:
-        di = np.where(acc, mu * dx, 0.0)
-        return (ii, di, jj, -di) if both else (ii, di, None, None)
-    if kind is NoiseKind.EXTERNAL:
-        z = np.asarray(spec.noise.law.sample(h, rng, m))
-        di = z + np.where(acc, mu * dx, 0.0)
-        if both:
-            z2 = np.asarray(spec.noise.law.sample(h, rng, m))
-            dj = z2 - np.where(acc, mu * dx, 0.0)
-            return ii, di, jj, dj
+    if not both:
         return ii, di, None, None
-    if kind is NoiseKind.ADAPTATION:
-        z = np.asarray(spec.noise.law.sample(h, rng, m))
-        di = np.where(acc, mu * dx + z, 0.0)
-        if both:
-            z2 = np.asarray(spec.noise.law.sample(h, rng, m))
-            dj = np.where(acc, -mu * dx + z2, 0.0)
-            return ii, di, jj, dj
-        return ii, di, None, None
-    # random update distance
-    nu = np.asarray(spec.noise.law.sample(h, rng, m))
-    di = np.where(acc, nu * dx, 0.0)
-    return (ii, di, jj, -di) if both else (ii, di, None, None)
+    # the chain writes j's update last, so when i == j only dj lands
+    return ii, np.where(ii == jj, 0.0, di), jj, dj
 
 
 def mc_coefficients(
@@ -221,7 +197,6 @@ def mc_coefficients(
     h = spec.h
 
     s_b = np.zeros(n)
-    q_b = np.zeros(n)
     s_a = np.zeros(n)
     q_a = np.zeros(n)
     s_off = np.zeros((n, n))
@@ -233,21 +208,16 @@ def mc_coefficients(
     while left > 0:
         m = min(_MC_BATCH, left)
         left -= m
-        ii, di, jj, dj = _sample_increments(x, spec, m, rng)
-        np.add.at(s_b, ii, di)
-        np.add.at(q_b, ii, di**2)
-        np.add.at(s_a, ii, di**2)
-        np.add.at(q_a, ii, di**4)
-        g = di**4
+        ii, di, jj, dj = _increments(x, spec, _draw(spec, m, rng))
         if dj is not None:
-            np.add.at(s_b, jj, dj)
-            np.add.at(q_b, jj, dj**2)
-            np.add.at(s_a, jj, dj**2)
-            np.add.at(q_a, jj, dj**4)
-            g = g + dj**4
-            if track_off:
-                np.add.at(s_off, (ii, jj), di * dj)
-                np.add.at(s_off, (jj, ii), di * dj)
+            np.add.at(s_off, (ii, jj), di * dj)
+            np.add.at(s_off, (jj, ii), di * dj)
+            ii, di = np.concatenate([ii, jj]), np.concatenate([di, dj])
+        d4 = di**4
+        np.add.at(s_b, ii, di)
+        np.add.at(s_a, ii, di**2)
+        np.add.at(q_a, ii, d4)
+        g = d4 if dj is None else d4[:m] + d4[m:]
         s_g += float(g.sum())
         q_g += float((g**2).sum())
 
@@ -258,7 +228,7 @@ def mc_coefficients(
         var = np.maximum(q / mc - mean**2, 0.0)
         return mean / h, np.sqrt(var / mc) / h
 
-    b_h, b_se = mean_se(s_b, q_b)
+    b_h, b_se = mean_se(s_b, s_a)
     a_diag, a_se = mean_se(s_a, q_a)
     gamma4, gamma4_se = mean_se(s_g, q_g)
     if track_off:

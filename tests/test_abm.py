@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from opinion_limits.abm import (
     DegreeWeighted,
     ModelSpec,
-    OpinionState,
     ProbabilityProportional,
     UniformWithoutReplacement,
     UpdateMode,
+    _apply,
+    _draw,
     abm_step,
     run_abm,
-    select_pair,
 )
 from opinion_limits.kernel import Constant, MollifiedBC, Network, NormalMollifier, erdos_renyi
 from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
@@ -29,62 +29,66 @@ def spec2(**kw):
 
 def test_single_update_hand_example():
     spec = spec2()
-    state = OpinionState(0.0, np.array([0.0, 1.0]))
-    new = abm_step(state, spec, np.random.default_rng(0), pair=(0, 1))
-    assert new.x == pytest.approx([0.02, 1.0])
-    assert new.t == pytest.approx(0.01)
+    new = abm_step([0.0, 1.0], spec, np.random.default_rng(0), pair=(0, 1))
+    assert new == pytest.approx([0.02, 1.0])
 
 
 def test_consensus_is_noop():
     spec = ModelSpec(n_agents=5, h=0.01, horizon=1.0, kernel=Constant(1.0))
-    state = OpinionState(0.0, np.full(5, 0.3))
-    new = abm_step(state, spec, np.random.default_rng(1))
-    assert np.array_equal(new.x, state.x)
+    x = np.full(5, 0.3)
+    new = abm_step(x, spec, np.random.default_rng(1))
+    assert np.array_equal(new, x)
 
 
 def test_degenerate_update_distance_matches_plain():
     noise = NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, Degenerate(2.0))
     noisy = spec2(noise=noise)
     plain = spec2()
-    state = OpinionState(0.0, np.array([0.0, 1.0]))
-    a = abm_step(state, noisy, np.random.default_rng(2), pair=(0, 1), force_accept=True)
-    b = abm_step(state, plain, np.random.default_rng(3), pair=(0, 1), force_accept=True)
-    assert np.array_equal(a.x, b.x)
+    x = np.array([0.0, 1.0])
+    a = abm_step(x, noisy, np.random.default_rng(2), pair=(0, 1))
+    b = abm_step(x, plain, np.random.default_rng(3), pair=(0, 1))
+    assert np.array_equal(a, b)
 
 
 def test_external_noise_always_applied():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     spec = spec2(kernel=Constant(0.0), noise=noise)
-    state = OpinionState(0.0, np.array([0.0, 1.0]))
-    new = abm_step(state, spec, np.random.default_rng(4), pair=(0, 1))
-    assert new.x[0] != 0.0  # noise lands even though the interaction was rejected
-    assert new.x[1] == 1.0
+    new = abm_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
+    assert new[0] != 0.0  # noise lands even though the interaction was rejected
+    assert new[1] == 1.0
+
+
+def test_external_noise_reaches_both_agents_on_rejection():
+    noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
+    spec = spec2(kernel=Constant(0.0), noise=noise, update_mode=UpdateMode.BOTH)
+    new = abm_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
+    assert new[0] != 0.0
+    assert new[1] != 1.0
 
 
 def test_adaptation_noise_only_on_acceptance():
     noise = NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05))
     spec = spec2(kernel=Constant(0.0), noise=noise)
-    state = OpinionState(0.0, np.array([0.0, 1.0]))
-    new = abm_step(state, spec, np.random.default_rng(5), pair=(0, 1))
-    assert np.array_equal(new.x, state.x)
+    x = np.array([0.0, 1.0])
+    new = abm_step(x, spec, np.random.default_rng(5), pair=(0, 1))
+    assert np.array_equal(new, x)
 
 
 def test_ambiguity_uses_perturbed_opinion():
     noise = NoiseFamily(NoiseKind.AMBIGUITY, Degenerate(10.0))
     spec = spec2(noise=noise)  # eta = 0.1 exactly
-    state = OpinionState(0.0, np.array([0.0, 1.0]))
-    new = abm_step(state, spec, np.random.default_rng(6), pair=(0, 1), force_accept=True)
-    assert new.x[0] == pytest.approx(0.02 * 1.1)
+    new = abm_step([0.0, 1.0], spec, np.random.default_rng(6), pair=(0, 1))
+    assert new[0] == pytest.approx(0.02 * 1.1)
 
 
 def test_exactly_one_agent_changes():
     spec = ModelSpec(n_agents=10, h=0.005, horizon=1.0, kernel=Constant(1.0))
     rng = np.random.default_rng(7)
-    state = OpinionState(0.0, np.linspace(-1, 1, 10))
+    x = np.linspace(-1, 1, 10)
     for _ in range(50):
-        new = abm_step(state, spec, rng)
-        assert (new.x != state.x).sum() <= 1
-        state = new
+        new = abm_step(x, spec, rng)
+        assert (new != x).sum() <= 1
+        x = new
 
 
 def test_both_update_preserves_mean():
@@ -92,46 +96,66 @@ def test_both_update_preserves_mean():
         n_agents=6, h=0.01, horizon=1.0, kernel=Constant(1.0), update_mode=UpdateMode.BOTH
     )
     rng = np.random.default_rng(8)
-    state = OpinionState(0.0, np.linspace(-1, 1, 6))
+    x = np.linspace(-1, 1, 6)
     for _ in range(200):
-        new = abm_step(state, spec, rng)
-        assert new.x.mean() == pytest.approx(state.x.mean(), abs=1e-12)
-        state = new
+        new = abm_step(x, spec, rng)
+        assert new.mean() == pytest.approx(x.mean(), abs=1e-12)
+        x = new
+
+
+def test_abm_step_is_one_step_of_run_abm():
+    noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
+    spec = ModelSpec(
+        n_agents=5, h=0.01, horizon=0.01, kernel=KERNEL, noise=noise,
+        update_mode=UpdateMode.BOTH,
+    )
+    x0 = np.linspace(-0.4, 0.4, 5)
+    for seed in range(50):
+        step = abm_step(x0, spec, np.random.default_rng(seed))
+        run = run_abm(spec, x0, [spec.h], np.random.default_rng(seed))
+        assert np.array_equal(step, run.values[-1])
 
 
 def test_select_pair_degree_weighted_self_only():
-    net = Network(np.eye(4))
-    scheme = DegreeWeighted(net)
-    rng = np.random.default_rng(9)
-    x = np.linspace(0, 1, 4)
-    for _ in range(20):
-        i, j, always = select_pair(scheme, x, Constant(1.0), rng)
-        assert i == j
-        assert not always
+    spec = ModelSpec(
+        n_agents=4, h=0.01, horizon=1.0, kernel=Constant(1.0),
+        selection=DegreeWeighted(Network(np.eye(4))),
+    )
+    draws = _draw(spec, 20, np.random.default_rng(9))
+    assert np.array_equal(draws.ii, draws.jj)
 
 
 def test_select_pair_probability_proportional_uniform_for_constant():
-    rng = np.random.default_rng(10)
+    # j is resolved from the state inside the step; with distinct opinions
+    # the move of agent i shows which j it was drawn toward (no move: j == i).
+    # Acceptance is certain, so a rejected step would inflate the j == i cells.
+    spec = ModelSpec(
+        n_agents=4, h=0.01, horizon=1.0, kernel=Constant(0.7),
+        selection=ProbabilityProportional(),
+    )
     x = np.linspace(-1, 1, 4)
-    counts = np.zeros(4)
-    for _ in range(4000):
-        _, j, always = select_pair(ProbabilityProportional(), x, Constant(0.7), rng)
-        assert always
-        counts[j] += 1
-    freq = counts / 4000
-    se = math.sqrt(0.25 * 0.75 / 4000)
-    assert np.all(np.abs(freq - 0.25) <= 4 * se)
+    m = 4000
+    draws = _draw(spec, m, np.random.default_rng(10))
+    counts = np.zeros((4, 4))
+    for k, i in enumerate(draws.ii):
+        y = x.tolist()
+        step = type(draws)(*(None if a is None else a[k : k + 1] for a in draws))
+        _apply(spec, y, step, 0.0, 0.0, False)
+        target = x[i] + (y[i] - x[i]) / spec.mu
+        counts[i, np.argmin(np.abs(x - target))] += 1
+    freq = counts / m
+    se = math.sqrt(1 / 16 * 15 / 16 / m)
+    assert np.all(np.abs(freq - 1 / 16) <= 4 * se)
 
 
 def test_select_pair_without_replacement_never_equal():
-    rng = np.random.default_rng(11)
-    x = np.zeros(2)
-    seen = set()
-    for _ in range(100):
-        i, j, _ = select_pair(UniformWithoutReplacement(), x, Constant(1.0), rng)
-        assert i != j
-        seen.add((i, j))
-    assert seen == {(0, 1), (1, 0)}
+    spec = spec2(
+        selection=UniformWithoutReplacement(),
+        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
+    )
+    draws = _draw(spec, 100, np.random.default_rng(11))
+    assert np.all(draws.ii != draws.jj)
+    assert set(zip(draws.ii.tolist(), draws.jj.tolist())) == {(0, 1), (1, 0)}
 
 
 def test_probability_proportional_zero_row_errors():
@@ -139,9 +163,8 @@ def test_probability_proportional_zero_row_errors():
         n_agents=3, h=0.01, horizon=1.0, kernel=Constant(0.0),
         selection=ProbabilityProportional(),
     )
-    state = OpinionState(0.0, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(RuntimeError, match="agent"):
-        abm_step(state, spec, np.random.default_rng(12))
+        abm_step([0.0, 0.5, 1.0], spec, np.random.default_rng(12))
 
 
 def test_acceptance_rate_matches_kernel():
@@ -151,10 +174,9 @@ def test_acceptance_rate_matches_kernel():
     rng = np.random.default_rng(13)
     m = 20000
     accepted = 0
-    state = OpinionState(0.0, x)
     for _ in range(m):
-        new = abm_step(state, spec, rng, pair=(0, 1))
-        accepted += new.x[0] != x[0]
+        new = abm_step(x, spec, rng, pair=(0, 1))
+        accepted += new[0] != x[0]
     se = math.sqrt(p * (1 - p) / m)
     assert abs(accepted / m - p) <= 3 * se
 

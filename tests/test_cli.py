@@ -57,6 +57,15 @@ def test_bad_values_rejected():
         parse_config("[noise]\nkind = pink\n")
 
 
+@pytest.mark.parametrize("experiment", ["compare", "sweep_h", "ensemble"])
+def test_horizon_off_dt_grid_rejected(experiment):
+    with pytest.raises(ConfigError, match="horizon.*not a multiple of dt"):
+        parse_config(
+            f"[experiment]\ntype = {experiment}\n[model]\nh = 1e-3\nhorizon = 1.005\n"
+            "[dem]\ndt = 0.01\n"
+        )
+
+
 def test_discontinuous_kernel_rejected_for_compare():
     with pytest.raises(ConfigError, match="discontinuous"):
         parse_config("[kernel]\ntype = bounded_confidence\n")

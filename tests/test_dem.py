@@ -218,6 +218,12 @@ def test_sample_times_validated():
         integrate(model, np.zeros(4), integrator, 1.0, [2.0])
 
 
+def test_horizon_off_dt_grid_rejected():
+    model = build_limit(make_spec())
+    with pytest.raises(ValueError, match="1.005 is not a multiple of dt"):
+        integrate(model, np.zeros(4), IntegratorSpec(dt=0.01), 1.005, [0.0])
+
+
 def test_bad_dt_rejected():
     with pytest.raises(ValueError, match="dt"):
         IntegratorSpec(dt=0.0)

@@ -83,14 +83,6 @@ def test_scalar_fn_matches_vector_eval():
             assert f(float(d)) == pytest.approx(float(k.eval(d)), abs=1e-14)
 
 
-def test_pairwise_probability_masked_constant():
-    a = np.ones((2, 2))
-    a[0, 1] = a[1, 0] = 0.5
-    net = Network(a)
-    x = np.array([0.0, 1.0])
-    assert pairwise_probability(Constant(0.7), x, 0, 1, net) == pytest.approx(0.35)
-
-
 def test_pairwise_probability_at_radius():
     x = np.array([0.1, 0.6])
     assert pairwise_probability(MOLLIFIED, x, 0, 1) == pytest.approx(0.5, abs=1e-15)
