@@ -13,7 +13,6 @@ from .abm import (
 from .analysis import (
     EnsembleStats,
     ensemble_stats,
-    error_distribution,
     error_timeseries,
     sweep_error,
 )
@@ -35,7 +34,6 @@ from .kernel import (
     erdos_renyi,
     eval_kernel,
     pairwise_matrix,
-    pairwise_probability,
 )
 from .limitcheck import (
     CoefficientReport,

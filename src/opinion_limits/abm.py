@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .kernel import InteractionKernel, Network, eval_kernel
+from .kernel import InteractionKernel, Network
 from .noise import NoiseFamily, NoiseKind
 from .trajectory import Trajectory
 
@@ -281,7 +281,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
         i = ii[k]
         if jj is None:
             xa = np.asarray(x)
-            w = np.asarray(eval_kernel(spec.kernel, np.abs(xa - x[i])), dtype=float)
+            w = spec.kernel.eval(np.abs(xa - x[i]))
             total = float(w.sum())
             if total <= 0.0:
                 raise RuntimeError(

@@ -7,7 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .abm import ModelSpec, run_abm
 from .trajectory import Trajectory
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "error_timeseries",
     "sweep_error",
     "ensemble_stats",
-    "error_distribution",
 ]
 
 
@@ -74,25 +72,6 @@ def ensemble_stats(runs: Sequence[Trajectory]) -> EnsembleStats:
         variance=stack.var(axis=0, ddof=1),
         n_realizations=len(runs),
     )
-
-
-def error_distribution(
-    spec: ModelSpec,
-    dem_traj: Trajectory,
-    x0: Sequence[float],
-    n_runs: int,
-    base_seed: int,
-    norm: str = "duration",
-) -> list[float]:
-    """Sweep error of n_runs independent ABM realizations vs one DEM run."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    errors = []
-    for r in range(n_runs):
-        rng = np.random.default_rng([base_seed, r])
-        traj = run_abm(spec, x0, dem_traj.sample_times, rng)
-        errors.append(sweep_error(traj, dem_traj, spec.horizon, norm))
-    return errors
 
 
 def quartile_summary(errors: Sequence[float]) -> dict[str, float]:

@@ -12,6 +12,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
-from .trajectory import Trajectory
 
 __all__ = ["run_experiment", "main"]
 
@@ -32,10 +33,6 @@ _TAG_STATES = 4
 _TAG_SWEEP = 5
 
 
-def _dt_grid(horizon: float, dt: float) -> np.ndarray:
-    return np.round(np.arange(int(round(horizon / dt)) + 1) * dt, 12)
-
-
 def _write_series_csv(path, times, values, name="error"):
     with open(path, "w") as f:
         f.write(f"t,{name}\n")
@@ -43,36 +40,60 @@ def _write_series_csv(path, times, values, name="error"):
             f.write(f"{t:.17g},{v:.17g}\n")
 
 
-def _abm_realization(args):
-    spec, x0, times, seed_key = args
-    return run_abm(spec, x0, times, np.random.default_rng(seed_key)).values
-
-
-def _dem_realization(args):
-    spec, integrator, x0, horizon, times, seed_key = args
-    model = build_limit(spec)
-    return integrate(model, x0, integrator, horizon, times, np.random.default_rng(seed_key)).values
-
-
-def _map_runs(fn, jobs, threads: int):
-    if threads <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
+def _prelude(cfg: ExperimentConfig):
+    """Spec, limit, integrator, x0 and the dt sample grid of an experiment."""
     spec = cfg.model_spec()
     model = build_limit(spec)
     integrator = cfg.integrator(model.has_diffusion)
-    x0 = cfg.x0()
-    times = _dt_grid(spec.horizon, integrator.dt)
+    times = np.round(np.arange(integrator.steps(spec.horizon) + 1) * integrator.dt, 12)
+    return spec, model, integrator, cfg.x0(), times
 
-    abm_traj = run_abm(spec, x0, times, np.random.default_rng([cfg.base_seed, _TAG_ABM, 0]))
-    dem_traj = integrate(
-        model, x0, integrator, spec.horizon, times,
-        np.random.default_rng([cfg.base_seed, _TAG_DEM, 0]),
-    )
+
+def _fan_out(block, n_runs: int, threads: int, *args) -> list:
+    """block(*args, start, stop) over contiguous blocks of range(n_runs), in run order.
+
+    Each run seeds its own stream, so the result is the same for any threads.
+    """
+    k = max(1, min(threads, n_runs))
+    if k == 1:
+        return block(*args, 0, n_runs)
+    cuts = [n_runs * b // k for b in range(k + 1)]
+    with ProcessPoolExecutor(max_workers=k, mp_context=get_context("spawn")) as pool:
+        futures = [pool.submit(block, *args, a, b) for a, b in zip(cuts, cuts[1:])]
+        return [run for f in futures for run in f.result()]
+
+
+def _paired_block(spec, integrator, x0, times, base_seed, start, stop):
+    """(ABM, limit) trajectory pairs of runs start..stop-1; compare is run 0 alone."""
+    model = build_limit(spec)
+    return [
+        (
+            run_abm(spec, x0, times, np.random.default_rng([base_seed, _TAG_ABM, r])),
+            integrate(
+                model, x0, integrator, spec.horizon, times,
+                np.random.default_rng([base_seed, _TAG_DEM, r]),
+            ),
+        )
+        for r in range(start, stop)
+    ]
+
+
+def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
+    """ABM trajectories of sweep runs start..stop-1.
+
+    Run k is run k % runs_per_h of the model specs[k // runs_per_h].
+    """
+    runs = []
+    for k in range(start, stop):
+        hi, r = divmod(k, runs_per_h)
+        rng = np.random.default_rng([base_seed, _TAG_SWEEP, hi, r])
+        runs.append(run_abm(specs[hi], x0, times, rng))
+    return runs
+
+
+def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
+    spec, _, integrator, x0, times = _prelude(cfg)
+    [(abm_traj, dem_traj)] = _paired_block(spec, integrator, x0, times, cfg.base_seed, 0, 1)
     err = error_timeseries(abm_traj, dem_traj)
 
     abm_traj.to_csv(os.path.join(out, "abm.csv"))
@@ -82,33 +103,26 @@ def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    from dataclasses import replace
-
-    spec = cfg.model_spec()
-    model = build_limit(spec)
+    spec, model, integrator, x0, times = _prelude(cfg)
     if model.has_diffusion:
         raise ConfigError("sweep_h compares against a deterministic limit; noise must be off")
-    integrator = cfg.integrator(False)
-    x0 = cfg.x0()
-    times = _dt_grid(spec.horizon, integrator.dt)
     dem_traj = integrate(model, x0, integrator, spec.horizon, times)
 
+    h_list = cfg.h_list
     runs_per_h = cfg.raw["experiment"]["runs_per_h"]
-    rows = []
-    for hi, h in enumerate(cfg.h_list):
-        spec_h = replace(spec, h=float(h))
-        jobs = [
-            (spec_h, x0, times, [cfg.base_seed, _TAG_SWEEP, hi, r]) for r in range(runs_per_h)
-        ]
-        for r, values in enumerate(_map_runs(_abm_realization, jobs, threads)):
-            traj = Trajectory(times, values)
-            rows.append((h, r, sweep_error(traj, dem_traj, spec.horizon, cfg.error_norm)))
+    specs = [replace(spec, h=float(h)) for h in h_list]
+    runs = _fan_out(
+        _sweep_block, len(h_list) * runs_per_h, threads, specs, runs_per_h, x0, times,
+        cfg.base_seed,
+    )
+    errors = [sweep_error(traj, dem_traj, spec.horizon, cfg.error_norm) for traj in runs]
     with open(os.path.join(out, "errors.csv"), "w") as f:
         f.write("h,run,error\n")
-        for h, r, e in rows:
-            f.write(f"{h:.17g},{r},{e:.17g}\n")
-    for h in cfg.h_list:
-        summary = quartile_summary([e for hh, _, e in rows if hh == h])
+        for k, e in enumerate(errors):
+            hi, r = divmod(k, runs_per_h)
+            f.write(f"{h_list[hi]:.17g},{r},{e:.17g}\n")
+    for hi, h in enumerate(h_list):
+        summary = quartile_summary(errors[hi * runs_per_h:(hi + 1) * runs_per_h])
         print(
             f"h={h:g}: mean={summary['mean']:.4g} median={summary['median']:.4g} "
             f"IQR=[{summary['q1']:.4g}, {summary['q3']:.4g}]"
@@ -116,24 +130,12 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec = cfg.model_spec()
-    model = build_limit(spec)
-    integrator = cfg.integrator(model.has_diffusion)
-    x0 = cfg.x0()
-    times = _dt_grid(spec.horizon, integrator.dt)
-    n_runs = cfg.raw["experiment"]["n_runs"]
-
-    abm_jobs = [(spec, x0, times, [cfg.base_seed, _TAG_ABM, r]) for r in range(n_runs)]
-    abm_runs = [
-        Trajectory(times, v) for v in _map_runs(_abm_realization, abm_jobs, threads)
-    ]
-    dem_jobs = [
-        (spec, integrator, x0, spec.horizon, times, [cfg.base_seed, _TAG_DEM, r])
-        for r in range(n_runs)
-    ]
-    dem_runs = [
-        Trajectory(times, v) for v in _map_runs(_dem_realization, dem_jobs, threads)
-    ]
+    spec, _, integrator, x0, times = _prelude(cfg)
+    pairs = _fan_out(
+        _paired_block, cfg.raw["experiment"]["n_runs"], threads, spec, integrator, x0,
+        times, cfg.base_seed,
+    )
+    abm_runs, dem_runs = zip(*pairs)
 
     abm_stats = ensemble_stats(abm_runs)
     dem_stats = ensemble_stats(dem_runs)
@@ -154,17 +156,10 @@ def _run_limitcheck(cfg: ExperimentConfig, out: str, threads: int) -> None:
     )
     rng = np.random.default_rng([cfg.base_seed, _TAG_LIMITCHECK])
     h_list = sorted(cfg.h_list, reverse=True)
-    per_h = {h: SweepRow(h, 0.0, 0.0, 0.0) for h in h_list}
-    for x in states:
-        for row in convergence_sweep(x, spec, h_list, exp["samples"], rng):
-            prev = per_h[row.h]
-            per_h[row.h] = SweepRow(
-                h=row.h,
-                b_deviation=max(prev.b_deviation, row.b_deviation),
-                a_deviation=max(prev.a_deviation, row.a_deviation),
-                gamma4=max(prev.gamma4, row.gamma4),
-            )
-    rows = [per_h[h] for h in h_list]
+    sweeps = [convergence_sweep(x, spec, h_list, exp["samples"], rng) for x in states]
+    # worst deviations over the probe states, per h
+    worst = np.max([[(r.b_deviation, r.a_deviation, r.gamma4) for r in s] for s in sweeps], axis=0)
+    rows = [SweepRow(h, *map(float, w)) for h, w in zip(h_list, worst)]
     write_sweep_csv(rows, os.path.join(out, "limitcheck.csv"))
     summary = sweep_summary(rows, b_tol=exp["b_tol"])
     with open(os.path.join(out, "summary.txt"), "w") as f:

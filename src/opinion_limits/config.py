@@ -34,6 +34,7 @@ from .kernel import (
     UniformMollifier,
     erdos_renyi,
 )
+from .limitcheck import MIN_MC_SAMPLES
 from .noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_from_dict"]
@@ -293,8 +294,20 @@ class ExperimentConfig:
                 integrator.steps(spec.horizon)
             except ValueError as e:
                 raise ConfigError(f"[model] horizon: {e}") from None
-        if self.experiment in ("sweep_h", "limitcheck") and not self.h_list:
-            raise ConfigError("[experiment] h_list: must be non-empty")
+        if self.experiment in ("sweep_h", "limitcheck") and not (
+            self.h_list and all(h > 0 for h in self.h_list)
+        ):
+            raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
+        noisy = spec.noise.kind is not NoiseKind.NONE
+        least = {
+            "sweep_h": {"runs_per_h": 1},
+            "ensemble": {"n_runs": 2},
+            "limitcheck": {"n_states": 0, "samples": MIN_MC_SAMPLES if noisy else 0},
+        }.get(self.experiment, {})
+        for key, low in least.items():
+            got = self.raw["experiment"][key]
+            if got < low:
+                raise ConfigError(f"[experiment] {key}: must be at least {low}, got {got}")
 
     def to_dict(self) -> dict[str, dict[str, Any]]:
         return {s: dict(v) for s, v in self.raw.items()}

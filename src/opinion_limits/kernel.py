@@ -26,7 +26,6 @@ __all__ = [
     "MollifierSpec",
     "Network",
     "eval_kernel",
-    "pairwise_probability",
     "pairwise_matrix",
     "erdos_renyi",
 ]
@@ -89,7 +88,6 @@ class BoundedConfidence:
 
     def eval(self, d):
         d = np.asarray(d, dtype=float)
-        _check_distance(d)
         return np.where(d <= self.radius, 1.0, 0.0)
 
     def scalar_fn(self) -> Callable[[float], float]:
@@ -112,7 +110,6 @@ class MollifiedBC:
 
     def eval(self, d):
         d = np.asarray(d, dtype=float)
-        _check_distance(d)
         return 1.0 - self.mollifier.cdf(d - self.radius)
 
     def scalar_fn(self) -> Callable[[float], float]:
@@ -135,7 +132,6 @@ class Constant:
 
     def eval(self, d):
         d = np.asarray(d, dtype=float)
-        _check_distance(d)
         return np.full_like(d, self.value)
 
     def scalar_fn(self) -> Callable[[float], float]:
@@ -146,13 +142,13 @@ class Constant:
 InteractionKernel = Union[BoundedConfidence, MollifiedBC, Constant]
 
 
-def _check_distance(d) -> None:
+def eval_kernel(kernel: InteractionKernel, d):
+    """Interaction probability at opinion distance d (scalar or array).
+
+    Rejects negative distances; kernel.eval itself trusts its input.
+    """
     if np.any(np.asarray(d) < 0):
         raise ValueError("opinion distance must be non-negative")
-
-
-def eval_kernel(kernel: InteractionKernel, d):
-    """Interaction probability at opinion distance d (scalar or array)."""
     out = kernel.eval(d)
     return float(out) if np.ndim(d) == 0 else out
 
@@ -199,15 +195,6 @@ class Network:
         if a.shape != (n, n):
             raise ValueError(f"expected {n}x{n} adjacency, got {a.shape}")
         return cls(a)
-
-
-def pairwise_probability(kernel: InteractionKernel, x: np.ndarray, i: int, j: int) -> float:
-    """Interaction probability for the pair (i, j) at state x."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"agent index out of range for population of {n}")
-    return float(eval_kernel(kernel, abs(x[i] - x[j])))
 
 
 def pairwise_matrix(kernel: InteractionKernel, x: np.ndarray) -> np.ndarray:

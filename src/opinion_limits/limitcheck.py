@@ -25,7 +25,7 @@ from .abm import (
     _draw,
 )
 from .dem import build_limit
-from .kernel import eval_kernel, pairwise_matrix
+from .kernel import pairwise_matrix
 from .noise import NoiseKind
 
 __all__ = [
@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 _MC_BATCH = 200_000
+MIN_MC_SAMPLES = 10_000
+# half-width of each cluster of the two-cluster probe state
+_PROBE_SPREAD = 0.02
+# factor by which the second and fourth moments must shrink across the h grid
+_SHRINK_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def _increments(x, spec, draws):
 
     if kind is NoiseKind.AMBIGUITY:
         dd = x[jj] + z - x[ii]
-        acc = np.ones(len(ii), bool) if always else ua < eval_kernel(spec.kernel, np.abs(dd))
+        acc = np.ones(len(ii), bool) if always else ua < spec.kernel.eval(np.abs(dd))
         di = np.where(acc, mu * dd, 0.0)
         dj = np.where(acc, mu * (x[ii] + z2 - x[jj]), 0.0) if both else None
     else:
@@ -190,8 +195,8 @@ def mc_coefficients(
     rng: np.random.Generator,
 ) -> CoefficientReport:
     """Monte Carlo estimate of the one-step coefficients at state x."""
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     x = np.asarray(x, dtype=float)
     n = spec.n_agents
     h = spec.h
@@ -297,17 +302,15 @@ def convergence_sweep(
     return rows
 
 
-def probe_states(
-    n: int, count: int, rng: np.random.Generator, spread: float = 0.02
-) -> list[np.ndarray]:
+def probe_states(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Random probe states plus consensus and a two-cluster state."""
     states = [rng.uniform(-1.0, 1.0, n) for _ in range(count)]
     states.append(np.full(n, 0.2))
     half = n // 2
     clustered = np.concatenate(
         [
-            -0.5 + spread * rng.uniform(-1, 1, half),
-            0.5 + spread * rng.uniform(-1, 1, n - half),
+            -0.5 + _PROBE_SPREAD * rng.uniform(-1, 1, half),
+            0.5 + _PROBE_SPREAD * rng.uniform(-1, 1, n - half),
         ]
     )
     states.append(clustered)
@@ -321,12 +324,12 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
             f.write(f"{r.h:.17g},{r.b_deviation:.17g},{r.a_deviation:.17g},{r.gamma4:.17g}\n")
 
 
-def sweep_summary(rows: Sequence[SweepRow], b_tol: float, shrink_factor: float = 1.5) -> str:
+def sweep_summary(rows: Sequence[SweepRow], b_tol: float) -> str:
     """Human-readable pass/fail summary of the limit conditions.
 
     Checks that the drift deviation stays below b_tol at every h and
     that the second-moment deviation and fourth moment both shrink by at
-    least shrink_factor from the largest to the smallest h (or are
+    least _SHRINK_FACTOR from the largest to the smallest h (or are
     already negligible).
     """
     lines = []
@@ -334,7 +337,7 @@ def sweep_summary(rows: Sequence[SweepRow], b_tol: float, shrink_factor: float =
     lines.append(f"drift condition (|b_h - b| <= {b_tol:g} at all h): {'PASS' if b_ok else 'FAIL'}")
 
     def shrinks(first, last):
-        return last <= 1e-12 or last * shrink_factor <= first
+        return last <= 1e-12 or last * _SHRINK_FACTOR <= first
 
     a_ok = shrinks(rows[0].a_deviation, rows[-1].a_deviation)
     lines.append(f"second-moment condition (a deviation -> 0): {'PASS' if a_ok else 'FAIL'}")

@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from opinion_limits.abm import ModelSpec
 from opinion_limits.analysis import (
     ensemble_stats,
-    error_distribution,
     error_timeseries,
     quartile_summary,
     sweep_error,
 )
-from opinion_limits.kernel import Constant
 from opinion_limits.trajectory import Trajectory
 
 
@@ -82,18 +79,6 @@ def test_ensemble_csv_written(tmp_path):
     assert np.array_equal(mean_back.values, stats.mean)
     var_back = Trajectory.from_csv(var_path)
     assert np.array_equal(var_back.values, stats.variance)
-
-
-def test_error_distribution_deterministic_and_positive():
-    spec = ModelSpec(n_agents=4, h=1e-3, horizon=1.0, kernel=Constant(1.0))
-    x0 = np.array([-0.5, -0.1, 0.2, 0.8])
-    dem = traj(np.tile(x0, (3, 1)), times=[0.0, 0.5, 1.0])  # frozen reference
-    a = error_distribution(spec, dem, x0, n_runs=5, base_seed=7)
-    b = error_distribution(spec, dem, x0, n_runs=5, base_seed=7)
-    assert a == b
-    assert all(e > 0 for e in a)  # the chain contracts away from the frozen reference
-    with pytest.raises(ValueError):
-        error_distribution(spec, dem, x0, n_runs=0, base_seed=7)
 
 
 def test_quartile_summary_hand_values():

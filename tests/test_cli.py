@@ -261,3 +261,85 @@ def test_config_from_dict_matches_ini():
     a = parse_config(text)
     b = config_from_dict(a.to_dict())
     assert a.to_dict() == b.to_dict()
+
+
+_SMALL_MODEL = """
+[model]
+n_agents = 5
+h = 1e-3
+horizon = 0.2
+"""
+
+
+@pytest.mark.parametrize(
+    "experiment, settings, key",
+    [
+        ("sweep_h", "runs_per_h = 0", "runs_per_h"),
+        ("ensemble", "n_runs = 1", "n_runs"),
+        ("ensemble", "n_runs = 0", "n_runs"),
+        ("limitcheck", "n_states = -1", "n_states"),
+        ("sweep_h", "h_list = 1e-2,0", "h_list"),
+        ("limitcheck", "h_list = 1e-2,-1e-3", "h_list"),
+        ("limitcheck", "samples = 5000\n[noise]\nkind = adaptation\nvar_per_h = 0.05", "samples"),
+    ],
+    ids=[
+        "runs_per_h=0", "n_runs=1", "n_runs=0", "n_states=-1", "sweep_h-h_zero",
+        "limitcheck-h_negative", "noisy-samples=5000",
+    ],
+)
+def test_bad_experiment_counts_rejected_at_config_time(tmp_path, capsys, experiment, settings, key):
+    out = tmp_path / "out"
+    text = f"[experiment]\ntype = {experiment}\noutput_dir = {out}\n{settings}\n{_SMALL_MODEL}"
+    rc = main([str(_write(tmp_path, text))])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+_THREADED = {
+    "ensemble": """
+[experiment]
+type = ensemble
+n_runs = 5
+base_seed = 11
+
+[model]
+n_agents = 6
+h = 1e-3
+horizon = 0.2
+
+[noise]
+kind = external
+var_per_h = 0.05
+""",
+    "sweep_h": """
+[experiment]
+type = sweep_h
+h_list = 1e-2,3e-3,1e-3
+runs_per_h = 2
+base_seed = 11
+
+[model]
+n_agents = 6
+h = 1e-3
+horizon = 0.2
+""",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_THREADED))
+def test_threads_do_not_change_outputs(tmp_path, experiment):
+    path = _write(tmp_path, _THREADED[experiment])
+    outs = [tmp_path / f"threads{k}" for k in (1, 2)]
+    for k, out in zip((1, 2), outs):
+        assert main([str(path), "--out", str(out), "--threads", str(k)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    for m in manifests:
+        m["config"]["experiment"]["output_dir"] = "out"
+    assert manifests[0] == manifests[1]

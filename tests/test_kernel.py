@@ -14,7 +14,6 @@ from opinion_limits.kernel import (
     erdos_renyi,
     eval_kernel,
     pairwise_matrix,
-    pairwise_probability,
 )
 
 MOLLIFIED = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
@@ -85,23 +84,18 @@ def test_scalar_fn_matches_vector_eval():
 
 def test_pairwise_probability_at_radius():
     x = np.array([0.1, 0.6])
-    assert pairwise_probability(MOLLIFIED, x, 0, 1) == pytest.approx(0.5, abs=1e-15)
+    assert pairwise_matrix(MOLLIFIED, x)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pairwise_probability_self():
     x = np.array([0.3, 0.9])
-    assert pairwise_probability(MOLLIFIED, x, 1, 1) == eval_kernel(MOLLIFIED, 0.0)
+    assert pairwise_matrix(MOLLIFIED, x)[1, 1] == eval_kernel(MOLLIFIED, 0.0)
 
 
 def test_pairwise_probability_symmetric():
     x = np.array([0.1, 0.4, -0.2])
     p = pairwise_matrix(MOLLIFIED, x)
     assert np.allclose(p, p.T)
-
-
-def test_pairwise_index_out_of_range():
-    with pytest.raises(IndexError):
-        pairwise_probability(MOLLIFIED, np.array([0.0, 1.0]), 0, 2)
 
 
 def test_erdos_renyi_complete():
