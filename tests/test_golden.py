@@ -1,14 +1,18 @@
-"""Golden hashes pinning the random stream of the ABM engine.
+"""Golden hashes pinning the random stream of the ABM engine and the limit.
 
 run_abm promises bit-identical trajectories per seed, and mc_coefficients
 promises bit-identical estimates per seed in single-update modes. Each
 case below runs one valid selection x noise kind x update mode variant
 from a fixed seed and compares the sha256 of the raw float64 output with
 a recorded value, so any refactor that moves a draw or reorders the
-arithmetic of a step shows up here.
+arithmetic of a step shows up here. The same variants pin the limiting
+system: integrate(build_limit(spec), ...) for every variant with a derived
+limit (Euler-Maruyama from a fixed seed where there is diffusion), and the
+convergence_sweep rows measured against it.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +26,16 @@ from opinion_limits.abm import (
     UpdateMode,
     run_abm,
 )
+from opinion_limits.dem import (
+    IntegrationScheme,
+    IntegratorSpec,
+    NoDerivedLimitError,
+    build_limit,
+    integrate,
+)
 from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi
-from opinion_limits.limitcheck import mc_coefficients
-from opinion_limits.noise import GaussianScaled, NoiseFamily, NoiseKind
+from opinion_limits.limitcheck import convergence_sweep, mc_coefficients
+from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
 
@@ -156,3 +167,70 @@ def test_mc_coefficients_golden_hash(si, ki):
     label, spec, x0, seed = _case(si, ki)
     rep = mc_coefficients(x0, spec, 10_000, np.random.default_rng(seed))
     assert _sha(rep.b_h, rep.a_h_diag) == MC_SHA256[label], label
+
+
+def _integrate(spec, x0, seed):
+    model = build_limit(spec)
+    scheme = (
+        IntegrationScheme.EULER_MARUYAMA if model.has_diffusion
+        else IntegrationScheme.FORWARD_EULER
+    )
+    integrator = IntegratorSpec(dt=0.01, scheme=scheme)
+    traj = integrate(
+        model, x0, integrator, 2.0, np.linspace(0.0, 2.0, 5), np.random.default_rng(seed)
+    )
+    return traj.values
+
+
+# variants without an entry here have no derived limit
+INTEGRATE_SHA256 = {
+    "uwr_single-none": "08eb7fdd1a1d7825",
+    "uwr_single-ambiguity": "8142ee28b5288040",
+    "uwr_single-external": "717bc9e2c08bf4ca",
+    "uwr_single-adaptation": "0c3b8d3924f69bcd",
+    "uwr_single-random_update_distance": "a06aaa297436aea5",
+    "uwr_both-none": "a2497c9dd37d53db",
+    "uwor-none": "94b41b248848359c",
+    "degree-none": "49bc07b346d4c2a9",
+    "proportional-none": "669e0a5e988127f7",
+    "proportional_double-none": "3a9d12c914e7d14b",
+}
+
+
+@pytest.mark.parametrize("si,ki", _ALL)
+def test_integrate_golden_hash(si, ki):
+    label, spec, x0, seed = _case(si, ki)
+    if label not in INTEGRATE_SHA256:
+        with pytest.raises(NoDerivedLimitError):
+            build_limit(spec)
+        return
+    assert _sha(_integrate(spec, x0, seed + [2])) == INTEGRATE_SHA256[label], label
+
+
+def test_integrate_golden_hash_degenerate_noise():
+    label, spec, x0, seed = _case(0, _KINDS.index(NoiseKind.RANDOM_UPDATE_DISTANCE))
+    noise = NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, Degenerate(float(spec.n_agents)))
+    spec = replace(spec, noise=noise)
+    assert not build_limit(spec).has_diffusion
+    assert _sha(_integrate(spec, x0, seed + [2])) == "b27f2e1697f1875b", label
+
+
+# one noise-free and one noisy variant per limit form: exact targets for the
+# degree and proportional normalisations, Monte Carlo for each diffusion
+SWEEP_SHA256 = {
+    "degree-none": "adbe4506c930cae5",
+    "proportional_double-none": "755dd4e71e2e7709",
+    "uwr_single-external": "c624d128123be7bd",
+    "uwr_single-adaptation": "8de1a248d13dfe88",
+    "uwr_single-random_update_distance": "2831261c7d0fc413",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SWEEP_SHA256))
+def test_convergence_sweep_golden_hash(label):
+    name, kind = label.split("-")
+    si = [s[0] for s in _SCHEMES].index(name)
+    label, spec, x0, seed = _case(si, _KINDS.index(NoiseKind(kind)))
+    rows = convergence_sweep(x0, spec, [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(seed))
+    values = [(r.h, r.b_deviation, r.a_deviation, r.gamma4) for r in rows]
+    assert _sha(values) == SWEEP_SHA256[label], label
