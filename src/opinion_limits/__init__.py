@@ -17,7 +17,6 @@ from .analysis import (
     sweep_error,
 )
 from .dem import (
-    IntegrationScheme,
     IntegratorSpec,
     LimitModel,
     NoDerivedLimitError,

@@ -255,6 +255,16 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     return _Draws(ii, jj, uj, ua, zz)
 
 
+def _row_mass(p: np.ndarray) -> np.ndarray:
+    """Row sums of the pairwise matrix p, the normaliser of probability-
+    proportional selection; raises if an agent has nobody to pick."""
+    norm = p.sum(axis=1)
+    if np.any(norm <= 0.0):
+        bad = int(np.argmin(norm))
+        raise RuntimeError(f"agent {bad} has zero total interaction probability")
+    return norm
+
+
 def _bisect_rows(cum: np.ndarray, ii: np.ndarray, u: np.ndarray) -> np.ndarray:
     """bisect_right of u[k] times the row total in row ii[k] of the running
     sums cum, one distinct row at a time so memory stays O(len(ii))."""

@@ -41,12 +41,11 @@ def _write_series_csv(path, times, values, name="error"):
 
 
 def _prelude(cfg: ExperimentConfig):
-    """Spec, limit, integrator, x0 and the dt sample grid of an experiment."""
+    """Spec, integrator, x0 and the dt sample grid of an experiment."""
     spec = cfg.model_spec()
-    model = build_limit(spec)
-    integrator = cfg.integrator(model.has_diffusion)
+    integrator = cfg.integrator()
     times = np.round(np.arange(integrator.steps(spec.horizon) + 1) * integrator.dt, 12)
-    return spec, model, integrator, cfg.x0(), times
+    return spec, integrator, cfg.x0(), times
 
 
 def _fan_out(block, n_runs: int, threads: int, *args) -> list:
@@ -92,7 +91,7 @@ def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
 
 
 def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec, _, integrator, x0, times = _prelude(cfg)
+    spec, integrator, x0, times = _prelude(cfg)
     [(abm_traj, dem_traj)] = _paired_block(spec, integrator, x0, times, cfg.base_seed, 0, 1)
     err = error_timeseries(abm_traj, dem_traj)
 
@@ -103,10 +102,8 @@ def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec, model, integrator, x0, times = _prelude(cfg)
-    if model.has_diffusion:
-        raise ConfigError("sweep_h compares against a deterministic limit; noise must be off")
-    dem_traj = integrate(model, x0, integrator, spec.horizon, times)
+    spec, integrator, x0, times = _prelude(cfg)
+    dem_traj = integrate(build_limit(spec), x0, integrator, spec.horizon, times)
 
     h_list = cfg.h_list
     runs_per_h = cfg.raw["experiment"]["runs_per_h"]
@@ -130,7 +127,7 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec, _, integrator, x0, times = _prelude(cfg)
+    spec, integrator, x0, times = _prelude(cfg)
     pairs = _fan_out(
         _paired_block, cfg.raw["experiment"]["n_runs"], threads, spec, integrator, x0,
         times, cfg.base_seed,

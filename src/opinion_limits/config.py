@@ -23,7 +23,7 @@ from .abm import (
     UniformWithReplacement,
     UpdateMode,
 )
-from .dem import IntegrationScheme, IntegratorSpec
+from .dem import IntegratorSpec, build_limit
 from .kernel import (
     BoundedConfidence,
     Constant,
@@ -91,7 +91,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     },
     "dem": {
         "dt": (float, 0.01),
-        "scheme": (str, ""),
     },
     "init": {
         "x0": (str, "uniform"),
@@ -238,20 +237,9 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(f"[model] {e}") from None
 
-    def integrator(self, needs_noise: bool) -> IntegratorSpec:
-        d = self.raw["dem"]
-        name = d["scheme"]
-        if not name:
-            scheme = (
-                IntegrationScheme.EULER_MARUYAMA if needs_noise else IntegrationScheme.FORWARD_EULER
-            )
-        else:
-            try:
-                scheme = IntegrationScheme(name)
-            except ValueError:
-                raise ConfigError(f"[dem] scheme: unknown value {name!r}") from None
+    def integrator(self) -> IntegratorSpec:
         try:
-            return IntegratorSpec(dt=d["dt"], scheme=scheme)
+            return IntegratorSpec(dt=self.raw["dem"]["dt"])
         except ValueError as e:
             raise ConfigError(f"[dem] {e}") from None
 
@@ -282,22 +270,27 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] error_norm: unknown value {self.error_norm!r}")
         spec = self.model_spec()
         self.x0()
+        # every experiment measures the model against its limit
+        try:
+            model = build_limit(spec)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.experiment in ("compare", "sweep_h", "ensemble"):
-            from .dem import build_limit
-
-            try:
-                model = build_limit(spec)
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
-            integrator = self.integrator(model.has_diffusion)
+            integrator = self.integrator()
             try:
                 integrator.steps(spec.horizon)
             except ValueError as e:
                 raise ConfigError(f"[model] horizon: {e}") from None
-        if self.experiment in ("sweep_h", "limitcheck") and not (
-            self.h_list and all(h > 0 for h in self.h_list)
-        ):
-            raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
+        if self.experiment == "sweep_h" and model.has_diffusion:
+            raise ConfigError(
+                "sweep_h compares against a deterministic limit; this model's limit has diffusion"
+            )
+        if self.experiment in ("sweep_h", "limitcheck"):
+            h_list = self.h_list
+            if not (h_list and all(h > 0 for h in h_list)):
+                raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
+            if self.experiment == "limitcheck" and len(set(h_list)) < len(h_list):
+                raise ConfigError("[experiment] h_list: limitcheck needs distinct steps")
         noisy = spec.noise.kind is not NoiseKind.NONE
         least = {
             "sweep_h": {"runs_per_h": 1},

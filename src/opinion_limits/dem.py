@@ -7,7 +7,6 @@ motion per agent).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,6 +19,7 @@ from .abm import (
     ProbabilityProportional,
     UniformWithReplacement,
     UpdateMode,
+    _row_mass,
 )
 from .kernel import pairwise_matrix
 from .noise import NoiseKind, analytic_mk
@@ -28,7 +28,6 @@ from .trajectory import Trajectory
 __all__ = [
     "LimitModel",
     "IntegratorSpec",
-    "IntegrationScheme",
     "NoDerivedLimitError",
     "build_limit",
     "integrate",
@@ -52,15 +51,9 @@ class LimitModel:
         return self.diffusion is not None
 
 
-class IntegrationScheme(enum.Enum):
-    FORWARD_EULER = "forward_euler"
-    EULER_MARUYAMA = "euler_maruyama"
-
-
 @dataclass(frozen=True)
 class IntegratorSpec:
     dt: float = 0.01
-    scheme: IntegrationScheme = IntegrationScheme.FORWARD_EULER
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -74,8 +67,30 @@ class IntegratorSpec:
         return int(round(m))
 
 
+def _normalisation(spec: ModelSpec):
+    """The selection scheme's (p -> (w, norm), name) for the drift.
+
+    p is the pairwise interaction matrix; the drift of agent i is
+    sum_j w_ij (x_j - x_i) / norm_i.
+    """
+    sel = spec.selection
+    if isinstance(sel, DegreeWeighted):
+        a, k = sel.network.adjacency, sel.network.degrees
+        return (lambda p: (a * p, k)), "node-degree normalisation"
+    if isinstance(sel, ProbabilityProportional):
+        power = 2 if spec.double_weighting else 1
+        return (lambda p: (p**power, _row_mass(p))), "interaction-probability normalisation"
+    n = spec.n_agents
+    return (lambda p: (p, n)), "standard"
+
+
 def build_limit(spec: ModelSpec) -> LimitModel:
-    """Construct the limiting system matching the ABM configuration."""
+    """Construct the limiting system matching the ABM configuration.
+
+    The way pairs are selected fixes the drift's weights and normaliser
+    (_normalisation). Noise adds diffusion, and a noisy limit is derived
+    only for uniform single-update selection.
+    """
     if spec.kernel.discontinuous:
         raise ValueError(
             "the hard bounded-confidence kernel is discontinuous and has no "
@@ -88,79 +103,40 @@ def build_limit(spec: ModelSpec) -> LimitModel:
         isinstance(spec.selection, UniformWithReplacement)
         and spec.update_mode is UpdateMode.SINGLE
     )
-
-    if kind is not NoiseKind.NONE and kind is not NoiseKind.AMBIGUITY:
-        if not uniform_single:
-            raise NoDerivedLimitError(
-                f"no derived limit for {kind.value} noise combined with "
-                "non-uniform selection or both-update mode"
-            )
-    if kind is NoiseKind.AMBIGUITY and not uniform_single:
+    if kind is not NoiseKind.NONE and not uniform_single:
         raise NoDerivedLimitError(
-            "no derived limit for ambiguity noise outside the uniform single-update setup"
+            f"no derived limit for {kind.value} noise outside the uniform single-update setup"
         )
 
-    if isinstance(spec.selection, DegreeWeighted):
-        a = spec.selection.network.adjacency
-        k_deg = spec.selection.network.degrees
-
-        def drift(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            p = pairwise_matrix(kernel, x)
-            return (a * p * (x[None, :] - x[:, None])).sum(axis=1) / k_deg
-
-        return LimitModel(drift, None, "node-degree normalisation ODE")
-
-    if isinstance(spec.selection, ProbabilityProportional):
-        power = 2 if spec.double_weighting else 1
-
-        def drift(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            p = pairwise_matrix(kernel, x)
-            norm = p.sum(axis=1)
-            if np.any(norm <= 0.0):
-                bad = int(np.argmin(norm))
-                raise RuntimeError(
-                    f"agent {bad} has zero total interaction probability"
-                )
-            return (p**power * (x[None, :] - x[:, None])).sum(axis=1) / norm
-
-        return LimitModel(drift, None, "interaction-probability normalisation ODE")
+    weigh, name = _normalisation(spec)
 
     def drift(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        p = pairwise_matrix(kernel, x)
-        return (p * (x[None, :] - x[:, None])).sum(axis=1) / n
-
-    if kind in (NoiseKind.NONE, NoiseKind.AMBIGUITY):
-        return LimitModel(drift, None, "standard ODE")
+        w, norm = weigh(pairwise_matrix(kernel, x))
+        return (w * (x[None, :] - x[:, None])).sum(axis=1) / norm
 
     m2 = analytic_mk(spec.noise, 2)
+    if kind in (NoiseKind.NONE, NoiseKind.AMBIGUITY):
+        return LimitModel(drift, None, f"{name} ODE")
     if m2 == 0.0:
         return LimitModel(drift, None, "standard ODE (degenerate noise)")
-
     if kind is NoiseKind.EXTERNAL:
         const = math.sqrt(m2 / n)
+        return LimitModel(drift, lambda x: np.full(n, const), "additive-noise SDE")
 
-        def diffusion(x: np.ndarray) -> np.ndarray:
-            return np.full(n, const)
-
-        return LimitModel(drift, diffusion, "additive-noise SDE")
-
-    if kind is NoiseKind.ADAPTATION:
-
-        def diffusion(x: np.ndarray) -> np.ndarray:
-            p = pairwise_matrix(kernel, np.asarray(x, dtype=float))
-            return np.sqrt(m2 / n**2 * p.sum(axis=1))
-
-        return LimitModel(drift, diffusion, "interaction-gated additive-noise SDE")
+    # adaptation noise lands with each accepted interaction; a random
+    # update distance also scales with the squared distance moved
+    multiplicative = kind is NoiseKind.RANDOM_UPDATE_DISTANCE
 
     def diffusion(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         p = pairwise_matrix(kernel, x)
-        return np.sqrt(m2 / n**2 * (p * (x[None, :] - x[:, None]) ** 2).sum(axis=1))
+        if multiplicative:
+            p = p * (x[None, :] - x[:, None]) ** 2
+        return np.sqrt(m2 / n**2 * p.sum(axis=1))
 
-    return LimitModel(drift, diffusion, "multiplicative-noise SDE")
+    form = "multiplicative" if multiplicative else "interaction-gated additive"
+    return LimitModel(drift, diffusion, f"{form}-noise SDE")
 
 
 def integrate(
@@ -173,17 +149,16 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step integration, recording states at the sample times.
 
-    The horizon and the sample times must fall on the dt grid.
-    Euler-Maruyama draws one standard normal per agent per step, in agent
-    order, from the supplied stream.
+    The horizon and the sample times must fall on the dt grid. A drift-only
+    model is integrated by forward Euler and rng is not touched. A model
+    with diffusion is integrated by Euler-Maruyama, which draws one standard
+    normal per agent per step, in agent order, from rng.
     """
     x = np.asarray(x0, dtype=float).copy()
     dt = integrator.dt
-    stochastic = integrator.scheme is IntegrationScheme.EULER_MARUYAMA
-    if model.has_diffusion and not stochastic:
-        raise ValueError("forward Euler cannot integrate a model with diffusion")
+    stochastic = model.has_diffusion
     if stochastic and rng is None:
-        raise ValueError("Euler-Maruyama requires a random stream")
+        raise ValueError("a model with diffusion needs a random stream for Euler-Maruyama")
 
     times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(times) < 0):
@@ -205,7 +180,6 @@ def integrate(
         dx = model.drift(x) * dt
         if stochastic:
             z = rng.standard_normal(len(x))
-            if model.has_diffusion:
-                dx = dx + model.diffusion(x) * sqrt_dt * z
+            dx = dx + model.diffusion(x) * sqrt_dt * z
         x = x + dx
     return Trajectory(times, out)

@@ -17,7 +17,7 @@ from opinion_limits.abm import (
     run_abm,
 )
 from opinion_limits.analysis import quartile_summary, sweep_error
-from opinion_limits.dem import IntegrationScheme, IntegratorSpec, build_limit, integrate
+from opinion_limits.dem import IntegratorSpec, build_limit, integrate
 from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi, pairwise_matrix
 from opinion_limits.limitcheck import exact_coefficients, mc_coefficients
 from opinion_limits.noise import (
@@ -226,7 +226,7 @@ def _get_ensemble(name):
             noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
             spec = _spec(50, 1e-4, _HORIZON, noise=noise)
             model = build_limit(spec)
-            em = IntegratorSpec(dt=0.01, scheme=IntegrationScheme.EULER_MARUYAMA)
+            em = IntegratorSpec(dt=0.01)
             x0 = np.random.default_rng(1000).uniform(-1.0, 1.0, 50)
             runs = (
                 integrate(

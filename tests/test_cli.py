@@ -181,7 +181,7 @@ horizon = 0.5
     assert len(lines) == 1 + 2 * 3
 
 
-def test_sweep_h_refuses_noise(tmp_path):
+def test_sweep_h_refuses_noise(tmp_path, capsys):
     text = """
 [experiment]
 type = sweep_h
@@ -197,7 +197,9 @@ kind = external
 var_per_h = 0.05
 """.format(out=tmp_path / "out")
     rc = main([str(_write(tmp_path, text))])
-    assert rc == 2
+    assert rc == 1
+    assert "deterministic limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ensemble_outputs(tmp_path):
@@ -280,11 +282,20 @@ horizon = 0.2
         ("limitcheck", "n_states = -1", "n_states"),
         ("sweep_h", "h_list = 1e-2,0", "h_list"),
         ("limitcheck", "h_list = 1e-2,-1e-3", "h_list"),
+        ("limitcheck", "h_list = 1e-2,1e-2", "h_list"),
         ("limitcheck", "samples = 5000\n[noise]\nkind = adaptation\nvar_per_h = 0.05", "samples"),
+        # with no derived limit there is no target to measure the coefficients against
+        ("limitcheck", "[kernel]\ntype = bounded_confidence", "discontinuous"),
+        (
+            "limitcheck",
+            "[selection]\nscheme = degree_weighted\n[noise]\nkind = external\nvar_per_h = 0.05",
+            "no derived limit",
+        ),
     ],
     ids=[
         "runs_per_h=0", "n_runs=1", "n_runs=0", "n_states=-1", "sweep_h-h_zero",
-        "limitcheck-h_negative", "noisy-samples=5000",
+        "limitcheck-h_negative", "limitcheck-h_repeated", "noisy-samples=5000",
+        "limitcheck-bounded_confidence", "limitcheck-degree_weighted-external",
     ],
 )
 def test_bad_experiment_counts_rejected_at_config_time(tmp_path, capsys, experiment, settings, key):
@@ -295,6 +306,19 @@ def test_bad_experiment_counts_rejected_at_config_time(tmp_path, capsys, experim
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not out.exists()
+
+
+def test_manifest_with_integration_scheme_rejected(tmp_path, capsys):
+    # the integrator follows from the limit; a manifest that still names one
+    # is refused rather than rerun under a different meaning
+    cfg = parse_config(SMALL_COMPARE.format(out=tmp_path / "out")).to_dict()
+    cfg["dem"]["scheme"] = "euler_maruyama"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": cfg}))
+    rc = main([str(path)])
+    assert rc == 1
+    assert "unknown key 'scheme'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _THREADED = {

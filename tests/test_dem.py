@@ -11,7 +11,6 @@ from opinion_limits.abm import (
     UpdateMode,
 )
 from opinion_limits.dem import (
-    IntegrationScheme,
     IntegratorSpec,
     NoDerivedLimitError,
     build_limit,
@@ -161,40 +160,32 @@ def test_forward_euler_two_agent_linear_system():
     assert gap_coarse == pytest.approx(0.3660323412732292, abs=1e-15)
 
 
-def test_forward_euler_refuses_diffusion():
+def test_euler_maruyama_requires_rng():
+    # a model with diffusion is integrated by Euler-Maruyama, which needs a stream
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     model = build_limit(make_spec(kernel=KERNEL, noise=noise))
-    with pytest.raises(ValueError, match="diffusion"):
+    with pytest.raises(ValueError, match="random stream"):
         integrate(model, np.zeros(4), IntegratorSpec(dt=0.01), 1.0, [1.0])
 
 
-def test_euler_maruyama_requires_rng():
-    model = build_limit(make_spec())
-    em = IntegratorSpec(dt=0.01, scheme=IntegrationScheme.EULER_MARUYAMA)
-    with pytest.raises(ValueError, match="random"):
-        integrate(model, np.zeros(4), em, 1.0, [1.0])
-
-
 def test_euler_maruyama_matches_euler_without_diffusion():
+    # a drift-only model is forward Euler whether or not a stream is passed,
+    # and the stream is left untouched
     model = build_limit(make_spec(kernel=KERNEL))
     x0 = np.random.default_rng(3).uniform(-1, 1, 4)
     times = [0.0, 0.5, 1.0]
     fe = integrate(model, x0, IntegratorSpec(dt=0.01), 1.0, times)
-    em = integrate(
-        model,
-        x0,
-        IntegratorSpec(dt=0.01, scheme=IntegrationScheme.EULER_MARUYAMA),
-        1.0,
-        times,
-        np.random.default_rng(4),
-    )
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    em = integrate(model, x0, IntegratorSpec(dt=0.01), 1.0, times, rng)
     assert np.array_equal(fe.values, em.values)
+    assert rng.bit_generator.state == state
 
 
 def test_euler_maruyama_pure_noise_statistics():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     model = build_limit(make_spec(n_agents=2, kernel=Constant(0.0), noise=noise))
-    em = IntegratorSpec(dt=0.01, scheme=IntegrationScheme.EULER_MARUYAMA)
+    em = IntegratorSpec(dt=0.01)
     m = 2000
     finals = np.empty((m, 2))
     for r in range(m):

@@ -26,13 +26,7 @@ from opinion_limits.abm import (
     UpdateMode,
     run_abm,
 )
-from opinion_limits.dem import (
-    IntegrationScheme,
-    IntegratorSpec,
-    NoDerivedLimitError,
-    build_limit,
-    integrate,
-)
+from opinion_limits.dem import IntegratorSpec, NoDerivedLimitError, build_limit, integrate
 from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi
 from opinion_limits.limitcheck import convergence_sweep, mc_coefficients
 from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
@@ -170,14 +164,9 @@ def test_mc_coefficients_golden_hash(si, ki):
 
 
 def _integrate(spec, x0, seed):
-    model = build_limit(spec)
-    scheme = (
-        IntegrationScheme.EULER_MARUYAMA if model.has_diffusion
-        else IntegrationScheme.FORWARD_EULER
-    )
-    integrator = IntegratorSpec(dt=0.01, scheme=scheme)
     traj = integrate(
-        model, x0, integrator, 2.0, np.linspace(0.0, 2.0, 5), np.random.default_rng(seed)
+        build_limit(spec), x0, IntegratorSpec(dt=0.01), 2.0, np.linspace(0.0, 2.0, 5),
+        np.random.default_rng(seed),
     )
     return traj.values
 

@@ -31,9 +31,10 @@ def make_spec(**kw):
 def test_exact_drift_hand_value_two_agents():
     # N=2, constant kernel: b_1 = (1/2)(x_2 - x_1)
     spec = make_spec(n_agents=2, kernel=Constant(1.0))
-    rep = exact_coefficients(np.array([0.0, 1.0]), spec)
+    x = np.array([0.0, 1.0])
+    rep = exact_coefficients(x, spec)
     assert rep.b_h == pytest.approx([0.5, -0.5])
-    assert rep.analytic_b == pytest.approx([0.5, -0.5])
+    assert build_limit(spec).drift(x) == pytest.approx([0.5, -0.5])
     # a_ii = h * sum_j p_ij d_ij^2 = h * 1
     assert rep.a_h_diag == pytest.approx([1e-3, 1e-3])
 
