@@ -160,12 +160,23 @@ def test_forward_euler_two_agent_linear_system():
     assert gap_coarse == pytest.approx(0.3660323412732292, abs=1e-15)
 
 
-def test_euler_maruyama_requires_rng():
-    # a model with diffusion is integrated by Euler-Maruyama, which needs a stream
+def test_forward_euler_refuses_diffusion():
+    # without a stream only forward Euler is available, and it cannot carry diffusion
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     model = build_limit(make_spec(kernel=KERNEL, noise=noise))
-    with pytest.raises(ValueError, match="random stream"):
+    with pytest.raises(ValueError, match="diffusion"):
         integrate(model, np.zeros(4), IntegratorSpec(dt=0.01), 1.0, [1.0])
+
+
+def test_euler_maruyama_requires_rng():
+    # any diffusion in the limit selects Euler-Maruyama, which needs a stream
+    noise = NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05))
+    model = build_limit(make_spec(kernel=KERNEL, noise=noise))
+    x0 = np.linspace(-0.5, 0.5, 4)
+    with pytest.raises(ValueError, match="random stream"):
+        integrate(model, x0, IntegratorSpec(dt=0.01), 1.0, [1.0])
+    traj = integrate(model, x0, IntegratorSpec(dt=0.01), 1.0, [1.0], np.random.default_rng(0))
+    assert np.all(np.isfinite(traj.values))
 
 
 def test_euler_maruyama_matches_euler_without_diffusion():
