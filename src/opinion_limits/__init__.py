@@ -9,6 +9,7 @@ from .abm import (
     UpdateMode,
     abm_step,
     run_abm,
+    run_abm_batch,
 )
 from .analysis import (
     EnsembleStats,

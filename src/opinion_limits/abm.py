@@ -31,9 +31,17 @@ __all__ = [
     "ModelSpec",
     "abm_step",
     "run_abm",
+    "run_abm_batch",
 ]
 
 _CHUNK = 1 << 15
+# Blocks of fewer runs than this are faster through run_abm one at a time
+# than through run_abm_batch: at N=50 with external noise, 20 runs took 6%
+# longer batched and 24 runs 8% less.
+_BATCH_MIN_RUNS = 24
+# run_abm_batch advances runs in groups whose draw buffers hold at most
+# this many steps, summed over the runs of the group.
+_BATCH_STEPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,33 +189,73 @@ def run_abm(
     n = spec.n_agents
     if len(x0) != n:
         raise ValueError("x0 size does not match spec")
+    times, plan = _plan(spec, sample_times)
+    out = np.empty((len(times), n))
+
+    x = x0.tolist()
+    lo, hi = float(x0.min()), float(x0.max())
+    for samples, m in plan:
+        out[samples] = x
+        if m:
+            _apply(spec, x, _draw(spec, m, rng), lo, hi, check_hull)
+
+    return Trajectory(times, out)
+
+
+def run_abm_batch(
+    spec: ModelSpec,
+    x0: Sequence[float],
+    sample_times: Sequence[float],
+    rngs: Sequence[np.random.Generator],
+) -> list[Trajectory]:
+    """run_abm from x0 once per stream in rngs, the runs advanced together.
+
+    The result is bit-identical to run_abm(spec, x0, sample_times, rng) for
+    each rng: every run draws the same chunks from its own stream, step k
+    applies draw k of every run to an (R, N) state array, and acceptance is
+    decided by the same scalar kernel. Probability-proportional selection
+    resolves j from each run's own state and is refused.
+    """
+    if isinstance(spec.selection, ProbabilityProportional):
+        raise ValueError("probability-proportional selection is not batched")
+    x0 = np.asarray(x0, dtype=float)
+    if len(x0) != spec.n_agents:
+        raise ValueError("x0 size does not match spec")
+    times, plan = _plan(spec, sample_times)
+    out = np.empty((len(rngs), len(times), spec.n_agents))
+    group = max(1, _BATCH_STEPS // max(m for _, m in plan))
+    for a in range(0, len(rngs), group):
+        _run_group(spec, x0, plan, rngs[a : a + group], out[a : a + group])
+    return [Trajectory(times, values) for values in out]
+
+
+def _plan(spec: ModelSpec, sample_times: Sequence[float]):
+    """Validated sample times and the chunks of ceil(T/h) steps between them.
+
+    The plan is a list of (samples, m): record the state at the sample
+    indices samples, then take m steps (0 after the last sample). A sample
+    at time s records the state after floor(s/h) steps.
+    """
     times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
     if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-9):
         raise ValueError("sample times must lie within [0, T]")
-
     h = spec.h
     total = int(math.ceil(spec.horizon / h - 1e-9))
     targets = [min(total, int(math.floor(s / h + 1e-9))) for s in times]
-    out = np.empty((len(times), n))
-
-    x = x0.tolist()
-    lo, hi = float(x0.min()), float(x0.max())
-    done = 0
-    ti = 0
+    plan = []
+    done = ti = 0
     while True:
+        first = ti
         while ti < len(targets) and targets[ti] == done:
-            out[ti] = x
             ti += 1
-        if done == total:
-            break
         stop = total if ti >= len(targets) else targets[ti]
         m = min(_CHUNK, stop - done)
-        _apply(spec, x, _draw(spec, m, rng), lo, hi, check_hull)
+        plan.append((slice(first, ti), m))
+        if m == 0:
+            return times, plan
         done += m
-
-    return Trajectory(times, out)
 
 
 class _Draws(NamedTuple):
@@ -282,6 +330,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     mu = spec.mu
     kind = spec.noise.kind
     pfn = spec.kernel.scalar_fn()
+    d_one, d_zero = spec.kernel.saturation()
     both = spec.update_mode is UpdateMode.BOTH
     always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
     ii, jj, uj, ua, zz = (None if a is None else a.tolist() for a in draws)
@@ -310,7 +359,8 @@ def _apply(spec, x, draws, lo, hi, check_hull):
             eta = zz[k][0] if both else zz[k]
             omega = xj + eta
             dd = omega - xi
-            if always or ua[k] < pfn(abs(dd)):
+            ad = abs(dd)
+            if always or ad <= d_one or (ad < d_zero and ua[k] < pfn(ad)):
                 v = xi + mu * dd
                 if check_hull and not lo <= v <= hi:
                     raise RuntimeError(f"opinion of agent {i} left the initial hull")
@@ -320,7 +370,8 @@ def _apply(spec, x, draws, lo, hi, check_hull):
             continue
 
         d = xj - xi
-        ok = always or ua[k] < pfn(abs(d))
+        ad = abs(d)
+        ok = always or ad <= d_one or (ad < d_zero and ua[k] < pfn(ad))
 
         if kind is NoiseKind.NONE:
             if ok and d != 0.0:
@@ -348,3 +399,94 @@ def _apply(spec, x, draws, lo, hi, check_hull):
                 x[i] = xi + zz[k] * d
                 if both:
                     x[j] = xj - zz[k] * d
+
+
+def _update_rule(spec):
+    """The update rule of spec's noise kind, vectorised over steps.
+
+    rule(xi, xj, z, z2, accept) takes one entry per step: the step selected
+    agent i at opinion xi[k] and agent j at xj[k], with noise draw z[k] for
+    i (and z2[k] for j when both agents take their own draw). The entries
+    may come from one fixed state or from a different run each. accept maps
+    the signed distance that decides the interaction to a boolean array.
+
+    It returns (move, ti, tj). Where move holds (everywhere if move is
+    None), agent i becomes xi + ti[0] (+ ti[1]), the terms added left to
+    right as _apply adds them, and in both-update mode agent j becomes
+    xj + tj[0] (+ tj[1]); elsewhere neither agent changes. tj is None in
+    single-update modes.
+    """
+    mu = spec.mu
+    kind = spec.noise.kind
+    both = spec.update_mode is UpdateMode.BOTH
+
+    def rule(xi, xj, z, z2, accept):
+        if kind is NoiseKind.AMBIGUITY:
+            dd = xj + z - xi
+            return accept(dd), (mu * dd,), (mu * (xi + z2 - xj),) if both else None
+        d = xj - xi
+        ok = accept(d)
+        if kind is NoiseKind.EXTERNAL:
+            pull = np.where(ok, mu * d, 0.0)
+            return None, (z, pull), (z2, -pull) if both else None
+        if kind is NoiseKind.ADAPTATION:
+            return ok, (mu * d, z), (-(mu * d), z2) if both else None
+        step = mu * d if kind is NoiseKind.NONE else z * d  # random update distance
+        # a zero pull is skipped, so an opinion of -0.0 keeps its sign
+        return ok & (d != 0.0), (step,), (-step,) if both else None
+
+    return rule
+
+
+def _moved(x, terms, move):
+    """x plus the terms, left to right, where move holds (everywhere if None)."""
+    new = x + terms[0]
+    if len(terms) > 1:
+        new = new + terms[1]
+    return new if move is None else np.where(move, new, x)
+
+
+def _run_group(spec, x0, plan, rngs, out):
+    """run_abm_batch for one group of runs, into out of shape (R, samples, N)."""
+    n = spec.n_agents
+    both = spec.update_mode is UpdateMode.BOTH
+    rule = _update_rule(spec)
+    pfn = spec.kernel.scalar_fn()
+    d_one, d_zero = spec.kernel.saturation()
+    x = np.tile(x0, (len(rngs), 1))
+    flat = x.reshape(-1)
+    offset = np.arange(len(rngs)) * n  # of each run's row in flat
+
+    def steps(arrays):
+        """The runs' draws as an (R, m, ...) array, transposed so that
+        iterating it yields step k of every run."""
+        return None if arrays[0] is None else np.array(arrays).swapaxes(0, 1)
+
+    for samples, m in plan:
+        out[:, samples] = x[:, None, :]
+        if not m:
+            break
+        ii, jj, _, ua, zz = map(steps, zip(*(_draw(spec, m, rng) for rng in rngs)))
+        if zz is None:
+            z = z2 = [None] * m
+        elif zz.ndim == 3:
+            z, z2 = zz[..., 0], zz[..., 1]
+        else:
+            z, z2 = zz, [None] * m
+        for fi, fj, uk, zk, z2k in zip(ii + offset, jj + offset, ua, z, z2):
+
+            def accept(d):
+                # _apply's test; the kernel is called only inside the band
+                ad = np.abs(d)
+                ok = ad <= d_one
+                band = (ad < d_zero) != ok  # ok implies ad < d_zero
+                if band.any():
+                    ok[band] = uk[band] < np.fromiter(map(pfn, ad[band].tolist()), float)
+                return ok
+
+            xi = flat[fi]
+            xj = flat[fj]
+            move, ti, tj = rule(xi, xj, zk, z2k, accept)
+            flat[fi] = _moved(xi, ti, move)
+            if both:
+                flat[fj] = _moved(xj, tj, move)

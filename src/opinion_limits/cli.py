@@ -13,11 +13,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import groupby
 from multiprocessing import get_context
 
 import numpy as np
 
-from .abm import run_abm
+from .abm import _BATCH_MIN_RUNS, ProbabilityProportional, run_abm, run_abm_batch
 from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_error
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate
@@ -62,31 +63,41 @@ def _fan_out(block, n_runs: int, threads: int, *args) -> list:
         return [run for f in futures for run in f.result()]
 
 
+def _abm_runs(spec, x0, times, rngs):
+    """One ABM trajectory per stream: batched, unless the block is too small
+    to gain or the selection depends on each run's state."""
+    if len(rngs) < _BATCH_MIN_RUNS or isinstance(spec.selection, ProbabilityProportional):
+        return [run_abm(spec, x0, times, rng) for rng in rngs]
+    return run_abm_batch(spec, x0, times, rngs)
+
+
 def _paired_block(spec, integrator, x0, times, base_seed, start, stop):
     """(ABM, limit) trajectory pairs of runs start..stop-1; compare is run 0 alone."""
     model = build_limit(spec)
+    rngs = [np.random.default_rng([base_seed, _TAG_ABM, r]) for r in range(start, stop)]
+    abm_runs = _abm_runs(spec, x0, times, rngs)
     return [
         (
-            run_abm(spec, x0, times, np.random.default_rng([base_seed, _TAG_ABM, r])),
+            traj,
             integrate(
                 model, x0, integrator, spec.horizon, times,
                 np.random.default_rng([base_seed, _TAG_DEM, r]),
             ),
         )
-        for r in range(start, stop)
+        for r, traj in zip(range(start, stop), abm_runs)
     ]
 
 
 def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
     """ABM trajectories of sweep runs start..stop-1.
 
-    Run k is run k % runs_per_h of the model specs[k // runs_per_h].
+    Run k is run k % runs_per_h of the model specs[k // runs_per_h]; the
+    runs of one model go through _abm_runs together.
     """
     runs = []
-    for k in range(start, stop):
-        hi, r = divmod(k, runs_per_h)
-        rng = np.random.default_rng([base_seed, _TAG_SWEEP, hi, r])
-        runs.append(run_abm(specs[hi], x0, times, rng))
+    for hi, ks in groupby(range(start, stop), key=lambda k: k // runs_per_h):
+        rngs = [np.random.default_rng([base_seed, _TAG_SWEEP, *divmod(k, runs_per_h)]) for k in ks]
+        runs += _abm_runs(specs[hi], x0, times, rngs)
     return runs
 
 

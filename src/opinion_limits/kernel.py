@@ -9,7 +9,9 @@ distribution's CDF F.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -31,6 +33,26 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# bit pattern of +inf; the patterns 0.._INF_BITS order [0, inf] like the floats
+_INF_BITS = 0x7FF0000000000000
+
+
+def _first(pred: Callable[[float], bool]) -> float | None:
+    """Smallest float d in [0, inf] with pred(d), or None if pred(inf) fails.
+
+    pred must be false and then true as d grows; bisects on bit patterns,
+    so the answer is exact.
+    """
+    if not pred(math.inf):
+        return None
+    lo, hi = -1, _INF_BITS  # pred fails below pattern lo + 1 and holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            hi = mid
+        else:
+            lo = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,11 @@ class BoundedConfidence:
         r = self.radius
         return lambda d: 1.0 if d <= r else 0.0
 
+    def saturation(self) -> tuple[float, float]:
+        """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
+        exactly 0.0 for d >= d_zero, in both scalar_fn and eval."""
+        return self.radius, math.nextafter(self.radius, math.inf)
+
 
 @dataclass(frozen=True)
 class MollifiedBC:
@@ -117,6 +144,29 @@ class MollifiedBC:
         cdf = self.mollifier.cdf_scalar
         return lambda d: 1.0 - cdf(d - r)
 
+    @functools.lru_cache(maxsize=64)
+    def saturation(self) -> tuple[float, float]:
+        """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
+        exactly 0.0 for d >= d_zero, in both scalar_fn and eval.
+
+        The two forms differ in the last bits inside the band (math.erfc
+        against ndtr), so each end is where both forms saturate, found by
+        bisection over floats. d_one is -inf when the kernel is below 1 at
+        d = 0, and d_zero is inf when it never reaches 0.
+        """
+        f = self.scalar_fn()
+
+        def values(d):
+            return f(d), float(self.eval(d))
+
+        below_one = _first(lambda d: min(values(d)) < 1.0)
+        if below_one is None:
+            d_one = math.inf
+        else:
+            d_one = -math.inf if below_one == 0.0 else math.nextafter(below_one, -math.inf)
+        d_zero = _first(lambda d: max(values(d)) == 0.0)
+        return d_one, math.inf if d_zero is None else d_zero
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -137,6 +187,13 @@ class Constant:
     def scalar_fn(self) -> Callable[[float], float]:
         v = self.value
         return lambda d: v
+
+    def saturation(self) -> tuple[float, float]:
+        """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
+        exactly 0.0 for d >= d_zero; infinite ends mean never."""
+        return (math.inf if self.value == 1.0 else -math.inf), (
+            0.0 if self.value == 0.0 else math.inf
+        )
 
 
 InteractionKernel = Union[BoundedConfidence, MollifiedBC, Constant]
@@ -198,9 +255,22 @@ class Network:
 
 
 def pairwise_matrix(kernel: InteractionKernel, x: np.ndarray) -> np.ndarray:
-    """Full N x N matrix of pairwise interaction probabilities."""
+    """Full N x N matrix of pairwise interaction probabilities.
+
+    Entries outside the kernel's saturation band are set to 1.0 or 0.0
+    directly; kernel.eval runs only on the distances inside it.
+    """
     x = np.asarray(x, dtype=float)
-    return kernel.eval(np.abs(x[:, None] - x[None, :]))
+    d_one, d_zero = kernel.saturation()
+    # one N x N buffer holds the distances and then the probabilities
+    p = np.subtract.outer(x, x)
+    np.abs(p, out=p)
+    ones = p <= d_one
+    band = np.flatnonzero((p < d_zero) != ones)  # ones implies p < d_zero
+    inside = kernel.eval(p.ravel()[band])
+    np.copyto(p, ones)
+    p.ravel()[band] = inside
+    return p
 
 
 def erdos_renyi(n: int, p_conn: float, seed: int) -> Network:

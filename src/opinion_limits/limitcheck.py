@@ -24,6 +24,7 @@ from .abm import (
     _bisect_rows,
     _draw,
     _row_mass,
+    _update_rule,
 )
 from .dem import build_limit
 from .kernel import pairwise_matrix
@@ -124,12 +125,10 @@ def _increments(x, spec, draws):
 
     Returns (ii, di, jj, dj) in sparse form: agent ii[k] moves by di[k] and
     agent jj[k] by dj[k]; jj/dj are None unless both agents move. This is
-    the vectorised form of abm._apply for steps that all start from x.
+    abm's vectorised update rule for steps that all start from x.
     """
-    mu = spec.mu
     kind = spec.noise.kind
     p = pairwise_matrix(spec.kernel, x)
-    both = spec.update_mode is UpdateMode.BOTH
     ii, jj, uj, ua, zz = draws
     always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
     if jj is None:  # probability-proportional: resolve j against x
@@ -137,32 +136,24 @@ def _increments(x, spec, draws):
         jj = _bisect_rows(np.cumsum(p, axis=1), ii, uj)
     z, z2 = (zz[:, 0], zz[:, 1]) if zz is not None and zz.ndim == 2 else (zz, None)
 
-    if kind is NoiseKind.AMBIGUITY:
-        dd = x[jj] + z - x[ii]
-        acc = np.ones(len(ii), bool) if always else ua < spec.kernel.eval(np.abs(dd))
-        di = np.where(acc, mu * dd, 0.0)
-        dj = np.where(acc, mu * (x[ii] + z2 - x[jj]), 0.0) if both else None
-    else:
-        acc = np.ones(len(ii), bool) if always else ua < p[ii, jj]
-        dx = x[jj] - x[ii]
-        if kind is NoiseKind.NONE:
-            di = np.where(acc, mu * dx, 0.0)
-            dj = -di
-        elif kind is NoiseKind.EXTERNAL:
-            pull = np.where(acc, mu * dx, 0.0)
-            di = z + pull
-            dj = z2 - pull if both else None
-        elif kind is NoiseKind.ADAPTATION:
-            di = np.where(acc, mu * dx + z, 0.0)
-            dj = np.where(acc, -mu * dx + z2, 0.0) if both else None
-        else:  # random update distance
-            di = np.where(acc, z * dx, 0.0)
-            dj = -di
+    def accept(d):
+        if always:
+            return np.ones(len(ii), bool)
+        if kind is NoiseKind.AMBIGUITY:
+            return ua < spec.kernel.eval(np.abs(d))
+        return ua < p[ii, jj]
 
-    if not both:
+    move, ti, tj = _update_rule(spec)(x[ii], x[jj], z, z2, accept)
+
+    def increment(terms):
+        inc = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        return inc if move is None else np.where(move, inc, 0.0)
+
+    di = increment(ti)
+    if tj is None:
         return ii, di, None, None
     # the chain writes j's update last, so when i == j only dj lands
-    return ii, np.where(ii == jj, 0.0, di), jj, dj
+    return ii, np.where(ii == jj, 0.0, di), jj, increment(tj)
 
 
 def mc_coefficients(

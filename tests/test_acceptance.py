@@ -15,6 +15,7 @@ from opinion_limits.abm import (
     UniformWithoutReplacement,
     UpdateMode,
     run_abm,
+    run_abm_batch,
 )
 from opinion_limits.analysis import quartile_summary, sweep_error
 from opinion_limits.dem import IntegratorSpec, build_limit, integrate
@@ -204,24 +205,52 @@ def _accumulate(runs_iter, n_runs):
     return mean, np.maximum(var, 0.0)
 
 
-def _abm_ensemble(noise, tag):
-    spec = _spec(50, 1e-4, _HORIZON, noise=noise)
+# the ABM ensembles advance this many runs at a time through run_abm_batch,
+# which test_batched_ensemble_runs_match_run_abm pins to run_abm bit for bit
+_GROUP = 100
+_ABM_NOISE = {
+    0: NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05)),
+    1: NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, GaussianScaled(50.0, 5.0)),
+}
+
+
+def _abm_runs(tag, start, stop):
+    spec = _spec(50, 1e-4, _HORIZON, noise=_ABM_NOISE[tag])
     x0 = np.random.default_rng(1000).uniform(-1.0, 1.0, 50)
-    runs = (
-        run_abm(spec, x0, _TIMES, np.random.default_rng([106, tag, r])).values
-        for r in range(_N_RUNS)
-    )
-    return _accumulate(runs, _N_RUNS)
+    rngs = [np.random.default_rng([106, tag, r]) for r in range(start, stop)]
+    return spec, x0, rngs
+
+
+def _abm_ensemble(tag):
+    def runs():
+        for start in range(0, _N_RUNS, _GROUP):
+            spec, x0, rngs = _abm_runs(tag, start, min(start + _GROUP, _N_RUNS))
+            for traj in run_abm_batch(spec, x0, _TIMES, rngs):
+                yield traj.values
+
+    return _accumulate(runs(), _N_RUNS)
+
+
+def test_batched_ensemble_runs_match_run_abm():
+    """The ensemble engine reproduces run_abm bit for bit on the ensembles' own streams."""
+    same = True
+    for tag in _ABM_NOISE:
+        spec, x0, rngs = _abm_runs(tag, 0, 2)
+        batch = run_abm_batch(spec, x0, _TIMES, rngs)
+        _, _, rngs = _abm_runs(tag, 0, 2)
+        serial = [run_abm(spec, x0, _TIMES, rng) for rng in rngs]
+        same = same and all(
+            a.values.tobytes() == b.values.tobytes() for a, b in zip(batch, serial)
+        )
+    _report("batched ensemble runs equal run_abm bit for bit over the full horizon", same)
 
 
 def _get_ensemble(name):
     if name not in _ENSEMBLES:
         if name == "abm_external":
-            noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
-            _ENSEMBLES[name] = _abm_ensemble(noise, 0)
+            _ENSEMBLES[name] = _abm_ensemble(0)
         elif name == "abm_rud":
-            noise = NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, GaussianScaled(50.0, 5.0))
-            _ENSEMBLES[name] = _abm_ensemble(noise, 1)
+            _ENSEMBLES[name] = _abm_ensemble(1)
         elif name == "em_external":
             noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
             spec = _spec(50, 1e-4, _HORIZON, noise=noise)

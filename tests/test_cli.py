@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from opinion_limits import cli
 from opinion_limits.cli import main
 from opinion_limits.config import ConfigError, config_from_dict, parse_config
 from opinion_limits.trajectory import Trajectory
@@ -367,3 +368,18 @@ def test_threads_do_not_change_outputs(tmp_path, experiment):
     for m in manifests:
         m["config"]["experiment"]["output_dir"] = "out"
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("experiment", sorted(_THREADED))
+def test_batched_and_serial_runs_write_the_same_bytes(tmp_path, monkeypatch, experiment):
+    # the experiments above are below the batching crossover; move it to
+    # send every block through run_abm_batch, then through run_abm alone
+    path = _write(tmp_path, _THREADED[experiment])
+    outs = []
+    for min_runs in (1, 10**9):
+        monkeypatch.setattr(cli, "_BATCH_MIN_RUNS", min_runs)
+        outs.append(tmp_path / f"min{min_runs}")
+        assert main([str(path), "--out", str(outs[-1])]) == 0
+    for p in outs[0].iterdir():
+        if p.name != "manifest.json":
+            assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name

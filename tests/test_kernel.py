@@ -140,3 +140,72 @@ def test_network_csv_roundtrip(tmp_path):
     path = tmp_path / "net.csv"
     net.to_csv(path)
     assert np.array_equal(Network.from_csv(path).adjacency, net.adjacency)
+
+
+_SATURATING = [
+    MOLLIFIED,
+    MollifiedBC(0.5, NormalMollifier(0.0, 0.05)),
+    MollifiedBC(0.2, NormalMollifier(0.01, 0.001)),
+    MollifiedBC(0.0, NormalMollifier(0.0, 0.01)),
+    MollifiedBC(1.5, NormalMollifier(0.0, 0.3)),
+    MollifiedBC(0.5, UniformMollifier(-0.05, 0.05)),
+    MollifiedBC(0.3, UniformMollifier(0.0, 0.2)),
+    MollifiedBC(0.0, UniformMollifier(-0.1, 0.1)),
+    BoundedConfidence(0.5),
+    BoundedConfidence(0.0),
+    Constant(0.0),
+    Constant(0.5),
+    Constant(1.0),
+]
+
+
+def _around(edge, lo, hi, count=20_001):
+    """Finite distances in [lo, hi]: a dense grid plus the floats next to edge."""
+    if hi < lo:
+        return np.empty(0)
+    pts = [np.linspace(lo, hi, count)]
+    if math.isfinite(edge):
+        near = [edge]
+        for direction in (-math.inf, math.inf):
+            v = edge
+            for _ in range(64):
+                v = math.nextafter(v, direction)
+                near.append(v)
+        pts.append(np.array(near))
+    d = np.concatenate(pts)
+    return d[(d >= lo) & (d <= hi)]
+
+
+@pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
+def test_saturation_distances_are_exact_in_both_forms(kernel):
+    # pairwise_matrix and the ABM step skip the kernel outside (d_one,
+    # d_zero); that is exact only if both evaluation forms are exactly 1.0
+    # up to d_one and exactly 0.0 from d_zero on, i.e. monotone in floats
+    d_one, d_zero = kernel.saturation()
+    assert d_one < d_zero or d_one == d_zero == math.inf
+    f = kernel.scalar_fn()
+    far = 4.0
+    ones = _around(d_one, 0.0, min(d_one, far))
+    zeros = _around(d_zero, max(d_zero, 0.0), far)
+    for d, want in ((ones, 1.0), (zeros, 0.0)):
+        assert np.all(kernel.eval(d) == want)
+        assert all(f(v) == want for v in d.tolist())
+    if math.isfinite(d_one) and d_one >= 0.0:
+        # d_one is the last distance at which both forms give 1.0
+        above = math.nextafter(d_one, math.inf)
+        assert min(f(above), float(kernel.eval(above))) < 1.0
+    if 0.0 < d_zero < math.inf:
+        below = math.nextafter(d_zero, -math.inf)
+        assert max(f(below), float(kernel.eval(below))) > 0.0
+
+
+def test_default_kernel_saturation_band():
+    assert MOLLIFIED.saturation() == (0.417076389241864, 0.582923610758136)
+
+
+@pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
+def test_pairwise_matrix_equals_kernel_eval(kernel):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 60), [0.0, -0.0, 0.25, 0.25]])
+    d = np.abs(x[:, None] - x[None, :])
+    assert np.array_equal(pairwise_matrix(kernel, x), kernel.eval(d))
