@@ -213,7 +213,7 @@ def run_abm_batch(
     The result is bit-identical to run_abm(spec, x0, sample_times, rng) for
     each rng: every run draws the same chunks from its own stream, step k
     applies draw k of every run to an (R, N) state array, and acceptance is
-    decided by the same scalar kernel. Probability-proportional selection
+    decided on the same kernel values. Probability-proportional selection
     resolves j from each run's own state and is refused.
     """
     if isinstance(spec.selection, ProbabilityProportional):
@@ -276,8 +276,9 @@ class _Draws(NamedTuple):
 
 def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     """Draw m steps in the fixed order: pair indices, then acceptance
-    uniforms, then noise. run_abm, abm_step and the Monte Carlo coefficient
-    check all take their randomness from here, so one seed gives one chain.
+    uniforms, then noise. run_abm, abm_step, run_abm_batch and the Monte
+    Carlo coefficient check all take their randomness from here, so one
+    seed gives one chain.
     """
     n = spec.n_agents
     sel = spec.selection
@@ -329,7 +330,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     n = spec.n_agents
     mu = spec.mu
     kind = spec.noise.kind
-    pfn = spec.kernel.scalar_fn()
+    p = spec.kernel.eval
     d_one, d_zero = spec.kernel.saturation()
     both = spec.update_mode is UpdateMode.BOTH
     always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
@@ -354,26 +355,22 @@ def _apply(spec, x, draws, lo, hi, check_hull):
 
         xi = x[i]
         xj = x[j]
+        if kind is NoiseKind.AMBIGUITY:  # i moves toward j's perturbed opinion
+            d = xj + (zz[k][0] if both else zz[k]) - xi
+        else:
+            d = xj - xi
+        ad = abs(d)
+        ok = always or ad <= d_one or (ad < d_zero and ua[k] < p(ad))
 
         if kind is NoiseKind.AMBIGUITY:
-            eta = zz[k][0] if both else zz[k]
-            omega = xj + eta
-            dd = omega - xi
-            ad = abs(dd)
-            if always or ad <= d_one or (ad < d_zero and ua[k] < pfn(ad)):
-                v = xi + mu * dd
+            if ok:
+                v = xi + mu * d
                 if check_hull and not lo <= v <= hi:
                     raise RuntimeError(f"opinion of agent {i} left the initial hull")
                 x[i] = v
                 if both:
                     x[j] = xj + mu * (xi + zz[k][1] - xj)
-            continue
-
-        d = xj - xi
-        ad = abs(d)
-        ok = always or ad <= d_one or (ad < d_zero and ua[k] < pfn(ad))
-
-        if kind is NoiseKind.NONE:
+        elif kind is NoiseKind.NONE:
             if ok and d != 0.0:
                 v = xi + mu * d
                 if check_hull and not lo <= v <= hi:
@@ -451,8 +448,7 @@ def _run_group(spec, x0, plan, rngs, out):
     n = spec.n_agents
     both = spec.update_mode is UpdateMode.BOTH
     rule = _update_rule(spec)
-    pfn = spec.kernel.scalar_fn()
-    d_one, d_zero = spec.kernel.saturation()
+    p = spec.kernel.eval
     x = np.tile(x0, (len(rngs), 1))
     flat = x.reshape(-1)
     offset = np.arange(len(rngs)) * n  # of each run's row in flat
@@ -474,19 +470,11 @@ def _run_group(spec, x0, plan, rngs, out):
         else:
             z, z2 = zz, [None] * m
         for fi, fj, uk, zk, z2k in zip(ii + offset, jj + offset, ua, z, z2):
-
-            def accept(d):
-                # _apply's test; the kernel is called only inside the band
-                ad = np.abs(d)
-                ok = ad <= d_one
-                band = (ad < d_zero) != ok  # ok implies ad < d_zero
-                if band.any():
-                    ok[band] = uk[band] < np.fromiter(map(pfn, ad[band].tolist()), float)
-                return ok
-
             xi = flat[fi]
             xj = flat[fj]
-            move, ti, tj = rule(xi, xj, zk, z2k, accept)
+            # _apply's decision: outside the band the kernel is exactly 1.0
+            # or 0.0 and uk lies in [0, 1)
+            move, ti, tj = rule(xi, xj, zk, z2k, lambda d: uk < p(np.abs(d)))
             flat[fi] = _moved(xi, ti, move)
             if both:
                 flat[fj] = _moved(xj, tj, move)

@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--threads", type=int, default=1, help="worker processes for ensembles")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"config error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 1
 
     try:
         cfg = _load_config(args.config, args.out, args.paper_scale)
@@ -229,7 +232,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     try:
-        run_experiment(cfg, threads=max(1, args.threads))
+        run_experiment(cfg, threads=args.threads)
     except Exception as e:  # simulation failures map to a distinct exit code
         print(f"simulation error: {e}", file=sys.stderr)
         return 2

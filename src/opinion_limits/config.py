@@ -9,6 +9,8 @@ through a plain dict, which is what the emitted manifest stores.
 from __future__ import annotations
 
 import configparser
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -122,6 +124,17 @@ def _coerce(section: str, key: str, raw: Any, typ: type):
         ) from None
 
 
+@contextmanager
+def _section(name: str):
+    """Report a ValueError raised inside the block as a ConfigError of [name]."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"[{name}] {e}") from None
+
+
 def _resolve(raw: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
     resolved: dict[str, dict[str, Any]] = {}
     for section, entries in raw.items():
@@ -166,6 +179,7 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError("[experiment] h_list: expected comma-separated floats") from None
 
+    @_section("kernel")
     def kernel(self) -> InteractionKernel:
         k = self.raw["kernel"]
         if k["type"] == "bounded_confidence":
@@ -186,6 +200,7 @@ class ExperimentConfig:
             return Network.from_csv(s["network_file"])
         return erdos_renyi(self.raw["model"]["n_agents"], s["p_conn"], s["network_seed"])
 
+    @_section("selection")
     def selection(self) -> SelectionScheme:
         scheme = self.raw["selection"]["scheme"]
         if scheme == "uniform_with_replacement":
@@ -198,6 +213,7 @@ class ExperimentConfig:
             return ProbabilityProportional()
         raise ConfigError(f"[selection] scheme: unknown value {scheme!r}")
 
+    @_section("noise")
     def noise(self) -> NoiseFamily:
         nz = self.raw["noise"]
         try:
@@ -207,15 +223,10 @@ class ExperimentConfig:
         if kind is NoiseKind.NONE:
             return NoiseFamily()
         if nz["law"] == "gaussian":
-            law = GaussianScaled(nz["mean_per_h"], nz["var_per_h"])
-        elif nz["law"] == "degenerate":
-            law = Degenerate(nz["value_per_h"])
-        else:
-            raise ConfigError(f"[noise] law: unknown value {nz['law']!r}")
-        try:
-            return NoiseFamily(kind, law)
-        except ValueError as e:
-            raise ConfigError(f"[noise] {e}") from None
+            return NoiseFamily(kind, GaussianScaled(nz["mean_per_h"], nz["var_per_h"]))
+        if nz["law"] == "degenerate":
+            return NoiseFamily(kind, Degenerate(nz["value_per_h"]))
+        raise ConfigError(f"[noise] law: unknown value {nz['law']!r}")
 
     def model_spec(self) -> ModelSpec:
         m = self.raw["model"]
@@ -223,32 +234,31 @@ class ExperimentConfig:
             mode = UpdateMode(m["update_mode"])
         except ValueError:
             raise ConfigError(f"[model] update_mode: unknown value {m['update_mode']!r}") from None
-        try:
+        kernel, selection, noise = self.kernel(), self.selection(), self.noise()
+        with _section("model"):
             return ModelSpec(
                 n_agents=m["n_agents"],
                 h=m["h"],
                 horizon=m["horizon"],
-                kernel=self.kernel(),
-                selection=self.selection(),
+                kernel=kernel,
+                selection=selection,
                 update_mode=mode,
-                noise=self.noise(),
+                noise=noise,
                 double_weighting=m["double_weighting"],
             )
-        except ValueError as e:
-            raise ConfigError(f"[model] {e}") from None
 
+    @_section("dem")
     def integrator(self) -> IntegratorSpec:
-        try:
-            return IntegratorSpec(dt=self.raw["dem"]["dt"])
-        except ValueError as e:
-            raise ConfigError(f"[dem] {e}") from None
+        return IntegratorSpec(dt=self.raw["dem"]["dt"])
 
     def x0(self) -> np.ndarray:
         init = self.raw["init"]
         n = self.raw["model"]["n_agents"]
         if init["x0"] == "uniform":
-            rng = np.random.default_rng(init["seed"])
-            return rng.uniform(init["lo"], init["hi"], n)
+            lo, hi = init["lo"], init["hi"]
+            if not 0.0 <= hi - lo < math.inf:
+                raise ConfigError(f"[init] lo, hi: need finite lo <= hi, got ({lo}, {hi})")
+            return np.random.default_rng(init["seed"]).uniform(lo, hi, n)
         if init["x0"] == "explicit":
             try:
                 vals = np.array([float(v) for v in init["values"].split(",")])

@@ -32,7 +32,6 @@ __all__ = [
     "erdos_renyi",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 # bit pattern of +inf; the patterns 0.._INF_BITS order [0, inf] like the floats
 _INF_BITS = 0x7FF0000000000000
 
@@ -67,10 +66,7 @@ class NormalMollifier:
             raise ValueError(f"std must be positive, got {self.std}")
 
     def cdf(self, z):
-        return ndtr((np.asarray(z, dtype=float) - self.mean) / self.std)
-
-    def cdf_scalar(self, z: float) -> float:
-        return 0.5 * math.erfc(-(z - self.mean) / (self.std * _SQRT2))
+        return ndtr((z - self.mean) / self.std)
 
 
 @dataclass(frozen=True)
@@ -85,12 +81,10 @@ class UniformMollifier:
             raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
 
     def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.clip((z - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def cdf_scalar(self, z: float) -> float:
         t = (z - self.lo) / (self.hi - self.lo)
-        return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+        if isinstance(t, float):  # np.clip costs microseconds on a float
+            return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+        return np.clip(t, 0.0, 1.0)
 
 
 MollifierSpec = Union[NormalMollifier, UniformMollifier]
@@ -109,16 +103,11 @@ class BoundedConfidence:
             raise ValueError("radius must be non-negative")
 
     def eval(self, d):
-        d = np.asarray(d, dtype=float)
         return np.where(d <= self.radius, 1.0, 0.0)
-
-    def scalar_fn(self) -> Callable[[float], float]:
-        r = self.radius
-        return lambda d: 1.0 if d <= r else 0.0
 
     def saturation(self) -> tuple[float, float]:
         """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
-        exactly 0.0 for d >= d_zero, in both scalar_fn and eval."""
+        exactly 0.0 for d >= d_zero."""
         return self.radius, math.nextafter(self.radius, math.inf)
 
 
@@ -136,35 +125,22 @@ class MollifiedBC:
             raise ValueError("radius must be non-negative")
 
     def eval(self, d):
-        d = np.asarray(d, dtype=float)
         return 1.0 - self.mollifier.cdf(d - self.radius)
-
-    def scalar_fn(self) -> Callable[[float], float]:
-        r = self.radius
-        cdf = self.mollifier.cdf_scalar
-        return lambda d: 1.0 - cdf(d - r)
 
     @functools.lru_cache(maxsize=64)
     def saturation(self) -> tuple[float, float]:
         """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
-        exactly 0.0 for d >= d_zero, in both scalar_fn and eval.
+        exactly 0.0 for d >= d_zero.
 
-        The two forms differ in the last bits inside the band (math.erfc
-        against ndtr), so each end is where both forms saturate, found by
-        bisection over floats. d_one is -inf when the kernel is below 1 at
-        d = 0, and d_zero is inf when it never reaches 0.
+        Each end is found by bisection over floats. d_one is -inf when the
+        kernel is below 1 at d = 0, and d_zero is inf when it never reaches 0.
         """
-        f = self.scalar_fn()
-
-        def values(d):
-            return f(d), float(self.eval(d))
-
-        below_one = _first(lambda d: min(values(d)) < 1.0)
+        below_one = _first(lambda d: self.eval(d) < 1.0)
         if below_one is None:
             d_one = math.inf
         else:
             d_one = -math.inf if below_one == 0.0 else math.nextafter(below_one, -math.inf)
-        d_zero = _first(lambda d: max(values(d)) == 0.0)
+        d_zero = _first(lambda d: self.eval(d) == 0.0)
         return d_one, math.inf if d_zero is None else d_zero
 
 
@@ -181,12 +157,7 @@ class Constant:
             raise ValueError(f"constant kernel value must lie in [0, 1], got {self.value}")
 
     def eval(self, d):
-        d = np.asarray(d, dtype=float)
-        return np.full_like(d, self.value)
-
-    def scalar_fn(self) -> Callable[[float], float]:
-        v = self.value
-        return lambda d: v
+        return self.value if isinstance(d, float) else np.full(d.shape, self.value)
 
     def saturation(self) -> tuple[float, float]:
         """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
@@ -200,14 +171,17 @@ InteractionKernel = Union[BoundedConfidence, MollifiedBC, Constant]
 
 
 def eval_kernel(kernel: InteractionKernel, d):
-    """Interaction probability at opinion distance d (scalar or array).
+    """Interaction probability at opinion distance d: a float for a scalar,
+    an array for an array-like.
 
-    Rejects negative distances; kernel.eval itself trusts its input.
+    Coerces d to floats and rejects negative distances; kernel.eval itself
+    takes only a float or a float ndarray and trusts its value.
     """
-    if np.any(np.asarray(d) < 0):
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
         raise ValueError("opinion distance must be non-negative")
     out = kernel.eval(d)
-    return float(out) if np.ndim(d) == 0 else out
+    return float(out) if d.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,24 @@ def test_bad_values_rejected():
         parse_config("[kernel]\ntype = quadratic\n")
     with pytest.raises(ConfigError, match="unknown value"):
         parse_config("[noise]\nkind = pink\n")
+    with pytest.raises(ConfigError, match=r"^\[init\] lo, hi"):
+        parse_config("[init]\nlo = 1.0\nhi = -1.0\n")
+
+
+@pytest.mark.parametrize(
+    "section, settings, message",
+    [
+        ("kernel", "std = 0", "std must be positive"),
+        ("kernel", "radius = -1", "radius must be non-negative"),
+        ("selection", "scheme = degree_weighted\np_conn = 2", "connection probability"),
+        ("noise", "kind = external\nvar_per_h = -1", "var_per_h must be non-negative"),
+    ],
+    ids=["kernel-std", "kernel-radius", "selection-p_conn", "noise-var_per_h"],
+)
+def test_value_errors_name_their_section(section, settings, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{settings}\n")
+    assert str(err.value).startswith(f"[{section}] {message}")
 
 
 @pytest.mark.parametrize("experiment", ["compare", "sweep_h", "ensemble"])
@@ -135,6 +153,18 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     rc = main([str(tmp_path / "missing.ini")])
     assert rc == 1
+    rc = main([str(_write(tmp_path, "[init]\nlo = 1.0\nhi = -1.0\n"))])
+    assert rc == 1
+    assert "config error: [init]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_refused(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    rc = main([str(_write(tmp_path, SMALL_COMPARE.format(out=out))), "--threads", threads])
+    assert rc == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_simulation_error(tmp_path, capsys):

@@ -74,14 +74,6 @@ def test_gaussian_mollifier_lipschitz_bound():
     assert slopes.max() <= bound * (1 + 1e-6)
 
 
-def test_scalar_fn_matches_vector_eval():
-    for k in (MOLLIFIED, BoundedConfidence(0.5), Constant(0.7),
-              MollifiedBC(0.5, UniformMollifier(-0.05, 0.05))):
-        f = k.scalar_fn()
-        for d in np.linspace(0, 1.2, 97):
-            assert f(float(d)) == pytest.approx(float(k.eval(d)), abs=1e-14)
-
-
 def test_pairwise_probability_at_radius():
     x = np.array([0.1, 0.6])
     assert pairwise_matrix(MOLLIFIED, x)[0, 1] == pytest.approx(0.5, abs=1e-15)
@@ -176,27 +168,45 @@ def _around(edge, lo, hi, count=20_001):
     return d[(d >= lo) & (d <= hi)]
 
 
+def test_float_eval_matches_array_eval():
+    # the chain evaluates the kernel on one float per step; the batched
+    # engine, the MC checker and pairwise_matrix on arrays. They accept on
+    # the same numbers only if both inputs give the same bits.
+    far = 4.0
+    for kernel in _SATURATING:
+        d_one, d_zero = kernel.saturation()
+        lo, hi = min(max(d_one, 0.0), far), min(d_zero, far)
+        d = np.concatenate([
+            np.linspace(lo, hi, 20_001),  # the band, where the kernel is computed
+            _around(d_one, 0.0, far, count=2001),
+            _around(d_zero, 0.0, far, count=2001),
+        ])
+        got = np.array([kernel.eval(v) for v in d.tolist()])
+        assert got.tobytes() == kernel.eval(d).tobytes(), kernel
+
+
 @pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
 def test_saturation_distances_are_exact_in_both_forms(kernel):
     # pairwise_matrix and the ABM step skip the kernel outside (d_one,
-    # d_zero); that is exact only if both evaluation forms are exactly 1.0
-    # up to d_one and exactly 0.0 from d_zero on, i.e. monotone in floats
+    # d_zero); that is exact only if the kernel, on a float and on an
+    # array, is exactly 1.0 up to d_one and exactly 0.0 from d_zero on
     d_one, d_zero = kernel.saturation()
     assert d_one < d_zero or d_one == d_zero == math.inf
-    f = kernel.scalar_fn()
     far = 4.0
     ones = _around(d_one, 0.0, min(d_one, far))
     zeros = _around(d_zero, max(d_zero, 0.0), far)
     for d, want in ((ones, 1.0), (zeros, 0.0)):
         assert np.all(kernel.eval(d) == want)
-        assert all(f(v) == want for v in d.tolist())
+        assert all(kernel.eval(v) == want for v in d.tolist())
     if math.isfinite(d_one) and d_one >= 0.0:
-        # d_one is the last distance at which both forms give 1.0
+        # d_one is the last distance at which the kernel is 1.0
         above = math.nextafter(d_one, math.inf)
-        assert min(f(above), float(kernel.eval(above))) < 1.0
+        assert kernel.eval(above) < 1.0
+        assert kernel.eval(np.array([above]))[0] < 1.0
     if 0.0 < d_zero < math.inf:
         below = math.nextafter(d_zero, -math.inf)
-        assert max(f(below), float(kernel.eval(below))) > 0.0
+        assert kernel.eval(below) > 0.0
+        assert kernel.eval(np.array([below]))[0] > 0.0
 
 
 def test_default_kernel_saturation_band():
