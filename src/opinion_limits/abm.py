@@ -34,7 +34,15 @@ __all__ = [
     "run_abm_batch",
 ]
 
+# Version of the random stream: a manifest rerun is refused unless it was
+# written by this version. 1 is every manifest without an "engine" key; 2
+# resolves probability-proportional selection by thinning.
+ENGINE_VERSION = 2
+
 _CHUNK = 1 << 15
+# Proposals per step under probability-proportional selection; a step whose
+# proposals are all rejected falls back to the cumulative-sum resolution.
+_PROPOSALS = 8
 # Blocks of fewer runs than this are faster through run_abm one at a time
 # than through run_abm_batch: at N=50 with external noise, 20 runs took 6%
 # longer batched and 24 runs 8% less.
@@ -259,16 +267,21 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
 
 
 class _Draws(NamedTuple):
-    """The random inputs of m steps.
+    """The random inputs of m steps, fields in the order they are drawn.
 
     jj is None under probability-proportional selection, where j depends
-    on the state at each step; uj then holds the uniforms that resolve it.
-    zz is None without noise, (m, 2) when both agents take their own noise
-    draw, and (m,) otherwise.
+    on the state at each step. Step k then proposes j = jp[k, q] for q = 0,
+    1, ... and takes the first with up[k, q] < p_ij (jp, up: (m, _PROPOSALS));
+    if all are rejected, uj[k] resolves j over the cumulative sums of row i.
+    jp, up and uj are None under the other schemes. zz is None without
+    noise, (m, 2) when both agents take their own noise draw, and (m,)
+    otherwise.
     """
 
     ii: np.ndarray
     jj: np.ndarray | None
+    jp: np.ndarray | None
+    up: np.ndarray | None
     uj: np.ndarray | None
     ua: np.ndarray
     zz: np.ndarray | None
@@ -276,14 +289,16 @@ class _Draws(NamedTuple):
 
 def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     """Draw m steps in the fixed order: pair indices, then acceptance
-    uniforms, then noise. run_abm, abm_step, run_abm_batch and the Monte
-    Carlo coefficient check all take their randomness from here, so one
-    seed gives one chain.
+    uniforms, then noise. Under probability-proportional selection the pair
+    indices are i, the proposed j's and their uniforms, then one fallback
+    uniform per step. run_abm, abm_step, run_abm_batch and the Monte Carlo
+    coefficient check all take their randomness from here, so one seed
+    gives one chain.
     """
     n = spec.n_agents
     sel = spec.selection
     ii = rng.integers(0, n, m)
-    jj = uj = None
+    jj = jp = up = uj = None
     if isinstance(sel, UniformWithReplacement):
         jj = rng.integers(0, n, m)
     elif isinstance(sel, UniformWithoutReplacement):
@@ -292,6 +307,8 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     elif isinstance(sel, DegreeWeighted):
         jj = _bisect_rows(np.cumsum(sel.network.adjacency, axis=1), ii, rng.random(m))
     else:  # ProbabilityProportional: j depends on the current state
+        jp = rng.integers(0, n, (m, _PROPOSALS))
+        up = rng.random((m, _PROPOSALS))
         uj = rng.random(m)
     ua = rng.random(m)
     kind = spec.noise.kind
@@ -301,16 +318,20 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
         zz = np.asarray(spec.noise.law.sample(spec.h, rng, (m, 2)))
     else:
         zz = np.asarray(spec.noise.law.sample(spec.h, rng, m))
-    return _Draws(ii, jj, uj, ua, zz)
+    return _Draws(ii, jj, jp, up, uj, ua, zz)
 
 
-def _row_mass(p: np.ndarray) -> np.ndarray:
+def _row_mass(p: np.ndarray, agents: Sequence[int] | None = None) -> np.ndarray:
     """Row sums of the pairwise matrix p, the normaliser of probability-
-    proportional selection; raises if an agent has nobody to pick."""
+    proportional selection; raises if an agent has nobody to pick.
+
+    Row r of p belongs to agent agents[r], or to agent r by default.
+    """
     norm = p.sum(axis=1)
     if np.any(norm <= 0.0):
         bad = int(np.argmin(norm))
-        raise RuntimeError(f"agent {bad} has zero total interaction probability")
+        agent = bad if agents is None else agents[bad]
+        raise RuntimeError(f"agent {agent} has zero total interaction probability")
     return norm
 
 
@@ -325,35 +346,42 @@ def _bisect_rows(cum: np.ndarray, ii: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(jj, len(cum) - 1)
 
 
+def _fallback_j(kernel, x, i, u):
+    """j drawn with probability p_ij / sum_k p_ik by the uniform u: the
+    cumulative-sum resolution of row i, for a step whose proposals were all
+    rejected. Conditioned on reaching it, this keeps the step exactly
+    proportional to p_ij."""
+    w = kernel.eval(np.abs(np.asarray(x) - x[i]))
+    _row_mass(w[None], [i])
+    cum = np.cumsum(w)
+    # _bisect_rows on the one row i, without its per-row bookkeeping
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(w) - 1)
+
+
 def _apply(spec, x, draws, lo, hi, check_hull):
     """Execute the drawn steps in order, in place on the opinion list x."""
-    n = spec.n_agents
     mu = spec.mu
     kind = spec.noise.kind
     p = spec.kernel.eval
     d_one, d_zero = spec.kernel.saturation()
     both = spec.update_mode is UpdateMode.BOTH
     always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
-    ii, jj, uj, ua, zz = (None if a is None else a.tolist() for a in draws)
+    ii, jj, jp, up, uj, ua, zz = (None if a is None else a.tolist() for a in draws)
     m = len(ii)
 
     for k in range(m):
         i = ii[k]
-        if jj is None:
-            xa = np.asarray(x)
-            w = spec.kernel.eval(np.abs(xa - x[i]))
-            total = float(w.sum())
-            if total <= 0.0:
-                raise RuntimeError(
-                    f"agent {i} has zero total interaction probability; "
-                    "probability-proportional selection is undefined"
-                )
-            j = int(np.searchsorted(np.cumsum(w), uj[k] * total, side="right"))
-            j = min(j, n - 1)
+        xi = x[i]
+        if jj is None:  # thinning: the first proposal with up < p_ij
+            for j, u in zip(jp[k], up[k]):
+                ad = abs(x[j] - xi)
+                if ad <= d_one or (ad < d_zero and u < p(ad)):
+                    break
+            else:
+                j = _fallback_j(spec.kernel, x, i, uj[k])
         else:
             j = jj[k]
 
-        xi = x[i]
         xj = x[j]
         if kind is NoiseKind.AMBIGUITY:  # i moves toward j's perturbed opinion
             d = xj + (zz[k][0] if both else zz[k]) - xi
@@ -462,7 +490,7 @@ def _run_group(spec, x0, plan, rngs, out):
         out[:, samples] = x[:, None, :]
         if not m:
             break
-        ii, jj, _, ua, zz = map(steps, zip(*(_draw(spec, m, rng) for rng in rngs)))
+        ii, jj, _, _, _, ua, zz = map(steps, zip(*(_draw(spec, m, rng) for rng in rngs)))
         if zz is None:
             z = z2 = [None] * m
         elif zz.ndim == 3:

@@ -18,7 +18,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .abm import _BATCH_MIN_RUNS, ProbabilityProportional, run_abm, run_abm_batch
+from .abm import _BATCH_MIN_RUNS, ENGINE_VERSION, ProbabilityProportional, run_abm, run_abm_batch
 from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_error
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate
@@ -188,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> str:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump({"config": cfg.to_dict()}, f, indent=2, sort_keys=True)
+        json.dump({"config": cfg.to_dict(), "engine": ENGINE_VERSION}, f, indent=2, sort_keys=True)
         f.write("\n")
     _RUNNERS[cfg.experiment](cfg, out, threads)
     return out
@@ -198,8 +198,15 @@ def _load_config(path: str, out_override: str | None, paper_scale: bool) -> Expe
     with open(path) as f:
         text = f.read()
     if path.endswith(".json"):
-        data = json.loads(text)["config"]
-        cfg = config_from_dict(data)
+        manifest = json.loads(text)
+        cfg = config_from_dict(manifest["config"])
+        # a manifest without the key predates engine versions: version 1
+        engine = manifest.get("engine", 1)
+        if engine != ENGINE_VERSION:
+            raise ConfigError(
+                f"manifest was written by engine version {engine}, this is engine version "
+                f"{ENGINE_VERSION}; a rerun could draw a different random stream"
+            )
     else:
         cfg = parse_config(text)
     raw = cfg.to_dict()

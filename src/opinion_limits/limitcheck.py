@@ -129,11 +129,16 @@ def _increments(x, spec, draws):
     """
     kind = spec.noise.kind
     p = pairwise_matrix(spec.kernel, x)
-    ii, jj, uj, ua, zz = draws
+    ii, jj, jp, up, uj, ua, zz = draws
     always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
-    if jj is None:  # probability-proportional: resolve j against x
+    if jj is None:  # probability-proportional: thin the proposals against x
         _row_mass(p)
-        jj = _bisect_rows(np.cumsum(p, axis=1), ii, uj)
+        hit = up < p[ii[:, None], jp]
+        first = hit.argmax(axis=1)
+        steps = np.arange(len(ii))
+        jj = jp[steps, first]
+        miss = ~hit[steps, first]  # every proposal rejected
+        jj[miss] = _bisect_rows(np.cumsum(p, axis=1), ii[miss], uj[miss])
     z, z2 = (zz[:, 0], zz[:, 1]) if zz is not None and zz.ndim == 2 else (zz, None)
 
     def accept(d):

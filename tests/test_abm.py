@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from opinion_limits.abm import (
     DegreeWeighted,
@@ -15,7 +16,14 @@ from opinion_limits.abm import (
     abm_step,
     run_abm,
 )
-from opinion_limits.kernel import Constant, MollifiedBC, Network, NormalMollifier, erdos_renyi
+from opinion_limits.kernel import (
+    Constant,
+    MollifiedBC,
+    Network,
+    NormalMollifier,
+    erdos_renyi,
+    pairwise_matrix,
+)
 from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
@@ -165,6 +173,68 @@ def test_probability_proportional_zero_row_errors():
     )
     with pytest.raises(RuntimeError, match="agent"):
         abm_step([0.0, 0.5, 1.0], spec, np.random.default_rng(12))
+
+
+_CHI2_SIZE = 1e-3
+# six distinct opinions, irregularly spaced
+_X6 = np.array([-0.8, -0.45, -0.1, 0.15, 0.4, 0.8])
+_THINNING_CASES = {
+    # mass/N = sum_k p_ik / N is 0.28-0.48: 3% of steps reject all proposals
+    "fallback_rare": (MollifiedBC(0.5, NormalMollifier(0.0, 0.3)), 1.2 * _X6, 100_000, 0.07),
+    # p_ij <= 0.067 and mass/N <= 0.031: 81% of steps fall back
+    "fallback_mostly": (MollifiedBC(0.0, NormalMollifier(-1.5, 1.0)), _X6, 50_000, 0.11),
+}
+
+
+def _pooled(cells, expected):
+    """The cells whose expected count is at least 5, plus one cell pooling the rest."""
+    small = expected < 5
+    if not small.any():
+        return cells.ravel()
+    return np.append(cells[~small], cells[small].sum())
+
+
+@pytest.mark.parametrize("case", list(_THINNING_CASES))
+def test_probability_proportional_pair_frequencies(case):
+    """Chi-square test of the selected (i, j) against p_ij / (N sum_k p_ik).
+
+    Each case runs its sample count of chain steps (100 000 and 50 000) from
+    one fixed state of N = 6 agents, reads (i, j) off each step, and tests
+    the 36 cells, those expected below 5 counts pooled, at size 1e-3. With
+    power at least 0.9 it detects a relative distortion of the most likely
+    cell by 0.07 and 0.11 respectively, the rest rescaled to keep the total
+    (checked below with the noncentral chi-square). It catches thinning
+    that takes the first proposal unconditionally (j uniform) in both
+    cases, and a fallback that returns a proposal or j = i where most steps
+    fall back.
+    """
+    kernel, x, samples, distortion = _THINNING_CASES[case]
+    n = len(x)
+    # mu = N h = 1, so a step moves agent i onto x[j], or leaves it when j == i
+    spec = ModelSpec(
+        n_agents=n, h=1.0 / n, horizon=1.0, kernel=kernel, selection=ProbabilityProportional()
+    )
+    assert spec.mu == 1.0
+    draws = _draw(spec, samples, np.random.default_rng([14, n]))
+    counts = np.zeros((n, n))
+    for k, i in enumerate(draws.ii):
+        y = x.tolist()
+        _apply(spec, y, type(draws)(*(None if a is None else a[k : k + 1] for a in draws)),
+               0.0, 0.0, False)
+        counts[i, np.argmin(np.abs(x - y[i]))] += 1
+
+    p = pairwise_matrix(kernel, x)
+    fallback = np.mean(~np.any(draws.up < p[draws.ii[:, None], draws.jp], axis=1))
+    assert (fallback < 0.05) if case == "fallback_rare" else (fallback > 0.5), fallback
+    expected = samples * p / (n * p.sum(axis=1, keepdims=True))
+    obs, exp = _pooled(counts, expected), _pooled(expected, expected)
+    df = len(obs) - 1
+    assert stats.chi2.sf(((obs - exp) ** 2 / exp).sum(), df) > _CHI2_SIZE
+
+    # the stated power: distorting the most likely cell by the stated factor
+    pc = expected.max() / samples
+    lam = samples * pc * distortion**2 / (1 - pc)
+    assert stats.ncx2.sf(stats.chi2.isf(_CHI2_SIZE, df), df, lam) >= 0.9
 
 
 def test_acceptance_rate_matches_kernel():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opinion_limits import cli
+from opinion_limits.abm import ENGINE_VERSION
 from opinion_limits.cli import main
 from opinion_limits.config import ConfigError, config_from_dict, parse_config
 from opinion_limits.trajectory import Trajectory
@@ -350,6 +351,28 @@ def test_manifest_with_integration_scheme_rejected(tmp_path, capsys):
     assert rc == 1
     assert "unknown key 'scheme'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("engine", [None, 1], ids=["no_key", "engine=1"])
+def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
+    # manifests written before the engine key are version 1; their random
+    # stream is not the one this engine draws, so they are refused, not rerun
+    manifest = {"config": parse_config(SMALL_COMPARE.format(out=tmp_path / "out")).to_dict()}
+    if engine is not None:
+        manifest["engine"] = engine
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = main([str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"engine version 1, this is engine version {ENGINE_VERSION}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_engine_version(tmp_path):
+    out = tmp_path / "out"
+    assert main([str(_write(tmp_path, SMALL_COMPARE.format(out=out)))]) == 0
+    assert json.loads((out / "manifest.json").read_text())["engine"] == ENGINE_VERSION
 
 
 _THREADED = {

@@ -25,7 +25,13 @@ from opinion_limits.abm import (
     run_abm,
     run_abm_batch,
 )
-from opinion_limits.kernel import Constant, MollifiedBC, NormalMollifier, erdos_renyi
+from opinion_limits.kernel import (
+    Constant,
+    MollifiedBC,
+    NormalMollifier,
+    erdos_renyi,
+    pairwise_matrix,
+)
 from opinion_limits.limitcheck import _increments, mc_coefficients
 from opinion_limits.noise import GaussianScaled, NoiseFamily, NoiseKind
 
@@ -43,6 +49,10 @@ _SCHEMES = {
     "degree": dict(selection=DegreeWeighted(erdos_renyi(N, 0.5, seed=3))),
     "proportional": dict(selection=ProbabilityProportional()),
     "proportional_double": dict(selection=ProbabilityProportional(), double_weighting=True),
+    # every p_ij is at most 0.067, so most steps reject all proposals and fall back
+    "proportional_fallback": dict(
+        selection=ProbabilityProportional(), kernel=MollifiedBC(0.0, NormalMollifier(-1.5, 1.0))
+    ),
 }
 
 
@@ -58,11 +68,14 @@ def _noise(kind: NoiseKind, n: int = N) -> NoiseFamily:
 @pytest.mark.parametrize("scheme", list(_SCHEMES))
 def test_scalar_apply_matches_vectorised_increments(scheme, kind):
     spec = ModelSpec(
-        n_agents=N, h=0.01, horizon=1.0, kernel=KERNEL, noise=_noise(kind), **_SCHEMES[scheme]
+        n_agents=N, h=0.01, horizon=1.0, noise=_noise(kind), **{"kernel": KERNEL, **_SCHEMES[scheme]}
     )
     x = np.random.default_rng(1).uniform(-1.0, 1.0, N)
     m = 400
     draws = _draw(spec, m, np.random.default_rng(2))
+    if scheme == "proportional_fallback":
+        p = pairwise_matrix(spec.kernel, x)
+        assert np.mean(~np.any(draws.up < p[draws.ii[:, None], draws.jp], axis=1)) > 0.5
     ii, di, jj, dj = _increments(x, spec, draws)
     moved = 0
     for k in range(m):
