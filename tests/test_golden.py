@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from opinion_limits import abm
 from opinion_limits.abm import (
     DegreeWeighted,
     ModelSpec,
@@ -86,6 +87,16 @@ def _sha(*arrays) -> str:
 _ALL = [(si, ki) for si in range(len(_SCHEMES)) for ki in range(len(_KINDS))]
 _SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][2] is not UpdateMode.BOTH]
 
+# The engine version the run_abm and mc_coefficients hashes were recorded
+# under. A change to the random stream bumps abm.ENGINE_VERSION, so that
+# older manifests are refused, and re-records the hashes with it.
+GOLDEN_ENGINE = 2
+
+
+def test_golden_hashes_match_engine_version():
+    assert abm.ENGINE_VERSION == GOLDEN_ENGINE
+
+
 # first 16 hex digits of each sha256
 RUN_ABM_SHA256 = {
     "uwr_single-none": "4793a3360df80097",
@@ -108,16 +119,16 @@ RUN_ABM_SHA256 = {
     "degree-external": "24f0afc11b62626e",
     "degree-adaptation": "9a14e2a8a059109c",
     "degree-random_update_distance": "11b1add4b761e130",
-    "proportional-none": "dfb4d0c8d9db6880",
-    "proportional-ambiguity": "36b6d4a8374487ed",
-    "proportional-external": "4144605c6b18bb5f",
-    "proportional-adaptation": "86c45853627827bc",
-    "proportional-random_update_distance": "8152b3749091461b",
-    "proportional_double-none": "f71305884034232c",
-    "proportional_double-ambiguity": "e8916bcba8971763",
-    "proportional_double-external": "755a34a5cd863f29",
-    "proportional_double-adaptation": "08cbb570bef34d5a",
-    "proportional_double-random_update_distance": "342a240de8fbf036",
+    "proportional-none": "42cf23fd938256a5",
+    "proportional-ambiguity": "a34228ce1ab561c1",
+    "proportional-external": "7c26944eb4ddc21c",
+    "proportional-adaptation": "56136e6ccd59b6c3",
+    "proportional-random_update_distance": "abe2291924a17cf4",
+    "proportional_double-none": "8140f247d80b96d2",
+    "proportional_double-ambiguity": "c6e09040cc6b6e1b",
+    "proportional_double-external": "6efbd7615da9cb15",
+    "proportional_double-adaptation": "a52982dc20662fdf",
+    "proportional_double-random_update_distance": "ab52a8fef9af396c",
 }
 
 MC_SHA256 = {
@@ -136,16 +147,16 @@ MC_SHA256 = {
     "degree-external": "837fd4511b928a60",
     "degree-adaptation": "f45263452c4d8cc8",
     "degree-random_update_distance": "99fdf895fcaa7fe0",
-    "proportional-none": "bdcc741d25011f37",
-    "proportional-ambiguity": "fe53b98a5cab6ac1",
-    "proportional-external": "ff745cbe1d6c79b8",
-    "proportional-adaptation": "26d95e9b5a5775d7",
-    "proportional-random_update_distance": "c71234e4cae74d9f",
-    "proportional_double-none": "0f1b80d75a7704c4",
-    "proportional_double-ambiguity": "f94e3a440a9defbc",
-    "proportional_double-external": "f030d4398b873b43",
-    "proportional_double-adaptation": "ab6ed18058c2e311",
-    "proportional_double-random_update_distance": "7af8f71b134aa1e1",
+    "proportional-none": "6db3adb116833d25",
+    "proportional-ambiguity": "14e00b2ba37ac522",
+    "proportional-external": "835fc5316241cbc5",
+    "proportional-adaptation": "bc0733659809746a",
+    "proportional-random_update_distance": "7ecba57b95cac244",
+    "proportional_double-none": "73ad5c99037846ee",
+    "proportional_double-ambiguity": "52ae01117f21b227",
+    "proportional_double-external": "77fbc5874c3e42df",
+    "proportional_double-adaptation": "d915347198309169",
+    "proportional_double-random_update_distance": "fe9962e56b3ae06b",
 }
 
 
