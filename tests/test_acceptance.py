@@ -100,7 +100,7 @@ def test_03_monte_carlo_matches_enumeration():
     }
     ok = True
     detail = []
-    # each variant's stream is seeded by its position, so every run draws the same
+    # seeded by position: hash(name) changes with every interpreter (PYTHONHASHSEED)
     for k, (name, kw) in enumerate(variants.items()):
         spec = _spec(n, 1e-3, 1.0, **kw)
         exact = exact_coefficients(x, spec)

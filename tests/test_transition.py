@@ -67,9 +67,8 @@ def _noise(kind: NoiseKind, n: int = N) -> NoiseFamily:
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("scheme", list(_SCHEMES))
 def test_scalar_apply_matches_vectorised_increments(scheme, kind):
-    spec = ModelSpec(
-        n_agents=N, h=0.01, horizon=1.0, noise=_noise(kind), **{"kernel": KERNEL, **_SCHEMES[scheme]}
-    )
+    scheme_kw = {"kernel": KERNEL, **_SCHEMES[scheme]}
+    spec = ModelSpec(n_agents=N, h=0.01, horizon=1.0, noise=_noise(kind), **scheme_kw)
     x = np.random.default_rng(1).uniform(-1.0, 1.0, N)
     m = 400
     draws = _draw(spec, m, np.random.default_rng(2))
