@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -17,12 +18,15 @@ from itertools import groupby
 from multiprocessing import get_context
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .abm import _BATCH_MIN_RUNS, ENGINE_VERSION, ProbabilityProportional, run_abm, run_abm_batch
 from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_error
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
+from .trajectory import csv_line
 
 __all__ = ["run_experiment", "main"]
 
@@ -37,8 +41,7 @@ _TAG_SWEEP = 5
 def _write_series_csv(path, times, values, name="error"):
     with open(path, "w") as f:
         f.write(f"t,{name}\n")
-        for t, v in zip(times, values):
-            f.write(f"{t:.17g},{v:.17g}\n")
+        f.writelines(map(csv_line, np.column_stack((times, values)).tolist()))
 
 
 def _prelude(cfg: ExperimentConfig):
@@ -183,12 +186,23 @@ _RUNNERS = {
 }
 
 
+def _versions() -> dict:
+    """The software that wrote the outputs; informational, a rerun checks only the engine."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "opinion_limits": __version__,
+    }
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> str:
     """Run the configured experiment; returns the output directory."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    manifest = {"config": cfg.to_dict(), "engine": ENGINE_VERSION, "versions": _versions()}
     with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump({"config": cfg.to_dict(), "engine": ENGINE_VERSION}, f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     _RUNNERS[cfg.experiment](cfg, out, threads)
     return out

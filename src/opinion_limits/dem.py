@@ -40,8 +40,14 @@ class NoDerivedLimitError(ValueError):
 
 @dataclass(frozen=True)
 class LimitModel:
-    """Drift b(X) and per-agent diffusion sigma(X) of a limiting system."""
+    """Drift b(X) and per-agent diffusion sigma(X) of a limiting system.
 
+    fields(x) returns (b, sigma) from one evaluation of the interaction
+    kernel, with sigma None for a drift-only model. drift and diffusion
+    are views of fields; diffusion is None for a drift-only model.
+    """
+
+    fields: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray] | None
     provenance: str
@@ -109,34 +115,45 @@ def build_limit(spec: ModelSpec) -> LimitModel:
         )
 
     weigh, name = _normalisation(spec)
-
-    def drift(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        w, norm = weigh(pairwise_matrix(kernel, x))
-        return (w * (x[None, :] - x[:, None])).sum(axis=1) / norm
-
     m2 = analytic_mk(spec.noise, 2)
+    # sigma_of(p, diff) with diff[i, j] = x_j - x_i, or None for an ODE
+    sigma_of = None
     if kind in (NoiseKind.NONE, NoiseKind.AMBIGUITY):
-        return LimitModel(drift, None, f"{name} ODE")
-    if m2 == 0.0:
-        return LimitModel(drift, None, "standard ODE (degenerate noise)")
-    if kind is NoiseKind.EXTERNAL:
+        provenance = f"{name} ODE"
+    elif m2 == 0.0:
+        provenance = "standard ODE (degenerate noise)"
+    elif kind is NoiseKind.EXTERNAL:
         const = math.sqrt(m2 / n)
-        return LimitModel(drift, lambda x: np.full(n, const), "additive-noise SDE")
+        provenance = "additive-noise SDE"
 
-    # adaptation noise lands with each accepted interaction; a random
-    # update distance also scales with the squared distance moved
-    multiplicative = kind is NoiseKind.RANDOM_UPDATE_DISTANCE
+        def sigma_of(p, diff):
+            return np.full(n, const)
 
-    def diffusion(x: np.ndarray) -> np.ndarray:
+    else:
+        # adaptation noise lands with each accepted interaction; a random
+        # update distance also scales with the squared distance moved
+        multiplicative = kind is NoiseKind.RANDOM_UPDATE_DISTANCE
+        form = "multiplicative" if multiplicative else "interaction-gated additive"
+        provenance = f"{form}-noise SDE"
+
+        def sigma_of(p, diff):
+            gate = p * diff**2 if multiplicative else p
+            return np.sqrt(m2 / n**2 * gate.sum(axis=1))
+
+    def fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         x = np.asarray(x, dtype=float)
         p = pairwise_matrix(kernel, x)
-        if multiplicative:
-            p = p * (x[None, :] - x[:, None]) ** 2
-        return np.sqrt(m2 / n**2 * p.sum(axis=1))
+        diff = x[None, :] - x[:, None]
+        s = None if sigma_of is None else sigma_of(p, diff)  # before diff is overwritten
+        w, norm = weigh(p)
+        return np.multiply(w, diff, out=diff).sum(axis=1) / norm, s
 
-    form = "multiplicative" if multiplicative else "interaction-gated additive"
-    return LimitModel(drift, diffusion, f"{form}-noise SDE")
+    return LimitModel(
+        fields,
+        drift=lambda x: fields(x)[0],
+        diffusion=None if sigma_of is None else (lambda x: fields(x)[1]),
+        provenance=provenance,
+    )
 
 
 def integrate(
@@ -152,7 +169,8 @@ def integrate(
     The horizon and the sample times must fall on the dt grid. A drift-only
     model is integrated by forward Euler and rng is not touched. A model
     with diffusion is integrated by Euler-Maruyama, which draws one standard
-    normal per agent per step, in agent order, from rng.
+    normal per agent per step, in agent order, from rng. Each step
+    evaluates model.fields once.
     """
     x = np.asarray(x0, dtype=float).copy()
     dt = integrator.dt
@@ -177,9 +195,10 @@ def integrate(
             ti += 1
         if m == steps:
             break
-        dx = model.drift(x) * dt
+        b, sigma = model.fields(x)
+        dx = b * dt
         if stochastic:
             z = rng.standard_normal(len(x))
-            dx = dx + model.diffusion(x) * sqrt_dt * z
+            dx = dx + sigma * sqrt_dt * z
         x = x + dx
     return Trajectory(times, out)

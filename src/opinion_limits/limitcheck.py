@@ -255,9 +255,8 @@ def convergence_sweep(
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
         raise ValueError("h_values must be decreasing")
     x = np.asarray(x, dtype=float)
-    model = build_limit(spec)
-    b = model.drift(x)
-    a = model.diffusion(x) ** 2 if model.has_diffusion else np.zeros(spec.n_agents)
+    b, sigma = build_limit(spec).fields(x)
+    a = np.zeros(spec.n_agents) if sigma is None else sigma**2
     rows = []
     for h in h_values:
         spec_h = replace(spec, h=float(h))

@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Trajectory"]
+__all__ = ["Trajectory", "csv_line"]
+
+_FLOAT17 = "{:.17g}".format
+
+
+def csv_line(values) -> str:
+    """Python floats as one CSV line, each as %.17g, which round-trips every float64."""
+    return ",".join(map(_FLOAT17, values)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -38,10 +45,10 @@ class Trajectory:
     def to_csv(self, path) -> None:
         n = self.n_agents
         header = "t," + ",".join(f"x_{i}" for i in range(n))
+        rows = np.column_stack((self.sample_times, self.values)).tolist()
         with open(path, "w") as f:
             f.write(header + "\n")
-            for t, row in zip(self.sample_times, self.values):
-                f.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            f.writelines(map(csv_line, rows))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -375,6 +375,43 @@ def test_manifest_records_engine_version(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["engine"] == ENGINE_VERSION
 
 
+def test_manifest_records_versions(tmp_path):
+    out = tmp_path / "out"
+    assert main([str(_write(tmp_path, SMALL_COMPARE.format(out=out)))]) == 0
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert sorted(versions) == ["numpy", "opinion_limits", "python", "scipy"]
+    assert versions["numpy"] == np.__version__
+    assert all(isinstance(v, str) and v for v in versions.values())
+
+
+# each written as %.17g: signed zero, subnormal, huge, inexact sums and small
+# magnitudes all need 17 significant digits or the exponent form
+AWKWARD = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0, 1e-7, -1e-300]
+AWKWARD_TEXT = "-0,4.9406564584124654e-324,1e+308,0.30000000000000004,1,9.9999999999999995e-08,-1e-300"
+
+
+def test_csv_writers_pin_the_bytes_of_awkward_floats(tmp_path):
+    path = tmp_path / "traj.csv"
+    Trajectory(np.array([0.0, 0.5]), np.array([AWKWARD, AWKWARD[::-1]])).to_csv(path)
+    header = "t," + ",".join(f"x_{i}" for i in range(len(AWKWARD)))
+    reversed_text = ",".join(AWKWARD_TEXT.split(",")[::-1])
+    assert path.read_text() == f"{header}\n0,{AWKWARD_TEXT}\n0.5,{reversed_text}\n"
+
+    path = tmp_path / "series.csv"
+    cli._write_series_csv(path, np.arange(len(AWKWARD), dtype=float), np.array(AWKWARD))
+    rows = [f"{t},{v}\n" for t, v in enumerate(AWKWARD_TEXT.split(","))]
+    assert path.read_text() == "t,error\n" + "".join(rows)
+
+
+def test_trajectory_csv_round_trips_awkward_floats_bit_for_bit(tmp_path):
+    path = tmp_path / "traj.csv"
+    values = np.array([AWKWARD, AWKWARD[::-1]])
+    Trajectory(np.array([0.0, 0.5]), values).to_csv(path)
+    back = Trajectory.from_csv(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert back.sample_times.tobytes() == np.array([0.0, 0.5]).tobytes()
+
+
 _THREADED = {
     "ensemble": """
 [experiment]

@@ -10,6 +10,7 @@ from opinion_limits.abm import (
     UniformWithoutReplacement,
     UpdateMode,
 )
+from opinion_limits import dem
 from opinion_limits.dem import (
     IntegratorSpec,
     NoDerivedLimitError,
@@ -239,3 +240,74 @@ def test_degree_weighted_complete_graph_matches_standard():
     b_std = build_limit(make_spec(n_agents=n, kernel=KERNEL)).drift(x)
     # degree N vs population N: identical normalisation on a complete graph
     assert b_net == pytest.approx(b_std)
+
+
+# ties, signed zeros and entries on both sides of the mollified band
+TIED = np.array([0.0, -0.0, 0.3, 0.3, -0.7, 0.5, -0.2, 0.8])
+
+
+def _limit_variants():
+    """Every variant with a derived limit, plus degenerate update-distance noise."""
+    n = len(TIED)
+    uwr = dict(n_agents=n, kernel=KERNEL)
+    noises = {
+        "none": NoiseFamily(),
+        "ambiguity": NoiseFamily(NoiseKind.AMBIGUITY, GaussianScaled(0.0, 0.05)),
+        "external": NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05)),
+        "adaptation": NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05)),
+        "random_update_distance": NoiseFamily(
+            NoiseKind.RANDOM_UPDATE_DISTANCE, GaussianScaled(float(n), 5.0)
+        ),
+        "degenerate": NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, Degenerate(float(n))),
+    }
+    variants = {f"uwr_single-{k}": make_spec(**uwr, noise=v) for k, v in noises.items()}
+    variants["uwr_both"] = make_spec(**uwr, update_mode=UpdateMode.BOTH)
+    variants["uwor"] = make_spec(
+        **uwr,
+        selection=UniformWithoutReplacement(),
+        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
+    )
+    variants["degree"] = make_spec(**uwr, selection=DegreeWeighted(erdos_renyi(n, 0.5, seed=n)))
+    variants["proportional"] = make_spec(**uwr, selection=ProbabilityProportional())
+    variants["proportional_double"] = make_spec(
+        **uwr, selection=ProbabilityProportional(), double_weighting=True
+    )
+    return variants
+
+
+_VARIANTS = _limit_variants()
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("label", sorted(_VARIANTS))
+def test_fields_equal_drift_and_diffusion_bit_for_bit(label):
+    spec = _VARIANTS[label]
+    model = build_limit(spec)
+    b, sigma = model.fields(TIED)
+    assert _bits(b) == _bits(model.drift(TIED))
+    assert (sigma is None) == (not model.has_diffusion)
+    if sigma is not None:
+        assert _bits(sigma) == _bits(model.diffusion(TIED))
+    # the drift keeps the operation order of sum_j w_ij (x_j - x_i) / norm
+    weigh, _ = dem._normalisation(spec)
+    w, norm = weigh(dem.pairwise_matrix(spec.kernel, TIED))
+    assert _bits(b) == _bits((w * (TIED[None, :] - TIED[:, None])).sum(axis=1) / norm)
+
+
+@pytest.mark.parametrize("kind", ["adaptation", "random_update_distance"])
+def test_euler_maruyama_builds_one_pairwise_matrix_per_step(kind, monkeypatch):
+    model = build_limit(_VARIANTS[f"uwr_single-{kind}"])
+    assert model.has_diffusion
+    calls = []
+    original = dem.pairwise_matrix
+
+    def counted(kernel, x):
+        calls.append(len(x))
+        return original(kernel, x)
+
+    monkeypatch.setattr(dem, "pairwise_matrix", counted)
+    integrate(model, TIED, IntegratorSpec(dt=0.01), 0.25, [0.25], np.random.default_rng(0))
+    assert len(calls) == 25
