@@ -41,7 +41,7 @@ _TAG_SWEEP = 5
 def _write_series_csv(path, times, values, name="error"):
     with open(path, "w") as f:
         f.write(f"t,{name}\n")
-        f.writelines(map(csv_line, np.column_stack((times, values)).tolist()))
+        f.writelines(map(csv_line, np.column_stack((times, values))))
 
 
 def _prelude(cfg: ExperimentConfig):

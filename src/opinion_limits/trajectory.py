@@ -11,9 +11,13 @@ __all__ = ["Trajectory", "csv_line"]
 _FLOAT17 = "{:.17g}".format
 
 
-def csv_line(values) -> str:
-    """Python floats as one CSV line, each as %.17g, which round-trips every float64."""
-    return ",".join(map(_FLOAT17, values)) + "\n"
+def csv_line(row: np.ndarray) -> str:
+    """A float64 row as one CSV line, each entry as %.17g, which round-trips.
+
+    Formatting Python floats (row.tolist()) gives the same text as
+    formatting np.float64 scalars, at lower cost.
+    """
+    return ",".join(map(_FLOAT17, row.tolist())) + "\n"
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class Trajectory:
     def to_csv(self, path) -> None:
         n = self.n_agents
         header = "t," + ",".join(f"x_{i}" for i in range(n))
-        rows = np.column_stack((self.sample_times, self.values)).tolist()
+        rows = np.column_stack((self.sample_times, self.values))
         with open(path, "w") as f:
             f.write(header + "\n")
             f.writelines(map(csv_line, rows))
