@@ -325,11 +325,12 @@ def _row_mass(p: np.ndarray, agents: Sequence[int] | None = None) -> np.ndarray:
     """Row sums of the pairwise matrix p, the normaliser of probability-
     proportional selection; raises if an agent has nobody to pick.
 
-    Row r of p belongs to agent agents[r], or to agent r by default.
+    Row r of p belongs to agent agents[r], or to agent r by default; a
+    stack of matrices (..., N, N) gives one row sum per state and agent.
     """
-    norm = p.sum(axis=1)
+    norm = p.sum(axis=-1)
     if np.any(norm <= 0.0):
-        bad = int(np.argmin(norm))
+        bad = int(np.argmin(norm)) % norm.shape[-1]
         agent = bad if agents is None else agents[bad]
         raise RuntimeError(f"agent {agent} has zero total interaction probability")
     return norm

@@ -24,7 +24,7 @@ from . import __version__
 from .abm import _BATCH_MIN_RUNS, ENGINE_VERSION, ProbabilityProportional, run_abm, run_abm_batch
 from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_error
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
-from .dem import build_limit, integrate
+from .dem import build_limit, integrate, integrate_batch
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
 from .trajectory import csv_line
 
@@ -79,16 +79,8 @@ def _paired_block(spec, integrator, x0, times, base_seed, start, stop):
     model = build_limit(spec)
     rngs = [np.random.default_rng([base_seed, _TAG_ABM, r]) for r in range(start, stop)]
     abm_runs = _abm_runs(spec, x0, times, rngs)
-    return [
-        (
-            traj,
-            integrate(
-                model, x0, integrator, spec.horizon, times,
-                np.random.default_rng([base_seed, _TAG_DEM, r]),
-            ),
-        )
-        for r, traj in zip(range(start, stop), abm_runs)
-    ]
+    dem_rngs = [np.random.default_rng([base_seed, _TAG_DEM, r]) for r in range(start, stop)]
+    return list(zip(abm_runs, integrate_batch(model, x0, integrator, spec.horizon, times, dem_rngs)))
 
 
 def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
@@ -200,7 +192,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> str:
     """Run the configured experiment; returns the output directory."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    manifest = {"config": cfg.to_dict(), "engine": ENGINE_VERSION, "versions": _versions()}
+    manifest = {
+        "config": cfg.to_dict(),
+        "engine": ENGINE_VERSION,
+        "limit": build_limit(cfg.model_spec()).provenance,
+        "versions": _versions(),
+    }
     with open(os.path.join(out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

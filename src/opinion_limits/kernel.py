@@ -229,15 +229,18 @@ class Network:
 
 
 def pairwise_matrix(kernel: InteractionKernel, x: np.ndarray) -> np.ndarray:
-    """Full N x N matrix of pairwise interaction probabilities.
+    """Full N x N matrix of pairwise interaction probabilities, or one such
+    matrix per state for x of shape (..., N): the result is (..., N, N).
 
     Entries outside the kernel's saturation band are set to 1.0 or 0.0
-    directly; kernel.eval runs only on the distances inside it.
+    directly; kernel.eval runs only on the distances inside it. Every
+    entry is computed elementwise, so a stack of states gives the bits
+    each state gives alone.
     """
     x = np.asarray(x, dtype=float)
     d_one, d_zero = kernel.saturation()
-    # one N x N buffer holds the distances and then the probabilities
-    p = np.subtract.outer(x, x)
+    # one buffer holds the distances and then the probabilities
+    p = x[..., :, None] - x[..., None, :]
     np.abs(p, out=p)
     ones = p <= d_one
     band = np.flatnonzero((p < d_zero) != ones)  # ones implies p < d_zero

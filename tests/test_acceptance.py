@@ -18,7 +18,7 @@ from opinion_limits.abm import (
     run_abm_batch,
 )
 from opinion_limits.analysis import quartile_summary, sweep_error
-from opinion_limits.dem import IntegratorSpec, build_limit, integrate
+from opinion_limits.dem import IntegratorSpec, build_limit, integrate, integrate_batch
 from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi, pairwise_matrix
 from opinion_limits.limitcheck import exact_coefficients, mc_coefficients
 from opinion_limits.noise import (
@@ -206,8 +206,9 @@ def _accumulate(runs_iter, n_runs):
     return mean, np.maximum(var, 0.0)
 
 
-# the ABM ensembles advance this many runs at a time through run_abm_batch,
-# which test_batched_ensemble_runs_match_run_abm pins to run_abm bit for bit
+# the ensembles advance this many runs at a time through run_abm_batch and
+# integrate_batch, which test_batched_ensemble_runs_match_run_abm and
+# test_batched_em_runs_match_integrate pin to the serial runs bit for bit
 _GROUP = 100
 _ABM_NOISE = {
     0: NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05)),
@@ -246,6 +247,34 @@ def test_batched_ensemble_runs_match_run_abm():
     _report("batched ensemble runs equal run_abm bit for bit over the full horizon", same)
 
 
+def _em_runs(start, stop):
+    noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
+    model = build_limit(_spec(50, 1e-4, _HORIZON, noise=noise))
+    x0 = np.random.default_rng(1000).uniform(-1.0, 1.0, 50)
+    rngs = [np.random.default_rng([107, r]) for r in range(start, stop)]
+    return model, x0, IntegratorSpec(dt=0.01), rngs
+
+
+def _em_ensemble():
+    def runs():
+        for start in range(0, _N_RUNS, _GROUP):
+            model, x0, em, rngs = _em_runs(start, min(start + _GROUP, _N_RUNS))
+            for traj in integrate_batch(model, x0, em, _HORIZON, _TIMES, rngs):
+                yield traj.values
+
+    return _accumulate(runs(), _N_RUNS)
+
+
+def test_batched_em_runs_match_integrate():
+    """The batched Euler-Maruyama ensemble reproduces integrate bit for bit on its own streams."""
+    model, x0, em, rngs = _em_runs(0, 2)
+    batch = integrate_batch(model, x0, em, _HORIZON, _TIMES, rngs)
+    _, _, _, rngs = _em_runs(0, 2)
+    serial = [integrate(model, x0, em, _HORIZON, _TIMES, rng) for rng in rngs]
+    same = all(a.values.tobytes() == b.values.tobytes() for a, b in zip(batch, serial))
+    _report("batched Euler-Maruyama runs equal integrate bit for bit over the full horizon", same)
+
+
 def _get_ensemble(name):
     if name not in _ENSEMBLES:
         if name == "abm_external":
@@ -253,18 +282,7 @@ def _get_ensemble(name):
         elif name == "abm_rud":
             _ENSEMBLES[name] = _abm_ensemble(1)
         elif name == "em_external":
-            noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
-            spec = _spec(50, 1e-4, _HORIZON, noise=noise)
-            model = build_limit(spec)
-            em = IntegratorSpec(dt=0.01)
-            x0 = np.random.default_rng(1000).uniform(-1.0, 1.0, 50)
-            runs = (
-                integrate(
-                    model, x0, em, _HORIZON, _TIMES, np.random.default_rng([107, r])
-                ).values
-                for r in range(_N_RUNS)
-            )
-            _ENSEMBLES[name] = _accumulate(runs, _N_RUNS)
+            _ENSEMBLES[name] = _em_ensemble()
         else:
             raise KeyError(name)
     return _ENSEMBLES[name]

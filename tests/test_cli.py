@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from opinion_limits import cli
+from opinion_limits import cli, dem
 from opinion_limits.abm import ENGINE_VERSION
 from opinion_limits.cli import main
 from opinion_limits.config import ConfigError, config_from_dict, parse_config
+from opinion_limits.dem import build_limit
 from opinion_limits.trajectory import Trajectory
 
 SMALL_COMPARE = """
@@ -384,6 +385,48 @@ def test_manifest_records_versions(tmp_path):
     assert all(isinstance(v, str) and v for v in versions.values())
 
 
+_LIMITED = {
+    "ensemble": ("""
+[experiment]
+type = ensemble
+n_runs = 3
+output_dir = {out}
+
+[model]
+n_agents = 5
+h = 1e-3
+horizon = 0.1
+
+[noise]
+kind = external
+var_per_h = 0.05
+""", "additive-noise SDE"),
+    "limitcheck": ("""
+[experiment]
+type = limitcheck
+h_list = 1e-2,1e-3
+n_states = 1
+output_dir = {out}
+
+[model]
+n_agents = 5
+h = 1e-3
+horizon = 1.0
+""", "standard ODE"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_LIMITED))
+def test_manifest_records_the_limit(tmp_path, experiment):
+    text, provenance = _LIMITED[experiment]
+    out = tmp_path / "out"
+    assert main([str(_write(tmp_path, text.format(out=out)))]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["limit"] == provenance
+    spec = config_from_dict(manifest["config"]).model_spec()
+    assert manifest["limit"] == build_limit(spec).provenance
+
+
 # each written as %.17g: signed zero, subnormal, huge, inexact sums and small
 # magnitudes all need 17 significant digits or the exponent form
 AWKWARD = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0, 1e-7, -1e-300]
@@ -473,3 +516,17 @@ def test_batched_and_serial_runs_write_the_same_bytes(tmp_path, monkeypatch, exp
     for p in outs[0].iterdir():
         if p.name != "manifest.json":
             assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name
+
+
+def test_em_block_size_does_not_change_outputs(tmp_path, monkeypatch):
+    # blocks of one run are serial integrate; blocks of two split 5 runs 2-2-1
+    path = _write(tmp_path, _THREADED["ensemble"])
+    outs = []
+    for block in (1, 2, dem._EM_BLOCK):
+        monkeypatch.setattr(dem, "_EM_BLOCK", block)
+        outs.append(tmp_path / f"block{block}")
+        assert main([str(path), "--out", str(outs[-1])]) == 0
+    for p in outs[0].iterdir():
+        if p.name != "manifest.json":
+            for out in outs[1:]:
+                assert p.read_bytes() == (out / p.name).read_bytes(), p.name

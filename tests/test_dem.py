@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,10 +200,9 @@ def test_euler_maruyama_pure_noise_statistics():
     model = build_limit(make_spec(n_agents=2, kernel=Constant(0.0), noise=noise))
     em = IntegratorSpec(dt=0.01)
     m = 2000
-    finals = np.empty((m, 2))
-    for r in range(m):
-        traj = integrate(model, np.zeros(2), em, 1.0, [1.0], np.random.default_rng([5, r]))
-        finals[r] = traj.values[-1]
+    rngs = [np.random.default_rng([5, r]) for r in range(m)]
+    runs = dem.integrate_batch(model, np.zeros(2), em, 1.0, [1.0], rngs)
+    finals = np.array([traj.values[-1] for traj in runs])
     # Var X_i(1) = m2/N * T = 0.025
     target = 0.025
     var = finals.var(axis=0, ddof=1)
@@ -311,3 +311,78 @@ def test_euler_maruyama_builds_one_pairwise_matrix_per_step(kind, monkeypatch):
     monkeypatch.setattr(dem, "pairwise_matrix", counted)
     integrate(model, TIED, IntegratorSpec(dt=0.01), 0.25, [0.25], np.random.default_rng(0))
     assert len(calls) == 25
+
+
+def _streams(r, seed=11):
+    return [np.random.default_rng([seed, k]) for k in range(r)]
+
+
+@pytest.mark.parametrize("label", sorted(_VARIANTS))
+def test_integrate_batch_equals_serial_integrate_bit_for_bit(label):
+    # 37 runs: two full blocks of dem._EM_BLOCK and a partial one
+    assert 37 % dem._EM_BLOCK != 0 and 37 > 2 * dem._EM_BLOCK
+    model = build_limit(_VARIANTS[label])
+    em = IntegratorSpec(dt=0.01)
+    times = [0.0, 0.1, 0.25, 0.5]
+    batch_rngs, serial_rngs = _streams(37), _streams(37)
+    batch = dem.integrate_batch(model, TIED, em, 0.5, times, batch_rngs)
+    serial = [integrate(model, TIED, em, 0.5, times, rng) for rng in serial_rngs]
+    assert len(batch) == 37
+    for a, b in zip(batch, serial):
+        assert a.sample_times.tobytes() == b.sample_times.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+    # each stream is left where the serial run leaves it
+    for a, b in zip(batch_rngs, serial_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+    if model.has_diffusion:
+        assert len({t.values.tobytes() for t in batch}) == 37
+
+
+@pytest.mark.parametrize(
+    "noise,selection",
+    [
+        (NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05)), None),
+        (NoiseFamily(), ProbabilityProportional()),
+    ],
+    ids=["adaptation", "proportional_double"],
+)
+def test_integrate_batch_equals_serial_integrate_at_n_150(noise, selection):
+    # rows longer than numpy's pairwise-summation block of 128
+    n = 150
+    kw = {} if selection is None else dict(selection=selection, double_weighting=True)
+    model = build_limit(make_spec(n_agents=n, kernel=KERNEL, noise=noise, **kw))
+    x0 = np.random.default_rng(8).uniform(-1, 1, n)
+    em = IntegratorSpec(dt=0.01)
+    batch = dem.integrate_batch(model, x0, em, 0.1, [0.1], _streams(20))
+    serial = [integrate(model, x0, em, 0.1, [0.1], rng) for rng in _streams(20)]
+    assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(batch, serial))
+
+
+def test_integrate_batch_integrates_a_drift_only_limit_once():
+    # LimitModel is frozen: count the fields calls on a copy that wraps them
+    model = build_limit(_VARIANTS["uwr_single-none"])
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return model.fields(x)
+
+    rngs = _streams(37)
+    states = [rng.bit_generator.state for rng in rngs]
+    em = IntegratorSpec(dt=0.01)
+    runs = dem.integrate_batch(
+        dataclasses.replace(model, fields=counted), TIED, em, 0.25, [0.0, 0.25], rngs
+    )
+    assert len(calls) == 25  # steps, not 37 x 25
+    assert [rng.bit_generator.state for rng in rngs] == states
+    alone = integrate(model, TIED, em, 0.25, [0.0, 0.25])
+    assert len(runs) == 37
+    assert all(t.values.tobytes() == alone.values.tobytes() for t in runs)
+
+
+def test_integrate_batch_refuses_a_missing_stream():
+    model = build_limit(_VARIANTS["uwr_single-external"])
+    rngs = _streams(3)
+    rngs[1] = None
+    with pytest.raises(ValueError, match="random stream"):
+        dem.integrate_batch(model, TIED, IntegratorSpec(dt=0.01), 0.1, [0.1], rngs)

@@ -219,3 +219,15 @@ def test_pairwise_matrix_equals_kernel_eval(kernel):
     x = np.concatenate([rng.uniform(-1.0, 1.0, 60), [0.0, -0.0, 0.25, 0.25]])
     d = np.abs(x[:, None] - x[None, :])
     assert np.array_equal(pairwise_matrix(kernel, x), kernel.eval(d))
+
+
+@pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
+def test_pairwise_matrix_of_a_stack_equals_each_state(kernel):
+    # a batch of Euler-Maruyama states gets one matrix per state, bit for bit
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1.0, 1.0, (2, 3, 40))
+    xs[0, 1, :4] = [0.0, -0.0, 0.25, 0.25]
+    p = pairwise_matrix(kernel, xs)
+    assert p.shape == (2, 3, 40, 40)
+    for k in np.ndindex(2, 3):
+        assert p[k].tobytes() == pairwise_matrix(kernel, xs[k]).tobytes()
