@@ -354,10 +354,11 @@ def test_manifest_with_integration_scheme_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("engine", [None, 1], ids=["no_key", "engine=1"])
+@pytest.mark.parametrize("engine", [None, 1, 2], ids=["no_key", "engine=1", "engine=2"])
 def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
-    # manifests written before the engine key are version 1; their random
-    # stream is not the one this engine draws, so they are refused, not rerun
+    # manifests written before the engine key are version 1; an older
+    # engine's random stream is not the one this engine draws, so its
+    # manifests are refused, not rerun
     manifest = {"config": parse_config(SMALL_COMPARE.format(out=tmp_path / "out")).to_dict()}
     if engine is not None:
         manifest["engine"] = engine
@@ -366,7 +367,7 @@ def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
     rc = main([str(path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"engine version 1, this is engine version {ENGINE_VERSION}" in err
+    assert f"engine version {engine or 1}, this is engine version {ENGINE_VERSION}" in err
     assert not (tmp_path / "out").exists()
 
 

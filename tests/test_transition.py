@@ -18,7 +18,7 @@ from opinion_limits.abm import (
     UniformWithoutReplacement,
     UniformWithReplacement,
     UpdateMode,
-    _CHUNK,
+    _DRAW_BLOCK,
     _apply,
     _draw,
     _plan,
@@ -122,7 +122,8 @@ def test_mc_second_moment_matches_chain_when_i_equals_j():
 # --- the batched engine against run_abm, bit for bit ---------------------------
 
 _BATCHED = [s for s in _SCHEMES if not s.startswith("proportional")]
-# chunks of 1, 1, 398, 300 and 300 steps, with two samples at one time
+# slices of 1, 1, 398 and 112 steps of the first block and of 188 and 300 of
+# the second, with two samples at one time
 _GRID = [0.0, 0.001, 0.0025, 0.4, 0.4, 0.7, 1.0]
 # exact ties and zeros of both signs: zero distances, which the noise-free and
 # random-update-distance steps skip, so a -0.0 opinion keeps its sign
@@ -150,8 +151,8 @@ def test_batch_engine_matches_run_abm(scheme, kind, monkeypatch):
         n_agents=N, h=1e-3, horizon=1.0, kernel=KERNEL, noise=_noise(kind), **_SCHEMES[scheme]
     )
     # groups of 3 runs, so 4 runs straddle a group boundary
-    longest = max(m for _, m in _plan(spec, _GRID)[1])
-    monkeypatch.setattr(abm, "_BATCH_STEPS", 3 * longest)
+    assert [block for _, block, _, _ in _plan(spec, _GRID)[1] if block] == [_DRAW_BLOCK, 488]
+    monkeypatch.setattr(abm, "_BATCH_STEPS", 3 * _DRAW_BLOCK)
     for x0 in _X0S.values():
         for runs in (1, 4):
             serial, batch = _serial_and_batch(spec, x0, _GRID, [[41, r] for r in range(runs)])
@@ -160,14 +161,44 @@ def test_batch_engine_matches_run_abm(scheme, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
 def test_batch_engine_matches_run_abm_beyond_one_chunk(kind):
+    # two full blocks and a partial one, with no sample between them
     spec = ModelSpec(
-        n_agents=N, h=1e-3, horizon=32.9, kernel=KERNEL, noise=_noise(kind),
+        n_agents=N, h=1e-3, horizon=1.1, kernel=KERNEL, noise=_noise(kind),
         update_mode=UpdateMode.BOTH,
     )
-    grid = [0.0, 32.9]
-    assert [m for _, m in _plan(spec, grid)[1]] == [_CHUNK, 32_900 - _CHUNK, 0]
+    grid = [0.0, 1.1]
+    plan = _plan(spec, grid)[1]
+    assert [block for _, block, _, _ in plan] == [_DRAW_BLOCK, _DRAW_BLOCK, 1100 - 2 * _DRAW_BLOCK, 0]
     serial, batch = _serial_and_batch(spec, _X0S["ties"], grid, [[42, r] for r in range(2)])
     assert batch == serial
+
+
+# at h = 1e-4: 700 steps end inside the second block, 1024 at the end of
+# the second and 1025 one step into the third
+@pytest.mark.parametrize("horizon", [0.07, 0.1024, 0.1025])
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("scheme", ["uwr_single", "uwr_both"])
+def test_final_state_does_not_depend_on_sample_grid(scheme, kind, horizon):
+    spec = ModelSpec(
+        n_agents=N, h=1e-4, horizon=horizon, kernel=KERNEL, noise=_noise(kind),
+        **_SCHEMES[scheme],
+    )
+    x0 = np.random.default_rng(44).uniform(-0.5, 0.5, N)
+    grids = [
+        [*np.arange(0.0, horizon - 1e-9, 0.01), horizon],
+        [0.0, horizon / 2, horizon],
+        [horizon],
+    ]
+    total = round(horizon / spec.h)
+    for grid in grids:
+        assert sum(b - a for _, _, a, b in _plan(spec, grid)[1]) == total
+    seeds = [[44, r] for r in range(3)]
+    finals = set()
+    for grid in grids:
+        serial, batch = _serial_and_batch(spec, x0, grid, seeds)
+        assert batch == serial
+        finals.add(b"".join(np.frombuffer(s, dtype=float)[-N:].tobytes() for s in serial))
+    assert len(finals) == 1
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
