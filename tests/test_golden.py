@@ -90,7 +90,7 @@ _SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][2] is not UpdateMode.BOTH
 # The engine version the run_abm and mc_coefficients hashes were recorded
 # under. A change to the random stream bumps abm.ENGINE_VERSION, so that
 # older manifests are refused, and re-records the hashes with it.
-GOLDEN_ENGINE = 2
+GOLDEN_ENGINE = 3
 
 
 def test_golden_hashes_match_engine_version():
@@ -99,36 +99,36 @@ def test_golden_hashes_match_engine_version():
 
 # first 16 hex digits of each sha256
 RUN_ABM_SHA256 = {
-    "uwr_single-none": "4793a3360df80097",
-    "uwr_single-ambiguity": "3bcb3ef485b5529d",
-    "uwr_single-external": "f1c7a48882adc2fc",
-    "uwr_single-adaptation": "8ad5314db8eef116",
-    "uwr_single-random_update_distance": "c47f99512b14ad50",
-    "uwr_both-none": "d3da0f14d4027bbd",
-    "uwr_both-ambiguity": "eaa7a64c0f6395a7",
-    "uwr_both-external": "3ebab76bb804a4b7",
-    "uwr_both-adaptation": "d9827b06edd50357",
-    "uwr_both-random_update_distance": "f55d89ecc5aa27df",
-    "uwor-none": "7c916fc4d5b58cc3",
-    "uwor-ambiguity": "996048e61d5e5eeb",
-    "uwor-external": "bdd16fa7d49ff452",
-    "uwor-adaptation": "a4428c0ccafda86a",
-    "uwor-random_update_distance": "7bc04343a284d0d8",
-    "degree-none": "9d11925e9d9cf6b7",
-    "degree-ambiguity": "541843e159b3a10b",
-    "degree-external": "24f0afc11b62626e",
-    "degree-adaptation": "9a14e2a8a059109c",
-    "degree-random_update_distance": "11b1add4b761e130",
-    "proportional-none": "42cf23fd938256a5",
-    "proportional-ambiguity": "a34228ce1ab561c1",
-    "proportional-external": "7c26944eb4ddc21c",
-    "proportional-adaptation": "56136e6ccd59b6c3",
-    "proportional-random_update_distance": "abe2291924a17cf4",
-    "proportional_double-none": "8140f247d80b96d2",
-    "proportional_double-ambiguity": "c6e09040cc6b6e1b",
-    "proportional_double-external": "6efbd7615da9cb15",
-    "proportional_double-adaptation": "a52982dc20662fdf",
-    "proportional_double-random_update_distance": "ab52a8fef9af396c",
+    "uwr_single-none": "7b45da1518ce8afc",
+    "uwr_single-ambiguity": "9e7ce75a8dc1059a",
+    "uwr_single-external": "7cf68f4b56b3d7c9",
+    "uwr_single-adaptation": "9c49a15585e74289",
+    "uwr_single-random_update_distance": "136610f2c439c95a",
+    "uwr_both-none": "661c6909fdd8e74c",
+    "uwr_both-ambiguity": "434c147be70c8dd7",
+    "uwr_both-external": "3cf16d9de2369939",
+    "uwr_both-adaptation": "8c0452934e0c1514",
+    "uwr_both-random_update_distance": "fcc3428cc7a0a336",
+    "uwor-none": "91a9b2a498e088ec",
+    "uwor-ambiguity": "bd026579672d0863",
+    "uwor-external": "d2c362ed344cc81b",
+    "uwor-adaptation": "40d611bb657c6585",
+    "uwor-random_update_distance": "35283641bdea037f",
+    "degree-none": "f081f812c91a4452",
+    "degree-ambiguity": "c9829194e634279a",
+    "degree-external": "1214dfc8c58a3cd8",
+    "degree-adaptation": "31a52398acac7f1c",
+    "degree-random_update_distance": "fb837d6d671efa8d",
+    "proportional-none": "a35712bda2a3eb88",
+    "proportional-ambiguity": "3d3507f1c3d977e3",
+    "proportional-external": "62b349aa3b6dc79c",
+    "proportional-adaptation": "83e01287fa9398db",
+    "proportional-random_update_distance": "64dc349f3588bbd8",
+    "proportional_double-none": "4f6a3b7dbcdc0f8a",
+    "proportional_double-ambiguity": "f0c2a0062311071e",
+    "proportional_double-external": "98056697a28cc6c0",
+    "proportional_double-adaptation": "42cea38c915595d8",
+    "proportional_double-random_update_distance": "64078babd4b1a5b9",
 }
 
 MC_SHA256 = {
