@@ -41,17 +41,18 @@ __all__ = [
 # blocks of _DRAW_BLOCK steps counted from step 0, whatever the sample grid.
 ENGINE_VERSION = 3
 
-# Steps drawn at a time from a run's stream. The last block is cut at the
-# horizon. Larger blocks draw a little faster but hold more memory: at 4096
-# a 1000-step batched ensemble of 200 runs peaked 5% higher in RSS.
+# Steps drawn at a time from a run's stream; the last block is cut at the
+# horizon. Larger blocks hold more memory for little speed: at 4096, a
+# 200-run batched ensemble of 1000 steps peaked 4.5% higher in RSS and ran
+# no faster.
 _DRAW_BLOCK = 512
 # Proposals per step under probability-proportional selection; a step whose
 # proposals are all rejected falls back to the cumulative-sum resolution.
 _PROPOSALS = 8
 # Blocks of fewer runs than this are faster through run_abm one at a time
 # than through run_abm_batch: at N=50 with external noise (1000 steps,
-# sampled every 100), 10 runs took 11-21% longer batched, 12 runs 5-23% less
-# and 14 runs 15-20% less.
+# sampled every 100), 10 runs took 21-42% longer batched, 12 runs 5-23% less
+# and 14 runs 16-20% less.
 _BATCH_MIN_RUNS = 12
 # run_abm_batch advances runs in groups whose draw buffers hold at most
 # this many steps, summed over the runs of the group: 2048 runs of one block.
@@ -312,7 +313,7 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     n = spec.n_agents
     sel = spec.selection
     jj = jp = up = uj = None
-    # a pair of integers calls drawn as one leaves the same values and state
+    # one integers call for two arrays gives the values and stream state of two
     if isinstance(sel, UniformWithReplacement):
         ii, jj = rng.integers(0, n, (2, m))
     elif isinstance(sel, ProbabilityProportional):  # j depends on the current state

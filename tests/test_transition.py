@@ -167,8 +167,8 @@ def test_batch_engine_matches_run_abm_beyond_one_chunk(kind):
         update_mode=UpdateMode.BOTH,
     )
     grid = [0.0, 1.1]
-    plan = _plan(spec, grid)[1]
-    assert [block for _, block, _, _ in plan] == [_DRAW_BLOCK, _DRAW_BLOCK, 1100 - 2 * _DRAW_BLOCK, 0]
+    blocks = [block for _, block, _, _ in _plan(spec, grid)[1]]
+    assert blocks == [_DRAW_BLOCK, _DRAW_BLOCK, 1100 - 2 * _DRAW_BLOCK, 0]
     serial, batch = _serial_and_batch(spec, _X0S["ties"], grid, [[42, r] for r in range(2)])
     assert batch == serial
 
