@@ -35,11 +35,13 @@ __all__ = [
     "run_abm_batch",
 ]
 
-# Version of the random stream: a manifest rerun is refused unless it was
+# Version of the outputs a manifest reproduces: the random stream and the
+# statistics written from it. A manifest rerun is refused unless it was
 # written by this version. 1 is every manifest without an "engine" key; 2
 # resolves probability-proportional selection by thinning; 3 draws in
-# blocks of _DRAW_BLOCK steps counted from step 0, whatever the sample grid.
-ENGINE_VERSION = 3
+# blocks of _DRAW_BLOCK steps counted from step 0, whatever the sample grid;
+# 4 computes ensemble variances in one pass, shifted by the first run.
+ENGINE_VERSION = 4
 
 # Steps drawn at a time from a run's stream; the last block is cut at the
 # horizon. Larger blocks hold more memory for little speed: at 4096, a

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,19 +58,31 @@ def sweep_error(
     raise ValueError(f"unknown error norm {norm!r}")
 
 
-def ensemble_stats(runs: Sequence[Trajectory]) -> EnsembleStats:
-    """Sample mean and unbiased variance per (time, agent)."""
-    if len(runs) < 2:
+def ensemble_stats(runs: Iterable[Trajectory]) -> EnsembleStats:
+    """Sample mean and unbiased variance per (time, agent), in one pass over the runs.
+
+    runs is any iterable, a generator included, and is not stacked. The mean
+    is the sum in run order over n, the bytes of the stacked runs' mean. The
+    variance sums deviations from the first run (Chan, Golub & LeVeque 1983):
+    it does not cancel at a large mean and is exactly 0 where all runs agree.
+    """
+    n = 0
+    for n, run in enumerate(runs, 1):
+        if n == 1:
+            first = run
+            total, dev_sum, dev_sq = (np.zeros_like(run.values) for _ in range(3))
+        _check_grids(first, run)
+        dev = run.values - first.values
+        total += run.values
+        dev_sum += dev
+        dev_sq += dev * dev
+    if n < 2:
         raise ValueError("need at least 2 realizations")
-    first = runs[0]
-    for r in runs[1:]:
-        _check_grids(first, r)
-    stack = np.stack([r.values for r in runs])
     return EnsembleStats(
         sample_times=first.sample_times,
-        mean=stack.mean(axis=0),
-        variance=stack.var(axis=0, ddof=1),
-        n_realizations=len(runs),
+        mean=total / n,
+        variance=(dev_sq - dev_sum * dev_sum / n) / (n - 1),
+        n_realizations=n,
     )
 
 

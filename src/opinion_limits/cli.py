@@ -216,7 +216,7 @@ def _load_config(path: str, out_override: str | None, paper_scale: bool) -> Expe
         if engine != ENGINE_VERSION:
             raise ConfigError(
                 f"manifest was written by engine version {engine}, this is engine version "
-                f"{ENGINE_VERSION}; a rerun could draw a different random stream"
+                f"{ENGINE_VERSION}; a rerun could write different outputs"
             )
     else:
         cfg = parse_config(text)

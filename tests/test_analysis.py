@@ -69,6 +69,28 @@ def test_ensemble_stats_gaussian_sample():
     assert np.all(np.abs(stats.variance - 4.0) <= 4 * se_var)
 
 
+def test_ensemble_stats_reads_a_generator_in_one_pass():
+    values = np.random.default_rng(2).uniform(-1, 1, (200, 11, 50))  # the stacked runs
+    stats = ensemble_stats(traj(v) for v in values)
+    assert stats.n_realizations == 200
+    assert stats.mean.tobytes() == values.mean(axis=0).tobytes()
+
+
+def test_ensemble_stats_variance_exactly_zero_for_identical_runs():
+    run = traj(np.random.default_rng(3).uniform(-1, 1, (11, 50)))
+    stats = ensemble_stats([run] * 200)
+    assert np.all(stats.variance == 0.0)
+
+
+def test_ensemble_stats_variance_with_large_mean():
+    # a mean 1e4 x the spread, where s2/n - mean**2 cancels badly
+    values = np.random.default_rng(4).normal(1e4, 1.0, (500, 11, 50))
+    stats = ensemble_stats(traj(v) for v in values)
+    two_pass = ((values - values.mean(axis=0)) ** 2).sum(axis=0) / (len(values) - 1)
+    assert np.all(stats.variance >= 0.0)
+    np.testing.assert_allclose(stats.variance, two_pass, rtol=1e-12, atol=0)
+
+
 def test_ensemble_csv_written(tmp_path):
     runs = [traj([[0.0, 2.0]], times=[0.0]), traj([[2.0, 4.0]], times=[0.0])]
     stats = ensemble_stats(runs)

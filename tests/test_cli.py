@@ -235,23 +235,29 @@ var_per_h = 0.05
     assert not (tmp_path / "out").exists()
 
 
-def test_ensemble_outputs(tmp_path):
+# the noise-free limit runs are all one trajectory, so their variance is 0;
+# at this size a two-pass variance over the stacked runs is not exactly 0
+@pytest.mark.parametrize(
+    "n_runs, n_agents, horizon, noise",
+    [(4, 5, 0.2, "external\nvar_per_h = 0.05"), (20, 10, 0.1, "none")],
+    ids=["external", "noise_free"],
+)
+def test_ensemble_outputs(tmp_path, n_runs, n_agents, horizon, noise):
     out = tmp_path / "out"
-    text = """
+    text = f"""
 [experiment]
 type = ensemble
-n_runs = 4
+n_runs = {n_runs}
 output_dir = {out}
 
 [model]
-n_agents = 5
+n_agents = {n_agents}
 h = 1e-3
-horizon = 0.2
+horizon = {horizon}
 
 [noise]
-kind = external
-var_per_h = 0.05
-""".format(out=out)
+kind = {noise}
+"""
     rc = main([str(_write(tmp_path, text))])
     assert rc == 0
     for name in ("abm_mean.csv", "abm_var.csv", "dem_mean.csv", "dem_var.csv",
@@ -259,6 +265,8 @@ var_per_h = 0.05
         assert (out / name).exists()
     var = Trajectory.from_csv(out / "abm_var.csv")
     assert np.all(var.values[0] == 0.0)  # all runs share x0
+    if noise == "none":
+        assert np.all(Trajectory.from_csv(out / "dem_var.csv").values == 0.0)
 
 
 def test_limitcheck_summary(tmp_path, capsys):
@@ -354,10 +362,12 @@ def test_manifest_with_integration_scheme_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("engine", [None, 1, 2], ids=["no_key", "engine=1", "engine=2"])
+@pytest.mark.parametrize(
+    "engine", [None, 1, 2, 3], ids=["no_key", "engine=1", "engine=2", "engine=3"]
+)
 def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
     # manifests written before the engine key are version 1; an older
-    # engine's random stream is not the one this engine draws, so its
+    # engine's outputs are not the ones this engine writes, so its
     # manifests are refused, not rerun
     manifest = {"config": parse_config(SMALL_COMPARE.format(out=tmp_path / "out")).to_dict()}
     if engine is not None:
