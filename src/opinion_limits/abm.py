@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .kernel import InteractionKernel, Network
+from .kernel import InteractionKernel, Network, saturation
 from .noise import NoiseFamily, NoiseKind
 from .trajectory import Trajectory
 
@@ -200,13 +200,17 @@ def run_abm(
 
     A sample at time s records the state after floor(s/h) steps; the
     samples do not change the chain, which draws its steps in blocks of
-    _DRAW_BLOCK counted from step 0. With check_hull enabled, any updated
-    opinion leaving [min x0, max x0] raises RuntimeError.
+    _DRAW_BLOCK counted from step 0. With check_hull enabled, an opinion
+    that a step moves out of [min x0, max x0] raises RuntimeError. Only
+    noise-free steps keep opinions in that hull, so check_hull on a noisy
+    spec raises ValueError before the first step.
     """
     x0 = np.asarray(x0, dtype=float)
     n = spec.n_agents
     if len(x0) != n:
         raise ValueError("x0 size does not match spec")
+    if check_hull and spec.noise.kind is not NoiseKind.NONE:
+        raise ValueError("check_hull needs a noise-free spec: noise can leave the initial hull")
     times, plan = _plan(spec, sample_times)
     out = np.empty((len(times), n))
 
@@ -391,7 +395,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     mu = spec.mu
     kind = spec.noise.kind
     p = spec.kernel.eval
-    d_one, d_zero = spec.kernel.saturation()
+    d_one, d_zero = saturation(spec.kernel)
     both = spec.update_mode is UpdateMode.BOTH
     always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
     ii, jj, jp, up, uj, ua, zz = (None if a is None else a.tolist() for a in draws)
@@ -420,20 +424,18 @@ def _apply(spec, x, draws, lo, hi, check_hull):
 
         if kind is NoiseKind.AMBIGUITY:
             if ok:
-                v = xi + mu * d
-                if check_hull and not lo <= v <= hi:
-                    raise RuntimeError(f"opinion of agent {i} left the initial hull")
-                x[i] = v
+                x[i] = xi + mu * d
                 if both:
                     x[j] = xj + mu * (xi + zz[k][1] - xj)
         elif kind is NoiseKind.NONE:
             if ok and d != 0.0:
-                v = xi + mu * d
-                if check_hull and not lo <= v <= hi:
-                    raise RuntimeError(f"opinion of agent {i} left the initial hull")
-                x[i] = v
+                x[i] = xi + mu * d
                 if both:
                     x[j] = xj - mu * d
+                if check_hull:
+                    for a in (i, j):
+                        if not lo <= x[a] <= hi:
+                            raise RuntimeError(f"opinion of agent {a} left the initial hull")
         elif kind is NoiseKind.EXTERNAL:
             if both:
                 x[i] = xi + zz[k][0] + (mu * d if ok else 0.0)

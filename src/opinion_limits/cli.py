@@ -26,7 +26,7 @@ from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate, integrate_batch
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
-from .trajectory import csv_line
+from .trajectory import write_csv
 
 __all__ = ["run_experiment", "main"]
 
@@ -36,12 +36,6 @@ _TAG_DEM = 2
 _TAG_LIMITCHECK = 3
 _TAG_STATES = 4
 _TAG_SWEEP = 5
-
-
-def _write_series_csv(path, times, values, name="error"):
-    with open(path, "w") as f:
-        f.write(f"t,{name}\n")
-        f.writelines(map(csv_line, np.column_stack((times, values))))
 
 
 def _prelude(cfg: ExperimentConfig):
@@ -103,7 +97,7 @@ def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
     abm_traj.to_csv(os.path.join(out, "abm.csv"))
     dem_traj.to_csv(os.path.join(out, "dem.csv"))
-    _write_series_csv(os.path.join(out, "error.csv"), times, err)
+    write_csv(os.path.join(out, "error.csv"), ["t", "error"], np.column_stack((times, err)))
     print(f"max Error(t) = {err.max():.6g}")
 
 
@@ -119,11 +113,8 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
         cfg.base_seed,
     )
     errors = [sweep_error(traj, dem_traj, spec.horizon, cfg.error_norm) for traj in runs]
-    with open(os.path.join(out, "errors.csv"), "w") as f:
-        f.write("h,run,error\n")
-        for k, e in enumerate(errors):
-            hi, r = divmod(k, runs_per_h)
-            f.write(f"{h_list[hi]:.17g},{r},{e:.17g}\n")
+    rows = [(h_list[k // runs_per_h], k % runs_per_h, e) for k, e in enumerate(errors)]
+    write_csv(os.path.join(out, "errors.csv"), ["h", "run", "error"], rows)
     for hi, h in enumerate(h_list):
         summary = quartile_summary(errors[hi * runs_per_h:(hi + 1) * runs_per_h])
         print(
@@ -146,8 +137,8 @@ def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
     dem_stats.write_csv(os.path.join(out, "dem_mean.csv"), os.path.join(out, "dem_var.csv"))
     mean_err = np.abs(abm_stats.mean - dem_stats.mean).sum(axis=1)
     var_err = np.abs(abm_stats.variance - dem_stats.variance).sum(axis=1)
-    _write_series_csv(os.path.join(out, "mean_error.csv"), times, mean_err)
-    _write_series_csv(os.path.join(out, "var_error.csv"), times, var_err)
+    for name, err in (("mean_error.csv", mean_err), ("var_error.csv", var_err)):
+        write_csv(os.path.join(out, name), ["t", "error"], np.column_stack((times, err)))
     print(f"max mean-error = {mean_err.max():.6g}, max variance-error = {var_err.max():.6g}")
 
 

@@ -46,8 +46,7 @@ class ConfigError(ValueError):
     """Configuration syntax or schema violation."""
 
 
-# section -> key -> (type, default); None default means "required if the
-# section's feature is active", resolved in _build.
+# section -> key -> (type, default)
 _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     "experiment": {
         "type": (str, "compare"),

@@ -29,6 +29,7 @@ __all__ = [
     "Network",
     "eval_kernel",
     "pairwise_matrix",
+    "saturation",
     "erdos_renyi",
 ]
 
@@ -105,11 +106,6 @@ class BoundedConfidence:
     def eval(self, d):
         return np.where(d <= self.radius, 1.0, 0.0)
 
-    def saturation(self) -> tuple[float, float]:
-        """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
-        exactly 0.0 for d >= d_zero."""
-        return self.radius, math.nextafter(self.radius, math.inf)
-
 
 @dataclass(frozen=True)
 class MollifiedBC:
@@ -127,22 +123,6 @@ class MollifiedBC:
     def eval(self, d):
         return 1.0 - self.mollifier.cdf(d - self.radius)
 
-    @functools.lru_cache(maxsize=64)
-    def saturation(self) -> tuple[float, float]:
-        """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
-        exactly 0.0 for d >= d_zero.
-
-        Each end is found by bisection over floats. d_one is -inf when the
-        kernel is below 1 at d = 0, and d_zero is inf when it never reaches 0.
-        """
-        below_one = _first(lambda d: self.eval(d) < 1.0)
-        if below_one is None:
-            d_one = math.inf
-        else:
-            d_one = -math.inf if below_one == 0.0 else math.nextafter(below_one, -math.inf)
-        d_zero = _first(lambda d: self.eval(d) == 0.0)
-        return d_one, math.inf if d_zero is None else d_zero
-
 
 @dataclass(frozen=True)
 class Constant:
@@ -159,15 +139,26 @@ class Constant:
     def eval(self, d):
         return self.value if isinstance(d, float) else np.full(d.shape, self.value)
 
-    def saturation(self) -> tuple[float, float]:
-        """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
-        exactly 0.0 for d >= d_zero; infinite ends mean never."""
-        return (math.inf if self.value == 1.0 else -math.inf), (
-            0.0 if self.value == 0.0 else math.inf
-        )
-
 
 InteractionKernel = Union[BoundedConfidence, MollifiedBC, Constant]
+
+
+@functools.lru_cache(maxsize=64)
+def saturation(kernel: InteractionKernel) -> tuple[float, float]:
+    """(d_one, d_zero): the kernel is exactly 1.0 for d <= d_one and
+    exactly 0.0 for d >= d_zero.
+
+    Each end is found by bisection over floats, for any kernel. d_one is
+    -inf when the kernel is below 1 at d = 0 and inf when it never drops
+    below 1; d_zero is inf when it never reaches 0.
+    """
+    below_one = _first(lambda d: kernel.eval(d) < 1.0)
+    if below_one is None:
+        d_one = math.inf
+    else:
+        d_one = -math.inf if below_one == 0.0 else math.nextafter(below_one, -math.inf)
+    d_zero = _first(lambda d: kernel.eval(d) == 0.0)
+    return d_one, math.inf if d_zero is None else d_zero
 
 
 def eval_kernel(kernel: InteractionKernel, d):
@@ -238,7 +229,7 @@ def pairwise_matrix(kernel: InteractionKernel, x: np.ndarray) -> np.ndarray:
     each state gives alone.
     """
     x = np.asarray(x, dtype=float)
-    d_one, d_zero = kernel.saturation()
+    d_one, d_zero = saturation(kernel)
     # one buffer holds the distances and then the probabilities
     p = x[..., :, None] - x[..., None, :]
     np.abs(p, out=p)

@@ -9,7 +9,7 @@ estimated by Monte Carlo over independent single steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,12 +23,14 @@ from .abm import (
     UpdateMode,
     _bisect_rows,
     _draw,
+    _pair_noise,
     _row_mass,
     _update_rule,
 )
 from .dem import build_limit
 from .kernel import pairwise_matrix
 from .noise import NoiseKind
+from .trajectory import write_csv
 
 __all__ = [
     "CoefficientReport",
@@ -139,7 +141,7 @@ def _increments(x, spec, draws):
         jj = jp[steps, first]
         miss = ~hit[steps, first]  # every proposal rejected
         jj[miss] = _bisect_rows(np.cumsum(p, axis=1), ii[miss], uj[miss])
-    z, z2 = (zz[:, 0], zz[:, 1]) if zz is not None and zz.ndim == 2 else (zz, None)
+    z, z2 = (zz[:, 0], zz[:, 1]) if _pair_noise(spec) else (zz, None)
 
     def accept(d):
         if always:
@@ -286,10 +288,8 @@ def probe_states(n: int, count: int, rng: np.random.Generator) -> list[np.ndarra
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w") as f:
-        f.write("h,b_deviation,a_deviation,gamma4\n")
-        for r in rows:
-            f.write(f"{r.h:.17g},{r.b_deviation:.17g},{r.a_deviation:.17g},{r.gamma4:.17g}\n")
+    """One column per SweepRow field, one line per row."""
+    write_csv(path, [f.name for f in fields(SweepRow)], [astuple(r) for r in rows])
 
 
 def sweep_summary(rows: Sequence[SweepRow], b_tol: float) -> str:

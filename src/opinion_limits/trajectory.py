@@ -1,4 +1,4 @@
-"""Sampled opinion trajectories and their CSV representation."""
+"""Sampled opinion trajectories and the one CSV writer of every output table."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Trajectory", "csv_line"]
+__all__ = ["Trajectory", "csv_line", "write_csv"]
 
 _FLOAT17 = "{:.17g}".format
 
@@ -18,6 +18,13 @@ def csv_line(row: np.ndarray) -> str:
     formatting np.float64 scalars, at lower cost.
     """
     return ",".join(map(_FLOAT17, row.tolist())) + "\n"
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A CSV table: a line of column names, then one csv_line per row of floats."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(map(csv_line, np.asarray(rows, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -47,12 +54,8 @@ class Trajectory:
         return self.values.shape[1]
 
     def to_csv(self, path) -> None:
-        n = self.n_agents
-        header = "t," + ",".join(f"x_{i}" for i in range(n))
-        rows = np.column_stack((self.sample_times, self.values))
-        with open(path, "w") as f:
-            f.write(header + "\n")
-            f.writelines(map(csv_line, rows))
+        header = ["t", *(f"x_{i}" for i in range(self.n_agents))]
+        write_csv(path, header, np.column_stack((self.sample_times, self.values)))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -360,6 +360,43 @@ def test_hull_property_noise_free(n, xs, seed):
     assert traj.values.max() <= x0.max() + 1e-12
 
 
+def test_check_hull_sees_the_j_side_update():
+    # mu = N h / 2 = 1.5 overshoots: the pair (0, 1) moves agent 0 to 1.5,
+    # inside the hull [0, 3], and agent 1 to -0.5, outside it
+    with pytest.warns(UserWarning, match="convex hull"):
+        spec = ModelSpec(
+            n_agents=3, h=1.0, horizon=1.0, kernel=Constant(1.0), update_mode=UpdateMode.BOTH
+        )
+    x0 = [0.0, 1.0, 3.0]
+    draws = _draw(spec, 1, np.random.default_rng(35))
+    assert (draws.ii[0], draws.jj[0]) == (0, 1)
+    traj = run_abm(spec, x0, [1.0], np.random.default_rng(35))
+    assert traj.values.tolist() == [[1.5, -0.5, 3.0]]
+    with pytest.raises(RuntimeError, match="agent 1 left the initial hull"):
+        run_abm(spec, x0, [1.0], np.random.default_rng(35), check_hull=True)
+
+
+_NOISY_LAWS = {
+    NoiseKind.AMBIGUITY: GaussianScaled(0.0, 0.5),
+    NoiseKind.EXTERNAL: GaussianScaled(0.0, 0.5),
+    NoiseKind.ADAPTATION: GaussianScaled(0.0, 0.5),
+    NoiseKind.RANDOM_UPDATE_DISTANCE: GaussianScaled(6.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOISY_LAWS), ids=lambda k: k.value)
+def test_check_hull_refuses_noise(kind):
+    # noise can carry an opinion out of the initial hull, so a hull check
+    # would fail at random; it is refused before the first step is drawn
+    noise = NoiseFamily(kind, _NOISY_LAWS[kind])
+    spec = ModelSpec(n_agents=6, h=0.01, horizon=1.0, kernel=Constant(1.0), noise=noise)
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="noise-free"):
+        run_abm(spec, np.full(6, 0.2), [0.5, 1.0], rng, check_hull=True)
+    assert rng.bit_generator.state == state
+
+
 def test_consensus_fixed_point_with_random_update_distance():
     noise = NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, GaussianScaled(6.0, 5.0))
     spec = ModelSpec(n_agents=6, h=0.01, horizon=1.0, kernel=Constant(1.0), noise=noise)

@@ -8,7 +8,8 @@ from opinion_limits.abm import ENGINE_VERSION
 from opinion_limits.cli import main
 from opinion_limits.config import ConfigError, config_from_dict, parse_config
 from opinion_limits.dem import build_limit
-from opinion_limits.trajectory import Trajectory
+from opinion_limits.limitcheck import SweepRow, write_sweep_csv
+from opinion_limits.trajectory import Trajectory, write_csv
 
 SMALL_COMPARE = """
 [experiment]
@@ -212,6 +213,8 @@ horizon = 0.5
     lines = (out / "errors.csv").read_text().strip().splitlines()
     assert lines[0] == "h,run,error"
     assert len(lines) == 1 + 2 * 3
+    # the run index is written as a float by %.17g, which prints it as an integer
+    assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "2"] * 2
 
 
 def test_sweep_h_refuses_noise(tmp_path, capsys):
@@ -452,9 +455,15 @@ def test_csv_writers_pin_the_bytes_of_awkward_floats(tmp_path):
     assert path.read_text() == f"{header}\n0,{AWKWARD_TEXT}\n0.5,{reversed_text}\n"
 
     path = tmp_path / "series.csv"
-    cli._write_series_csv(path, np.arange(len(AWKWARD), dtype=float), np.array(AWKWARD))
+    write_csv(path, ["t", "error"], np.column_stack((np.arange(len(AWKWARD)), AWKWARD)))
     rows = [f"{t},{v}\n" for t, v in enumerate(AWKWARD_TEXT.split(","))]
     assert path.read_text() == "t,error\n" + "".join(rows)
+
+    path = tmp_path / "limitcheck.csv"
+    write_sweep_csv([SweepRow(*AWKWARD[:4]), SweepRow(*AWKWARD[3:])], path)
+    text = AWKWARD_TEXT.split(",")
+    rows = [",".join(text[:4]) + "\n", ",".join(text[3:]) + "\n"]
+    assert path.read_text() == "h,b_deviation,a_deviation,gamma4\n" + "".join(rows)
 
 
 def test_trajectory_csv_round_trips_awkward_floats_bit_for_bit(tmp_path):

@@ -14,6 +14,7 @@ from opinion_limits.kernel import (
     erdos_renyi,
     eval_kernel,
     pairwise_matrix,
+    saturation,
 )
 
 MOLLIFIED = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
@@ -174,7 +175,7 @@ def test_float_eval_matches_array_eval():
     # the same numbers only if both inputs give the same bits.
     far = 4.0
     for kernel in _SATURATING:
-        d_one, d_zero = kernel.saturation()
+        d_one, d_zero = saturation(kernel)
         lo, hi = min(max(d_one, 0.0), far), min(d_zero, far)
         d = np.concatenate([
             np.linspace(lo, hi, 20_001),  # the band, where the kernel is computed
@@ -190,7 +191,7 @@ def test_saturation_distances_are_exact_in_both_forms(kernel):
     # pairwise_matrix and the ABM step skip the kernel outside (d_one,
     # d_zero); that is exact only if the kernel, on a float and on an
     # array, is exactly 1.0 up to d_one and exactly 0.0 from d_zero on
-    d_one, d_zero = kernel.saturation()
+    d_one, d_zero = saturation(kernel)
     assert d_one < d_zero or d_one == d_zero == math.inf
     far = 4.0
     ones = _around(d_one, 0.0, min(d_one, far))
@@ -210,7 +211,11 @@ def test_saturation_distances_are_exact_in_both_forms(kernel):
 
 
 def test_default_kernel_saturation_band():
-    assert MOLLIFIED.saturation() == (0.417076389241864, 0.582923610758136)
+    assert saturation(MOLLIFIED) == (0.417076389241864, 0.582923610758136)
+    # the bands the step and constant kernels once stated by hand
+    assert saturation(BoundedConfidence(0.5)) == (0.5, math.nextafter(0.5, math.inf))
+    assert saturation(Constant(0.0)) == (-math.inf, 0.0)
+    assert saturation(Constant(1.0)) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
