@@ -72,7 +72,11 @@ class UniformWithReplacement:
 
 @dataclass(frozen=True)
 class UniformWithoutReplacement:
-    """i uniform, then j uniform over the remaining agents."""
+    """i uniform, then j uniform over the remaining agents.
+
+    Single-update only: i moves toward j != i, and the update distance is
+    (N - 1) h.
+    """
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,14 @@ class DegreeWeighted:
 
 @dataclass(frozen=True)
 class ProbabilityProportional:
-    """i uniform, then j proportional to p_ij; the interaction always occurs."""
+    """i uniform, then j proportional to p_ij.
+
+    The interaction always occurs, unless double_weighting is set: then it
+    is accepted with probability p_ij a second time, and the drift weighs
+    each pair by p_ij squared.
+    """
+
+    double_weighting: bool = False
 
 
 SelectionScheme = Union[
@@ -98,12 +109,10 @@ class UpdateMode(enum.Enum):
     SINGLE moves i toward j. BOTH also moves j toward i, each agent with its
     own noise draw; when i == j the j-side update is written last and is the
     one that lands, so the agent gets one noise draw, not two.
-    SINGLE_WITHOUT_REPLACEMENT moves i toward some j != i.
     """
 
     SINGLE = "single"
     BOTH = "both"
-    SINGLE_WITHOUT_REPLACEMENT = "single_without_replacement"
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,6 @@ class ModelSpec:
     selection: SelectionScheme = field(default_factory=UniformWithReplacement)
     update_mode: UpdateMode = UpdateMode.SINGLE
     noise: NoiseFamily = field(default_factory=NoiseFamily)
-    double_weighting: bool = False
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -126,14 +134,7 @@ class ModelSpec:
             raise ValueError("timestep must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        swor_mode = self.update_mode is UpdateMode.SINGLE_WITHOUT_REPLACEMENT
-        swor_sel = isinstance(self.selection, UniformWithoutReplacement)
-        if swor_mode != swor_sel:
-            raise ValueError(
-                "selection without replacement and the matching update mode "
-                "must be used together"
-            )
-        if swor_sel and self.n_agents < 2:
+        if isinstance(self.selection, UniformWithoutReplacement) and self.n_agents < 2:
             raise ValueError("selection without replacement needs at least 2 agents")
         if self.update_mode is UpdateMode.BOTH and not isinstance(
             self.selection, UniformWithReplacement
@@ -142,24 +143,22 @@ class ModelSpec:
         if isinstance(self.selection, DegreeWeighted):
             if self.selection.network.n != self.n_agents:
                 raise ValueError("selection network size does not match n_agents")
-        if self.double_weighting and not isinstance(self.selection, ProbabilityProportional):
-            raise ValueError("double_weighting applies only to probability-proportional selection")
         self.noise.validate_for_population(self.n_agents)
-        if self.h > 1.0 / self.n_agents:
+        if self.mu > 1.0:
             warnings.warn(
-                f"h={self.h} exceeds 1/N={1.0 / self.n_agents}: the update distance "
-                "exceeds 1 and opinions may leave the initial convex hull",
+                f"the update distance mu={self.mu} exceeds 1: a step overshoots "
+                "and opinions may leave the initial convex hull",
                 stacklevel=2,
             )
 
     @property
     def mu(self) -> float:
-        """Per-step update distance implied by the update mode."""
-        if self.update_mode is UpdateMode.SINGLE:
-            return self.n_agents * self.h
+        """Per-step update distance implied by the update mode and selection."""
         if self.update_mode is UpdateMode.BOTH:
             return self.n_agents * self.h / 2.0
-        return (self.n_agents - 1) * self.h
+        if isinstance(self.selection, UniformWithoutReplacement):
+            return (self.n_agents - 1) * self.h
+        return self.n_agents * self.h
 
 
 def abm_step(
@@ -290,9 +289,9 @@ class _Draws(NamedTuple):
     on the state at each step. Step k then proposes j = jp[k, q] for q = 0,
     1, ... and takes the first with up[k, q] < p_ij (jp, up: (m, _PROPOSALS));
     if all are rejected, uj[k] resolves j over the cumulative sums of row i.
-    jp, up and uj are None under the other schemes. zz is None without
-    noise, (m, 2) when both agents take their own noise draw, and (m,)
-    otherwise.
+    jp, up and uj are None under the other schemes. z holds agent i's noise
+    draws and z2 agent j's; z is None without noise, and z2 is None unless
+    both agents take their own draw.
     """
 
     ii: np.ndarray
@@ -301,7 +300,8 @@ class _Draws(NamedTuple):
     up: np.ndarray | None
     uj: np.ndarray | None
     ua: np.ndarray
-    zz: np.ndarray | None
+    z: np.ndarray | None
+    z2: np.ndarray | None
 
     def steps(self, a: int, b: int) -> "_Draws":
         """The draws of steps a..b-1."""
@@ -335,11 +335,12 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
         else:  # DegreeWeighted
             jj = _bisect_rows(np.cumsum(sel.network.adjacency, axis=1), ii, rng.random(m))
     ua = rng.random(m)
-    if spec.noise.kind is NoiseKind.NONE:
-        zz = None
-    else:
-        zz = np.asarray(spec.noise.law.sample(spec.h, rng, (m, 2) if _pair_noise(spec) else m))
-    return _Draws(ii, jj, jp, up, uj, ua, zz)
+    z = z2 = None
+    if _pair_noise(spec):  # one (m, 2) sample: row k holds step k's i and j draws
+        z, z2 = spec.noise.law.sample(spec.h, rng, (m, 2)).T
+    elif spec.noise.kind is not NoiseKind.NONE:
+        z = spec.noise.law.sample(spec.h, rng, m)
+    return _Draws(ii, jj, jp, up, uj, ua, z, z2)
 
 
 def _pair_noise(spec: ModelSpec) -> bool:
@@ -397,8 +398,9 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     p = spec.kernel.eval
     d_one, d_zero = saturation(spec.kernel)
     both = spec.update_mode is UpdateMode.BOTH
-    always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
-    ii, jj, jp, up, uj, ua, zz = (None if a is None else a.tolist() for a in draws)
+    sel = spec.selection
+    always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting
+    ii, jj, jp, up, uj, ua, z, z2 = (None if a is None else a.tolist() for a in draws)
     m = len(ii)
 
     for k in range(m):
@@ -416,7 +418,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
 
         xj = x[j]
         if kind is NoiseKind.AMBIGUITY:  # i moves toward j's perturbed opinion
-            d = xj + (zz[k][0] if both else zz[k]) - xi
+            d = xj + z[k] - xi
         else:
             d = xj - xi
         ad = abs(d)
@@ -426,7 +428,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
             if ok:
                 x[i] = xi + mu * d
                 if both:
-                    x[j] = xj + mu * (xi + zz[k][1] - xj)
+                    x[j] = xj + mu * (xi + z2[k] - xj)
         elif kind is NoiseKind.NONE:
             if ok and d != 0.0:
                 x[i] = xi + mu * d
@@ -437,23 +439,20 @@ def _apply(spec, x, draws, lo, hi, check_hull):
                         if not lo <= x[a] <= hi:
                             raise RuntimeError(f"opinion of agent {a} left the initial hull")
         elif kind is NoiseKind.EXTERNAL:
+            pull = mu * d if ok else 0.0
+            x[i] = xi + z[k] + pull
             if both:
-                x[i] = xi + zz[k][0] + (mu * d if ok else 0.0)
-                x[j] = xj + zz[k][1] - (mu * d if ok else 0.0)
-            else:
-                x[i] = xi + zz[k] + (mu * d if ok else 0.0)
+                x[j] = xj + z2[k] - pull
         elif kind is NoiseKind.ADAPTATION:
             if ok:
+                x[i] = xi + mu * d + z[k]
                 if both:
-                    x[i] = xi + mu * d + zz[k][0]
-                    x[j] = xj - mu * d + zz[k][1]
-                else:
-                    x[i] = xi + mu * d + zz[k]
+                    x[j] = xj - mu * d + z2[k]
         else:  # random update distance
             if ok and d != 0.0:
-                x[i] = xi + zz[k] * d
+                x[i] = xi + z[k] * d
                 if both:
-                    x[j] = xj - zz[k] * d
+                    x[j] = xj - z[k] * d
 
 
 def _update_rule(spec):
@@ -529,11 +528,10 @@ def _run_group(spec, x0, plan, rngs, out):
                 ii[:block, r] = d.ii
                 jj[:block, r] = d.jj
                 ua[:block, r] = d.ua
+                if z is not None:
+                    z[:block, r] = d.z
                 if z2 is not None:
-                    z[:block, r] = d.zz[:, 0]
-                    z2[:block, r] = d.zz[:, 1]
-                elif z is not None:
-                    z[:block, r] = d.zz
+                    z2[:block, r] = d.z2
             ii[:block] += offset
             jj[:block] += offset
         zs = repeat(None) if z is None else z[a:b]

@@ -65,7 +65,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
         "h": (float, 1e-5),
         "horizon": (float, 20.0),
         "update_mode": (str, "single"),
-        "double_weighting": (bool, False),
     },
     "kernel": {
         "type": (str, "mollified_bc"),
@@ -110,12 +109,6 @@ def _coerce(section: str, key: str, raw: Any, typ: type):
         return raw
     s = str(raw).strip()
     try:
-        if typ is bool:
-            if s.lower() in ("true", "yes", "1", "on"):
-                return True
-            if s.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(s)
         return typ(s)
     except ValueError:
         raise ConfigError(
@@ -210,6 +203,8 @@ class ExperimentConfig:
             return DegreeWeighted(self.network())
         if scheme == "probability_proportional":
             return ProbabilityProportional()
+        if scheme == "probability_proportional_double":
+            return ProbabilityProportional(double_weighting=True)
         raise ConfigError(f"[selection] scheme: unknown value {scheme!r}")
 
     @_section("noise")
@@ -243,7 +238,6 @@ class ExperimentConfig:
                 selection=selection,
                 update_mode=mode,
                 noise=noise,
-                double_weighting=m["double_weighting"],
             )
 
     @_section("dem")

@@ -93,7 +93,7 @@ def _normalisation(spec: ModelSpec):
         a, k = sel.network.adjacency, sel.network.degrees
         return (lambda p: (a * p, k)), "node-degree normalisation"
     if isinstance(sel, ProbabilityProportional):
-        power = 2 if spec.double_weighting else 1
+        power = 2 if sel.double_weighting else 1
         return (lambda p: (p**power, _row_mass(p))), "interaction-probability normalisation"
     n = spec.n_agents
     return (lambda p: (p, n)), "standard"

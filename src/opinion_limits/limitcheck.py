@@ -23,7 +23,6 @@ from .abm import (
     UpdateMode,
     _bisect_rows,
     _draw,
-    _pair_noise,
     _row_mass,
     _update_rule,
 )
@@ -85,7 +84,7 @@ def _jump_weights(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
         k = sel.network.degrees
         return a * p / (n * k[:, None])
     if isinstance(sel, ProbabilityProportional):
-        power = 2 if spec.double_weighting else 1
+        power = 2 if sel.double_weighting else 1
         return p**power / (n * _row_mass(p)[:, None])
     raise TypeError(f"unknown selection scheme {sel!r}")
 
@@ -131,8 +130,9 @@ def _increments(x, spec, draws):
     """
     kind = spec.noise.kind
     p = pairwise_matrix(spec.kernel, x)
-    ii, jj, jp, up, uj, ua, zz = draws
-    always = isinstance(spec.selection, ProbabilityProportional) and not spec.double_weighting
+    ii, jj, jp, up, uj, ua, z, z2 = draws
+    sel = spec.selection
+    always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting
     if jj is None:  # probability-proportional: thin the proposals against x
         _row_mass(p)
         hit = up < p[ii[:, None], jp]
@@ -141,7 +141,6 @@ def _increments(x, spec, draws):
         jj = jp[steps, first]
         miss = ~hit[steps, first]  # every proposal rejected
         jj[miss] = _bisect_rows(np.cumsum(p, axis=1), ii[miss], uj[miss])
-    z, z2 = (zz[:, 0], zz[:, 1]) if _pair_noise(spec) else (zz, None)
 
     def accept(d):
         if always:

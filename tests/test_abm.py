@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,10 +158,7 @@ def test_select_pair_probability_proportional_uniform_for_constant():
 
 
 def test_select_pair_without_replacement_never_equal():
-    spec = spec2(
-        selection=UniformWithoutReplacement(),
-        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-    )
+    spec = spec2(selection=UniformWithoutReplacement())
     draws = _draw(spec, 100, np.random.default_rng(11))
     assert np.all(draws.ii != draws.jj)
     assert set(zip(draws.ii.tolist(), draws.jj.tolist())) == {(0, 1), (1, 0)}
@@ -316,15 +314,13 @@ def test_run_abm_matches_step_semantics_mean_drift():
 def test_spec_validation_errors():
     with pytest.raises(ValueError, match="timestep"):
         spec2(h=0.0)
-    with pytest.raises(ValueError, match="replacement"):
-        spec2(selection=UniformWithoutReplacement())
     with pytest.raises(ValueError, match="both-update"):
         ModelSpec(
             n_agents=3, h=0.01, horizon=1.0, kernel=Constant(1.0),
             update_mode=UpdateMode.BOTH, selection=ProbabilityProportional(),
         )
-    with pytest.raises(ValueError, match="double_weighting"):
-        spec2(double_weighting=True)
+    with pytest.raises(ValueError, match="at least 2 agents"):
+        spec2(n_agents=1, selection=UniformWithoutReplacement())
     net = erdos_renyi(4, 0.5, seed=0)
     with pytest.raises(ValueError, match="network size"):
         spec2(selection=DegreeWeighted(net))
@@ -339,11 +335,25 @@ def test_mu_per_update_mode():
     assert spec2().mu == pytest.approx(0.02)
     both = spec2(update_mode=UpdateMode.BOTH)
     assert both.mu == pytest.approx(0.01)
-    swor = spec2(
-        selection=UniformWithoutReplacement(),
-        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-    )
+    swor = spec2(selection=UniformWithoutReplacement())
     assert swor.mu == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # mu = N h / 2 = 0.8
+        dict(n_agents=4, h=0.4, update_mode=UpdateMode.BOTH),
+        # mu = (N - 1) h = 0.9
+        dict(n_agents=4, h=0.3, selection=UniformWithoutReplacement()),
+    ],
+)
+def test_no_warning_while_mu_is_at_most_one(kw):
+    # h exceeds 1/N in both specs, but no step moves an agent past its partner
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = ModelSpec(horizon=1.0, kernel=Constant(1.0), **kw)
+    assert spec.mu < 1.0
 
 
 @settings(max_examples=25, deadline=None)

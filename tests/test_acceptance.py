@@ -86,17 +86,11 @@ def test_03_monte_carlo_matches_enumeration():
     net = erdos_renyi(n, 0.6, seed=7)
     variants = {
         "uniform": {},
-        "without_replacement": {
-            "selection": UniformWithoutReplacement(),
-            "update_mode": UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-        },
+        "without_replacement": {"selection": UniformWithoutReplacement()},
         "both_update": {"update_mode": UpdateMode.BOTH},
         "degree_weighted": {"selection": DegreeWeighted(net)},
         "proportional": {"selection": ProbabilityProportional()},
-        "proportional_squared": {
-            "selection": ProbabilityProportional(),
-            "double_weighting": True,
-        },
+        "proportional_squared": {"selection": ProbabilityProportional(double_weighting=True)},
     }
     ok = True
     detail = []

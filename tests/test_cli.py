@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opinion_limits import cli, dem
-from opinion_limits.abm import ENGINE_VERSION
+from opinion_limits.abm import ENGINE_VERSION, ProbabilityProportional
 from opinion_limits.cli import main
 from opinion_limits.config import ConfigError, config_from_dict, parse_config
 from opinion_limits.dem import build_limit
@@ -363,6 +365,50 @@ def test_manifest_with_integration_scheme_rejected(tmp_path, capsys):
     assert rc == 1
     assert "unknown key 'scheme'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("double_weighting", True, "unknown key 'double_weighting'"),
+        ("update_mode", "single_without_replacement", "unknown value 'single_without_replacement'"),
+    ],
+    ids=["double_weighting", "single_without_replacement"],
+)
+def test_manifest_with_old_variant_spelling_rejected(tmp_path, capsys, key, value, message):
+    # the selection scheme states the model variant; a manifest that still
+    # spells it in [model] is refused, not rerun
+    cfg = parse_config(SMALL_COMPARE.format(out=tmp_path / "out")).to_dict()
+    cfg["model"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": cfg, "engine": ENGINE_VERSION}))
+    rc = main([str(path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_double_weighting_is_a_selection_scheme():
+    cfg = parse_config("[selection]\nscheme = probability_proportional_double\n" + _SMALL_MODEL)
+    assert cfg.model_spec().selection == ProbabilityProportional(double_weighting=True)
+    cfg = parse_config("[selection]\nscheme = probability_proportional\n" + _SMALL_MODEL)
+    assert cfg.model_spec().selection == ProbabilityProportional()
+
+
+def test_selection_without_replacement_is_single_update():
+    text = "[selection]\nscheme = uniform_without_replacement\n" + _SMALL_MODEL
+    spec = parse_config(text + "update_mode = single\n").model_spec()
+    assert spec.mu == (5 - 1) * 1e-3
+    with pytest.raises(ConfigError, match="both-update"):
+        parse_config(text + "update_mode = both\n")
+
+
+def test_readme_ini_examples_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 @pytest.mark.parametrize(

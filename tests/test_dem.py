@@ -88,7 +88,7 @@ def test_probability_proportional_double_weighting_differs():
     soft = MollifiedBC(0.5, NormalMollifier(0.0, 0.3))
     spec1 = make_spec(selection=ProbabilityProportional(), kernel=soft, n_agents=5)
     spec2 = make_spec(
-        selection=ProbabilityProportional(), kernel=soft, n_agents=5, double_weighting=True
+        selection=ProbabilityProportional(double_weighting=True), kernel=soft, n_agents=5
     )
     x = np.random.default_rng(1).uniform(-1, 1, 5)
     b1 = build_limit(spec1).drift(x)
@@ -135,7 +135,6 @@ def test_no_limit_for_noise_with_special_selection():
             make_spec(
                 noise=NoiseFamily(NoiseKind.AMBIGUITY, GaussianScaled(0.1, 0.05)),
                 selection=UniformWithoutReplacement(),
-                update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
             )
         )
 
@@ -262,15 +261,11 @@ def _limit_variants():
     }
     variants = {f"uwr_single-{k}": make_spec(**uwr, noise=v) for k, v in noises.items()}
     variants["uwr_both"] = make_spec(**uwr, update_mode=UpdateMode.BOTH)
-    variants["uwor"] = make_spec(
-        **uwr,
-        selection=UniformWithoutReplacement(),
-        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-    )
+    variants["uwor"] = make_spec(**uwr, selection=UniformWithoutReplacement())
     variants["degree"] = make_spec(**uwr, selection=DegreeWeighted(erdos_renyi(n, 0.5, seed=n)))
     variants["proportional"] = make_spec(**uwr, selection=ProbabilityProportional())
     variants["proportional_double"] = make_spec(
-        **uwr, selection=ProbabilityProportional(), double_weighting=True
+        **uwr, selection=ProbabilityProportional(double_weighting=True)
     )
     return variants
 
@@ -342,14 +337,14 @@ def test_integrate_batch_equals_serial_integrate_bit_for_bit(label):
     "noise,selection",
     [
         (NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05)), None),
-        (NoiseFamily(), ProbabilityProportional()),
+        (NoiseFamily(), ProbabilityProportional(double_weighting=True)),
     ],
     ids=["adaptation", "proportional_double"],
 )
 def test_integrate_batch_equals_serial_integrate_at_n_150(noise, selection):
     # rows longer than numpy's pairwise-summation block of 128
     n = 150
-    kw = {} if selection is None else dict(selection=selection, double_weighting=True)
+    kw = {} if selection is None else dict(selection=selection)
     model = build_limit(make_spec(n_agents=n, kernel=KERNEL, noise=noise, **kw))
     x0 = np.random.default_rng(8).uniform(-1, 1, n)
     em = IntegratorSpec(dt=0.01)

@@ -34,19 +34,18 @@ from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseK
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
 
-# (name, selection factory of n, update mode, double weighting)
+# (name, selection factory of n, update mode)
 _SCHEMES = [
-    ("uwr_single", lambda n: UniformWithReplacement(), UpdateMode.SINGLE, False),
-    ("uwr_both", lambda n: UniformWithReplacement(), UpdateMode.BOTH, False),
+    ("uwr_single", lambda n: UniformWithReplacement(), UpdateMode.SINGLE),
+    ("uwr_both", lambda n: UniformWithReplacement(), UpdateMode.BOTH),
+    ("uwor", lambda n: UniformWithoutReplacement(), UpdateMode.SINGLE),
+    ("degree", lambda n: DegreeWeighted(erdos_renyi(n, 0.5, seed=n)), UpdateMode.SINGLE),
+    ("proportional", lambda n: ProbabilityProportional(), UpdateMode.SINGLE),
     (
-        "uwor",
-        lambda n: UniformWithoutReplacement(),
-        UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-        False,
+        "proportional_double",
+        lambda n: ProbabilityProportional(double_weighting=True),
+        UpdateMode.SINGLE,
     ),
-    ("degree", lambda n: DegreeWeighted(erdos_renyi(n, 0.5, seed=n)), UpdateMode.SINGLE, False),
-    ("proportional", lambda n: ProbabilityProportional(), UpdateMode.SINGLE, False),
-    ("proportional_double", lambda n: ProbabilityProportional(), UpdateMode.SINGLE, True),
 ]
 _KINDS = list(NoiseKind)
 
@@ -60,7 +59,7 @@ def _noise(kind: NoiseKind, n: int) -> NoiseFamily:
 
 
 def _case(si: int, ki: int):
-    name, selection, mode, double = _SCHEMES[si]
+    name, selection, mode = _SCHEMES[si]
     kind = _KINDS[ki]
     n = 6 + (si + ki) % 5
     spec = ModelSpec(
@@ -71,7 +70,6 @@ def _case(si: int, ki: int):
         selection=selection(n),
         update_mode=mode,
         noise=_noise(kind, n),
-        double_weighting=double,
     )
     x0 = np.random.default_rng([7, si, ki]).uniform(-1.0, 1.0, n)
     return f"{name}-{kind.value}", spec, x0, [7, si, ki, 1]

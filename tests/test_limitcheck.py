@@ -81,10 +81,7 @@ def test_mc_matches_exact_standard():
 
 
 def test_mc_matches_exact_without_replacement():
-    spec = make_spec(
-        selection=UniformWithoutReplacement(),
-        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-    )
+    spec = make_spec(selection=UniformWithoutReplacement())
     x = np.random.default_rng(4).uniform(-1, 1, 5)
     exact = exact_coefficients(x, spec)
     mc = mc_coefficients(x, spec, 200_000, np.random.default_rng(5))

@@ -42,13 +42,10 @@ N = 7
 _SCHEMES = {
     "uwr_single": dict(selection=UniformWithReplacement()),
     "uwr_both": dict(selection=UniformWithReplacement(), update_mode=UpdateMode.BOTH),
-    "uwor": dict(
-        selection=UniformWithoutReplacement(),
-        update_mode=UpdateMode.SINGLE_WITHOUT_REPLACEMENT,
-    ),
+    "uwor": dict(selection=UniformWithoutReplacement()),
     "degree": dict(selection=DegreeWeighted(erdos_renyi(N, 0.5, seed=3))),
     "proportional": dict(selection=ProbabilityProportional()),
-    "proportional_double": dict(selection=ProbabilityProportional(), double_weighting=True),
+    "proportional_double": dict(selection=ProbabilityProportional(double_weighting=True)),
     # every p_ij is at most 0.067, so most steps reject all proposals and fall back
     "proportional_fallback": dict(
         selection=ProbabilityProportional(), kernel=MollifiedBC(0.0, NormalMollifier(-1.5, 1.0))
