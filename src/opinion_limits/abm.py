@@ -130,10 +130,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
-        if self.h <= 0:
-            raise ValueError("timestep must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"timestep must be positive and finite, got {self.h}")
+        # _plan takes ceil(horizon/h - 1e-9) steps; NaN fails this test too
+        if not 1e-9 < self.horizon / self.h < math.inf:
+            raise ValueError(
+                f"horizon must span at least one and finitely many steps of h={self.h}, "
+                f"got {self.horizon}"
+            )
         if isinstance(self.selection, UniformWithoutReplacement) and self.n_agents < 2:
             raise ValueError("selection without replacement needs at least 2 agents")
         if self.update_mode is UpdateMode.BOTH and not isinstance(

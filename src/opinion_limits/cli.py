@@ -201,6 +201,8 @@ def _load_config(path: str, out_override: str | None, paper_scale: bool) -> Expe
         text = f.read()
     if path.endswith(".json"):
         manifest = json.loads(text)
+        if not isinstance(manifest, dict) or "config" not in manifest:
+            raise ConfigError('a manifest is a JSON object with a "config" table')
         cfg = config_from_dict(manifest["config"])
         # a manifest without the key predates engine versions: version 1
         engine = manifest.get("engine", 1)
@@ -237,7 +239,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config, args.out, args.paper_scale)
-    except (ConfigError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     try:

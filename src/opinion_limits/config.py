@@ -1,7 +1,9 @@
 """Experiment configuration: strict parsing, validation, defaults.
 
-Config files are INI-style: named sections of key = value lines. Every
-key is checked against the schema; unknown sections or keys are errors.
+Config files are INI-style: named sections of key = value lines. The
+schema states each key's type, or the strings an enumerated key accepts,
+and every key given is checked against it, whether or not the experiment
+reads it; unknown sections or keys are errors.
 The fully resolved configuration (all defaults filled in) round-trips
 through a plain dict, which is what the emitted manifest stores.
 """
@@ -46,10 +48,11 @@ class ConfigError(ValueError):
     """Configuration syntax or schema violation."""
 
 
-# section -> key -> (type, default)
-_SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
+# section -> key -> (type, default); an enumerated key's type is the tuple
+# of the strings it accepts
+_SCHEMA: dict[str, dict[str, tuple[type | tuple[str, ...], Any]]] = {
     "experiment": {
-        "type": (str, "compare"),
+        "type": (("compare", "sweep_h", "ensemble", "limitcheck"), "compare"),
         "base_seed": (int, 0),
         "h_list": (str, "1e-2,1e-3,1e-4"),
         "runs_per_h": (int, 20),
@@ -58,33 +61,42 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
         "n_states": (int, 100),
         "b_tol": (float, 1e-9),
         "output_dir": (str, "out"),
-        "error_norm": (str, "duration"),
+        "error_norm": (("duration", "samples"), "duration"),
     },
     "model": {
         "n_agents": (int, 50),
         "h": (float, 1e-5),
         "horizon": (float, 20.0),
-        "update_mode": (str, "single"),
+        "update_mode": (tuple(m.value for m in UpdateMode), "single"),
     },
     "kernel": {
-        "type": (str, "mollified_bc"),
+        "type": (("bounded_confidence", "constant", "mollified_bc"), "mollified_bc"),
         "radius": (float, 0.5),
         "value": (float, 1.0),
-        "mollifier": (str, "normal"),
+        "mollifier": (("normal", "uniform"), "normal"),
         "mean": (float, 0.0),
         "std": (float, 0.01),
         "lo": (float, -0.05),
         "hi": (float, 0.05),
     },
     "selection": {
-        "scheme": (str, "uniform_with_replacement"),
+        "scheme": (
+            (
+                "uniform_with_replacement",
+                "uniform_without_replacement",
+                "degree_weighted",
+                "probability_proportional",
+                "probability_proportional_double",
+            ),
+            "uniform_with_replacement",
+        ),
         "p_conn": (float, 0.1),
         "network_seed": (int, 1),
         "network_file": (str, ""),
     },
     "noise": {
-        "kind": (str, "none"),
-        "law": (str, "gaussian"),
+        "kind": (tuple(k.value for k in NoiseKind), "none"),
+        "law": (("gaussian", "degenerate"), "gaussian"),
         "mean_per_h": (float, 0.0),
         "var_per_h": (float, 0.0),
         "value_per_h": (float, 0.0),
@@ -93,7 +105,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
         "dt": (float, 0.01),
     },
     "init": {
-        "x0": (str, "uniform"),
+        "x0": (("uniform", "explicit"), "uniform"),
         "lo": (float, -1.0),
         "hi": (float, 1.0),
         "seed": (int, 1000),
@@ -101,19 +113,32 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     },
 }
 
-_EXPERIMENTS = ("compare", "sweep_h", "ensemble", "limitcheck")
 
+def _coerce(section: str, key: str, raw: Any, typ: type | tuple[str, ...]):
+    """raw as a value of [section] key, or a ConfigError if the key refuses it.
 
-def _coerce(section: str, key: str, raw: Any, typ: type):
-    if isinstance(raw, typ):
-        return raw
-    s = str(raw).strip()
-    try:
-        return typ(s)
-    except ValueError:
+    typ is the key's type or the tuple of the strings it accepts. A value of
+    another type is parsed from its text, so a bool is no int; a float must
+    be finite.
+    """
+    choices = typ if isinstance(typ, tuple) else ()
+    typ = str if choices else typ
+    value = raw
+    if type(raw) is not typ:
+        s = str(raw).strip()
+        try:
+            value = typ(s)
+        except ValueError:
+            raise ConfigError(
+                f"[{section}] {key}: cannot parse {s!r} as {typ.__name__}"
+            ) from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {value}")
+    if choices and value not in choices:
         raise ConfigError(
-            f"[{section}] {key}: cannot parse {s!r} as {typ.__name__}"
-        ) from None
+            f"[{section}] {key}: unknown value {value!r}; expected one of {', '.join(choices)}"
+        )
+    return value
 
 
 @contextmanager
@@ -121,21 +146,22 @@ def _section(name: str):
     """Report a ValueError raised inside the block as a ConfigError of [name]."""
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(f"[{name}] {e}") from None
 
 
 def _resolve(raw: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    resolved: dict[str, dict[str, Any]] = {}
+    if not isinstance(raw, dict):
+        raise ConfigError("a config is a table of sections")
     for section, entries in raw.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        schema = _SCHEMA[section]
+        if not isinstance(entries, dict):
+            raise ConfigError(f"[{section}] is not a table of keys")
         for key in entries:
-            if key not in schema:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    resolved: dict[str, dict[str, Any]] = {}
     for section, schema in _SCHEMA.items():
         got = raw.get(section, {})
         resolved[section] = {
@@ -150,7 +176,10 @@ class ExperimentConfig:
     """Fully resolved and validated experiment configuration."""
 
     raw: dict[str, dict[str, Any]] = field(repr=False)
-    experiment: str = "compare"
+
+    @property
+    def experiment(self) -> str:
+        return self.raw["experiment"]["type"]
 
     @property
     def base_seed(self) -> int:
@@ -166,10 +195,11 @@ class ExperimentConfig:
 
     @property
     def h_list(self) -> list[float]:
-        try:
-            return [float(v) for v in self.raw["experiment"]["h_list"].split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError("[experiment] h_list: expected comma-separated floats") from None
+        entries = self.raw["experiment"]["h_list"].split(",")
+        return [_coerce("experiment", "h_list", v, float) for v in entries if v.strip()]
+
+    # the builders below branch on enumerated keys; _coerce admitted only
+    # the values they name
 
     @_section("kernel")
     def kernel(self) -> InteractionKernel:
@@ -178,13 +208,9 @@ class ExperimentConfig:
             return BoundedConfidence(k["radius"])
         if k["type"] == "constant":
             return Constant(k["value"])
-        if k["type"] == "mollified_bc":
-            if k["mollifier"] == "normal":
-                return MollifiedBC(k["radius"], NormalMollifier(k["mean"], k["std"]))
-            if k["mollifier"] == "uniform":
-                return MollifiedBC(k["radius"], UniformMollifier(k["lo"], k["hi"]))
-            raise ConfigError(f"[kernel] mollifier: unknown value {k['mollifier']!r}")
-        raise ConfigError(f"[kernel] type: unknown value {k['type']!r}")
+        if k["mollifier"] == "normal":
+            return MollifiedBC(k["radius"], NormalMollifier(k["mean"], k["std"]))
+        return MollifiedBC(k["radius"], UniformMollifier(k["lo"], k["hi"]))
 
     def network(self) -> Network:
         s = self.raw["selection"]
@@ -201,33 +227,21 @@ class ExperimentConfig:
             return UniformWithoutReplacement()
         if scheme == "degree_weighted":
             return DegreeWeighted(self.network())
-        if scheme == "probability_proportional":
-            return ProbabilityProportional()
-        if scheme == "probability_proportional_double":
-            return ProbabilityProportional(double_weighting=True)
-        raise ConfigError(f"[selection] scheme: unknown value {scheme!r}")
+        double = scheme == "probability_proportional_double"
+        return ProbabilityProportional(double_weighting=double)
 
     @_section("noise")
     def noise(self) -> NoiseFamily:
         nz = self.raw["noise"]
-        try:
-            kind = NoiseKind(nz["kind"])
-        except ValueError:
-            raise ConfigError(f"[noise] kind: unknown value {nz['kind']!r}") from None
+        kind = NoiseKind(nz["kind"])
         if kind is NoiseKind.NONE:
             return NoiseFamily()
         if nz["law"] == "gaussian":
             return NoiseFamily(kind, GaussianScaled(nz["mean_per_h"], nz["var_per_h"]))
-        if nz["law"] == "degenerate":
-            return NoiseFamily(kind, Degenerate(nz["value_per_h"]))
-        raise ConfigError(f"[noise] law: unknown value {nz['law']!r}")
+        return NoiseFamily(kind, Degenerate(nz["value_per_h"]))
 
     def model_spec(self) -> ModelSpec:
         m = self.raw["model"]
-        try:
-            mode = UpdateMode(m["update_mode"])
-        except ValueError:
-            raise ConfigError(f"[model] update_mode: unknown value {m['update_mode']!r}") from None
         kernel, selection, noise = self.kernel(), self.selection(), self.noise()
         with _section("model"):
             return ModelSpec(
@@ -236,7 +250,7 @@ class ExperimentConfig:
                 horizon=m["horizon"],
                 kernel=kernel,
                 selection=selection,
-                update_mode=mode,
+                update_mode=UpdateMode(m["update_mode"]),
                 noise=noise,
             )
 
@@ -252,27 +266,16 @@ class ExperimentConfig:
             if not 0.0 <= hi - lo < math.inf:
                 raise ConfigError(f"[init] lo, hi: need finite lo <= hi, got ({lo}, {hi})")
             return np.random.default_rng(init["seed"]).uniform(lo, hi, n)
-        if init["x0"] == "explicit":
-            try:
-                vals = np.array([float(v) for v in init["values"].split(",")])
-            except ValueError:
-                raise ConfigError("[init] values: expected comma-separated floats") from None
-            if len(vals) != n:
-                raise ConfigError(f"[init] values: expected {n} entries, got {len(vals)}")
-            return vals
-        raise ConfigError(f"[init] x0: unknown value {init['x0']!r}")
+        vals = np.array([_coerce("init", "values", v, float) for v in init["values"].split(",")])
+        if len(vals) != n:
+            raise ConfigError(f"[init] values: expected {n} entries, got {len(vals)}")
+        return vals
 
     def validate(self) -> None:
         """Cross-field validation; raises ConfigError on the first problem."""
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError(
-                f"[experiment] type: unknown value {self.experiment!r}; "
-                f"expected one of {', '.join(_EXPERIMENTS)}"
-            )
-        if self.error_norm not in ("duration", "samples"):
-            raise ConfigError(f"[experiment] error_norm: unknown value {self.error_norm!r}")
         spec = self.model_spec()
         self.x0()
+        h_list = self.h_list
         # every experiment measures the model against its limit
         try:
             model = build_limit(spec)
@@ -289,7 +292,6 @@ class ExperimentConfig:
                 "sweep_h compares against a deterministic limit; this model's limit has diffusion"
             )
         if self.experiment in ("sweep_h", "limitcheck"):
-            h_list = self.h_list
             if not (h_list and all(h > 0 for h in h_list)):
                 raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
             if self.experiment == "limitcheck" and len(set(h_list)) < len(h_list):
@@ -310,8 +312,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
-    resolved = _resolve(data)
-    cfg = ExperimentConfig(raw=resolved, experiment=resolved["experiment"]["type"])
+    cfg = ExperimentConfig(raw=_resolve(data))
     cfg.validate()
     return cfg
 

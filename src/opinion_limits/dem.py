@@ -71,8 +71,8 @@ class IntegratorSpec:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def steps(self, t: float) -> int:
         """Number of dt steps up to time t; raises ValueError off the dt grid."""

@@ -63,7 +63,7 @@ class NormalMollifier:
     std: float = 1.0
 
     def __post_init__(self):
-        if self.std <= 0:
+        if not self.std > 0:
             raise ValueError(f"std must be positive, got {self.std}")
 
     def cdf(self, z):
@@ -100,8 +100,8 @@ class BoundedConfidence:
     discontinuous = True
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not self.radius >= 0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
 
     def eval(self, d):
         return np.where(d <= self.radius, 1.0, 0.0)
@@ -117,8 +117,8 @@ class MollifiedBC:
     discontinuous = False
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not self.radius >= 0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
 
     def eval(self, d):
         return 1.0 - self.mollifier.cdf(d - self.radius)

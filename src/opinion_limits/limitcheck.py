@@ -23,6 +23,7 @@ from .abm import (
     UpdateMode,
     _bisect_rows,
     _draw,
+    _moved,
     _row_mass,
     _update_rule,
 )
@@ -150,16 +151,11 @@ def _increments(x, spec, draws):
         return ua < p[ii, jj]
 
     move, ti, tj = _update_rule(spec)(x[ii], x[jj], z, z2, accept)
-
-    def increment(terms):
-        inc = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-        return inc if move is None else np.where(move, inc, 0.0)
-
-    di = increment(ti)
+    di = _moved(0.0, ti, move)
     if tj is None:
         return ii, di, None, None
     # the chain writes j's update last, so when i == j only dj lands
-    return ii, np.where(ii == jj, 0.0, di), jj, increment(tj)
+    return ii, np.where(ii == jj, 0.0, di), jj, _moved(0.0, tj, move)
 
 
 def mc_coefficients(

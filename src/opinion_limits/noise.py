@@ -44,8 +44,8 @@ class GaussianScaled:
     var_per_h: float = 0.0
 
     def __post_init__(self):
-        if self.var_per_h < 0:
-            raise ValueError("var_per_h must be non-negative")
+        if not self.var_per_h >= 0:
+            raise ValueError(f"var_per_h must be non-negative, got {self.var_per_h}")
 
     def sample(self, h: float, rng: np.random.Generator, size=None):
         return rng.normal(self.mean_per_h * h, math.sqrt(self.var_per_h * h), size)

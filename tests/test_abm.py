@@ -17,7 +17,9 @@ from opinion_limits.abm import (
     abm_step,
     run_abm,
 )
+from opinion_limits.dem import IntegratorSpec
 from opinion_limits.kernel import (
+    BoundedConfidence,
     Constant,
     MollifiedBC,
     Network,
@@ -324,6 +326,35 @@ def test_spec_validation_errors():
     net = erdos_renyi(4, 0.5, seed=0)
     with pytest.raises(ValueError, match="network size"):
         spec2(selection=DegreeWeighted(net))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: spec2(h=math.nan), "timestep"),
+        (lambda: spec2(h=math.inf), "timestep"),
+        (lambda: spec2(horizon=math.nan), "horizon"),
+        (lambda: spec2(horizon=math.inf), "horizon"),
+        # ceil(T/h - 1e-9) = 0: run_abm had no step to draw, run_abm_batch divided by 0
+        (lambda: ModelSpec(n_agents=1, h=1.0, horizon=1e-10, kernel=Constant(1.0)), "one"),
+        # T/h overflows to inf
+        (lambda: spec2(h=1e-300, horizon=1e10), "finitely many"),
+        (lambda: IntegratorSpec(dt=math.nan), "dt"),
+        (lambda: IntegratorSpec(dt=math.inf), "dt"),
+        (lambda: NormalMollifier(0.0, math.nan), "std"),
+        (lambda: BoundedConfidence(math.nan), "radius"),
+        (lambda: MollifiedBC(math.nan), "radius"),
+        (lambda: GaussianScaled(0.0, math.nan), "var_per_h"),
+    ],
+    ids=[
+        "h-nan", "h-inf", "horizon-nan", "horizon-inf", "horizon-no-step",
+        "horizon-inf-steps", "dt-nan", "dt-inf", "std-nan", "bc-radius-nan",
+        "mollified-radius-nan", "var_per_h-nan",
+    ],
+)
+def test_constructors_refuse_nan_and_non_finite(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_large_h_warns():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from opinion_limits import cli, dem
 from opinion_limits.abm import ENGINE_VERSION, ProbabilityProportional
 from opinion_limits.cli import main
-from opinion_limits.config import ConfigError, config_from_dict, parse_config
+from opinion_limits.config import _SCHEMA, ConfigError, config_from_dict, parse_config
 from opinion_limits.dem import build_limit
 from opinion_limits.limitcheck import SweepRow, write_sweep_csv
 from opinion_limits.trajectory import Trajectory, write_csv
@@ -409,6 +410,131 @@ def test_readme_ini_examples_parse():
     assert blocks
     for block in blocks:
         parse_config(block)
+
+
+def _keys(typ):
+    """(section, key) of each schema key of type typ; typ tuple gives the enumerated keys."""
+    return [
+        (section, key)
+        for section, keys in _SCHEMA.items()
+        for key, (t, _) in keys.items()
+        if (isinstance(t, tuple) if typ is tuple else t is typ)
+    ]
+
+
+@pytest.mark.parametrize("section, key", _keys(tuple))
+def test_enumerated_keys_refuse_unknown_values(section, key):
+    # refused by the schema itself, whether or not the experiment reads the key
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({section: {key: "bogus"}})
+    choices = _SCHEMA[section][key][0]
+    assert str(err.value) == (
+        f"[{section}] {key}: unknown value 'bogus'; expected one of {', '.join(choices)}"
+    )
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", _keys(float))
+def test_float_keys_refuse_non_finite_values(section, key, value):
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be finite"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key", _keys(int))
+def test_int_keys_refuse_bool(section, key):
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: cannot parse 'True' as int"):
+        config_from_dict({section: {key: True}})
+
+
+@pytest.mark.parametrize("data", [[], {"model": 5}, {"model": ["n_agents"]}, {"dem": None}])
+def test_non_table_config_or_section_refused(data):
+    with pytest.raises(ConfigError, match="table"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a compare config does not read h_list, but its entries are still checked
+        ("[experiment]\nh_list = 1e-3, x\n", "h_list: cannot parse 'x' as float"),
+        ("[experiment]\nh_list = 1e-3, nan\n", "h_list: must be finite"),
+        (
+            "[model]\nn_agents = 2\n[init]\nx0 = explicit\nvalues = 0.1, x\n",
+            "values: cannot parse 'x' as float",
+        ),
+        (
+            "[model]\nn_agents = 2\n[init]\nx0 = explicit\nvalues = 0.1, inf\n",
+            "values: must be finite",
+        ),
+    ],
+    ids=["h_list-text", "h_list-nan", "values-text", "values-inf"],
+)
+def test_list_entries_parse_as_finite_floats(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+def test_readme_lists_every_allowed_value():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    missing = [
+        f"[{section}] {key} = {choice}"
+        for section, key in _keys(tuple)
+        for choice in _SCHEMA[section][key][0]
+        if f"`{choice}`" not in readme
+    ]
+    assert not missing
+
+
+# each was accepted before the schema checked every key given: NaN and inf
+# ran or crashed at run time, and an unread enumerated key went unchecked
+_BAD_VALUES = {
+    "kernel-std-nan": {"kernel": {"std": math.nan}},
+    "model-h-nan": {"model": {"h": math.nan}},
+    "model-horizon-inf": {"model": {"horizon": math.inf}},
+    "dem-dt-inf": {"dem": {"dt": math.inf}},
+    "constant-kernel-bogus-mollifier": {"kernel": {"type": "constant", "mollifier": "bogus"}},
+    "no-noise-bogus-law": {"noise": {"kind": "none", "law": "bogus"}},
+}
+
+
+@pytest.mark.parametrize("form", ["ini", "manifest"])
+@pytest.mark.parametrize("bad", _BAD_VALUES.values(), ids=_BAD_VALUES)
+def test_bad_values_refused_before_anything_runs(tmp_path, capsys, monkeypatch, bad, form):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"model": {"n_agents": 5, "h": 1e-3, "horizon": 0.2}}
+    for section, keys in bad.items():
+        cfg.setdefault(section, {}).update(keys)
+    if form == "ini":
+        path = _write(tmp_path, "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for s, keys in cfg.items()
+        ))
+    else:
+        path = _write(tmp_path, json.dumps({"config": cfg, "engine": ENGINE_VERSION}), "m.json")
+    assert main([str(path)]) == 1
+    assert "config error: [" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"config": {"model": {"n_agents": True}}}, "[model] n_agents: cannot parse 'True'"),
+        ({"config": {"model": [5]}}, "[model] is not a table"),
+        ({"config": {"model": "n_agents = 5"}}, "[model] is not a table"),
+        ({"config": []}, "a config is a table"),
+        (["config"], 'a manifest is a JSON object with a "config" table'),
+        ({"engine": ENGINE_VERSION}, 'a manifest is a JSON object with a "config" table'),
+    ],
+    ids=["bool-n_agents", "list-section", "string-section", "list-config", "not-an-object",
+         "no-config"],
+)
+def test_malformed_manifest_is_a_config_error(tmp_path, capsys, monkeypatch, manifest, message):
+    monkeypatch.chdir(tmp_path)
+    rc = main([str(_write(tmp_path, json.dumps(manifest), "manifest.json"))])
+    assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
