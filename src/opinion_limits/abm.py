@@ -40,8 +40,10 @@ __all__ = [
 # written by this version. 1 is every manifest without an "engine" key; 2
 # resolves probability-proportional selection by thinning; 3 draws in
 # blocks of _DRAW_BLOCK steps counted from step 0, whatever the sample grid;
-# 4 computes ensemble variances in one pass, shifted by the first run.
-ENGINE_VERSION = 4
+# 4 computes ensemble variances in one pass, shifted by the first run; 5:
+# exact coefficients through _increments, which moves noise-free limitcheck
+# values by rounding.
+ENGINE_VERSION = 5
 
 # Steps drawn at a time from a run's stream; the last block is cut at the
 # horizon. Larger blocks hold more memory for little speed: at 4096, a

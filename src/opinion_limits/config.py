@@ -117,12 +117,15 @@ _SCHEMA: dict[str, dict[str, tuple[type | tuple[str, ...], Any]]] = {
 def _coerce(section: str, key: str, raw: Any, typ: type | tuple[str, ...]):
     """raw as a value of [section] key, or a ConfigError if the key refuses it.
 
-    typ is the key's type or the tuple of the strings it accepts. A value of
-    another type is parsed from its text, so a bool is no int; a float must
-    be finite.
+    typ is the key's type or the tuple of the strings it accepts. A string
+    key takes only a str (INI text and written manifests give one, so a
+    JSON null is no path). A value of another type is parsed from its text,
+    so a bool is no int; a float must be finite.
     """
     choices = typ if isinstance(typ, tuple) else ()
     typ = str if choices else typ
+    if typ is str and not isinstance(raw, str):
+        raise ConfigError(f"[{section}] {key}: expected a string, got {raw!r}")
     value = raw
     if type(raw) is not typ:
         s = str(raw).strip()

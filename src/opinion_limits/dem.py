@@ -86,7 +86,9 @@ def _normalisation(spec: ModelSpec):
     """The selection scheme's (p -> (w, norm), name) for the drift.
 
     p is the pairwise interaction matrix; the drift of agent i is
-    sum_j w_ij (x_j - x_i) / norm_i.
+    sum_j w_ij (x_j - x_i) / norm_i. The same weights give the chain's
+    one-step jump probability: agent i moves toward j with probability
+    w_ij / norm_i * h / mu (exact_coefficients enumerates with it).
     """
     sel = spec.selection
     if isinstance(sel, DegreeWeighted):

@@ -63,8 +63,10 @@ class NormalMollifier:
     std: float = 1.0
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError(f"std must be positive, got {self.std}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.std < math.inf:
+            raise ValueError(f"std must be positive and finite, got {self.std}")
 
     def cdf(self, z):
         return ndtr((z - self.mean) / self.std)

@@ -4,7 +4,10 @@ For a fixed state x the one-step increment of the chain has first and
 second moments whose h-scalings should approach the drift and diffusion
 of the limiting system. Noise-free variants have finitely many reachable
 states, so the moments can be enumerated exactly; noisy variants are
-estimated by Monte Carlo over independent single steps.
+estimated by Monte Carlo over independent single steps. Both checkers take
+the increments from the chain's update rule (_increments) and sum their
+moments in one accumulator (_report); enumeration weighs each ordered pair
+by its jump probability, Monte Carlo each drawn step by one.
 """
 
 from __future__ import annotations
@@ -15,19 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from .abm import (
-    DegreeWeighted,
     ModelSpec,
     ProbabilityProportional,
-    UniformWithoutReplacement,
-    UniformWithReplacement,
     UpdateMode,
     _bisect_rows,
     _draw,
+    _Draws,
     _moved,
     _row_mass,
     _update_rule,
 )
-from .dem import build_limit
+from .dem import _normalisation, build_limit
 from .kernel import pairwise_matrix
 from .noise import NoiseKind
 from .trajectory import write_csv
@@ -66,60 +67,26 @@ class CoefficientReport:
     gamma4_se: float | None = None
 
 
-def _jump_weights(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Probability of the one-step transition that moves agent i toward j."""
-    n = spec.n_agents
-    p = pairwise_matrix(spec.kernel, x)
-    if spec.update_mode is UpdateMode.BOTH:
-        # unordered pair {i,j} selected either way round; kernel symmetric
-        return 2.0 * p / n**2
-    sel = spec.selection
-    if isinstance(sel, UniformWithReplacement):
-        return p / n**2
-    if isinstance(sel, UniformWithoutReplacement):
-        w = p / (n * (n - 1))
-        np.fill_diagonal(w, 0.0)
-        return w
-    if isinstance(sel, DegreeWeighted):
-        a = sel.network.adjacency
-        k = sel.network.degrees
-        return a * p / (n * k[:, None])
-    if isinstance(sel, ProbabilityProportional):
-        power = 2 if sel.double_weighting else 1
-        return p**power / (n * _row_mass(p)[:, None])
-    raise TypeError(f"unknown selection scheme {sel!r}")
-
-
 def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport:
-    """Enumerate the one-step moments of a noise-free variant."""
+    """Enumerate the one-step moments of a noise-free variant.
+
+    Every ordered pair (i, j) is one step through _increments, accepted
+    whenever p_ij > 0, and its moments weigh with the pair's jump
+    probability: the selection weight w_ij / norm_i of _normalisation times
+    h / mu, halved in both-update mode, where one step moves both agents.
+    """
     if spec.noise.kind is not NoiseKind.NONE:
         raise ValueError("exact enumeration is only available for noise-free variants")
     x = np.asarray(x, dtype=float)
     n = spec.n_agents
-    h = spec.h
-    mu = spec.mu
-    w = _jump_weights(x, spec)
-    d = x[None, :] - x[:, None]
-
-    b_h = (mu / h) * (w * d).sum(axis=1)
-    a_diag = (mu**2 / h) * (w * d**2).sum(axis=1)
-    gamma4 = float((mu**4 / h) * (w * d**4).sum())
+    weigh, _ = _normalisation(spec)
+    w, norm = weigh(pairwise_matrix(spec.kernel, x))
+    rate = w / np.reshape(norm, (-1, 1)) * (spec.h / spec.mu)
     if spec.update_mode is UpdateMode.BOTH:
-        off = -(mu**2 / h) * (w * d**2)
-        np.fill_diagonal(off, 0.0)
-        offdiag_max = float(np.abs(off).max())
-    else:
-        offdiag_max = 0.0
-
-    return CoefficientReport(
-        x=x,
-        h=h,
-        b_h=b_h,
-        a_h_diag=a_diag,
-        a_h_offdiag_max=offdiag_max,
-        gamma4=gamma4,
-        method="exact_enumeration",
-    )
+        rate = rate / 2.0
+    ii, jj = np.divmod(np.arange(n * n), n)
+    draws = _Draws(ii, jj, None, None, None, np.zeros(n * n), None, None)
+    return _report(x, spec, [_increments(x, spec, draws)], "exact_enumeration", weight=rate.ravel())
 
 
 def _increments(x, spec, draws):
@@ -158,6 +125,69 @@ def _increments(x, spec, draws):
     return ii, np.where(ii == jj, 0.0, di), jj, _moved(0.0, tj, move)
 
 
+def _report(x, spec, batches, method, samples=None, weight=None):
+    """The coefficient report of one-step increments from the state x.
+
+    batches yields _increments' (ii, di, jj, dj). Each moment is a sum over
+    steps, divided by samples: Monte Carlo draws weigh 1 each, and samples
+    also gives the standard errors. Without samples the sum is the mean,
+    and weight holds each step's probability in the one batch.
+    """
+    n = spec.n_agents
+    h = spec.h
+    count = samples or 1
+
+    def weigh(a):
+        return a if weight is None else weight * a
+
+    s_b = np.zeros(n)
+    s_a = np.zeros(n)
+    q_a = np.zeros(n)
+    s_off = np.zeros((n, n))
+    s_g = 0.0
+    q_g = 0.0
+    for ii, di, jj, dj in batches:
+        if dj is not None:
+            np.add.at(s_off, (ii, jj), weigh(di * dj))
+            np.add.at(s_off, (jj, ii), weigh(di * dj))
+        g = None  # per step, the summed fourth powers of the agents it moves
+        for a, d in [(ii, di)] if dj is None else [(ii, di), (jj, dj)]:
+            d4 = d**4
+            np.add.at(s_b, a, weigh(d))
+            np.add.at(s_a, a, weigh(d**2))
+            np.add.at(q_a, a, weigh(d4))
+            g = d4 if g is None else g + d4
+        s_g += float(weigh(g).sum())
+        q_g += float(weigh(g**2).sum())
+
+    def mean_se(s, q):
+        mean = s / count
+        if samples is None:
+            return mean / h, None
+        var = np.maximum(q / count - mean**2, 0.0)
+        return mean / h, np.sqrt(var / count) / h
+
+    b_h, b_se = mean_se(s_b, s_a)
+    a_diag, a_se = mean_se(s_a, q_a)
+    gamma4, gamma4_se = mean_se(s_g, q_g)
+    off = s_off / (count * h)  # zero unless both agents move
+    np.fill_diagonal(off, 0.0)
+
+    return CoefficientReport(
+        x=x,
+        h=h,
+        b_h=b_h,
+        a_h_diag=a_diag,
+        a_h_offdiag_max=float(np.abs(off).max()),
+        gamma4=float(gamma4),
+        method=method,
+        samples=samples,
+        b_h_se=b_se,
+        a_h_diag_se=a_se,
+        gamma4_se=None if gamma4_se is None else float(gamma4_se),
+    )
+
+
 def mc_coefficients(
     x: Sequence[float],
     spec: ModelSpec,
@@ -168,64 +198,9 @@ def mc_coefficients(
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     x = np.asarray(x, dtype=float)
-    n = spec.n_agents
-    h = spec.h
-
-    s_b = np.zeros(n)
-    s_a = np.zeros(n)
-    q_a = np.zeros(n)
-    s_off = np.zeros((n, n))
-    s_g = 0.0
-    q_g = 0.0
-    track_off = spec.update_mode is UpdateMode.BOTH
-
-    left = samples
-    while left > 0:
-        m = min(_MC_BATCH, left)
-        left -= m
-        ii, di, jj, dj = _increments(x, spec, _draw(spec, m, rng))
-        if dj is not None:
-            np.add.at(s_off, (ii, jj), di * dj)
-            np.add.at(s_off, (jj, ii), di * dj)
-            ii, di = np.concatenate([ii, jj]), np.concatenate([di, dj])
-        d4 = di**4
-        np.add.at(s_b, ii, di)
-        np.add.at(s_a, ii, di**2)
-        np.add.at(q_a, ii, d4)
-        g = d4 if dj is None else d4[:m] + d4[m:]
-        s_g += float(g.sum())
-        q_g += float((g**2).sum())
-
-    mc = samples
-
-    def mean_se(s, q):
-        mean = s / mc
-        var = np.maximum(q / mc - mean**2, 0.0)
-        return mean / h, np.sqrt(var / mc) / h
-
-    b_h, b_se = mean_se(s_b, s_a)
-    a_diag, a_se = mean_se(s_a, q_a)
-    gamma4, gamma4_se = mean_se(s_g, q_g)
-    if track_off:
-        off = s_off / (mc * h)
-        np.fill_diagonal(off, 0.0)
-        offdiag_max = float(np.abs(off).max())
-    else:
-        offdiag_max = 0.0
-
-    return CoefficientReport(
-        x=x,
-        h=h,
-        b_h=b_h,
-        a_h_diag=a_diag,
-        a_h_offdiag_max=offdiag_max,
-        gamma4=float(gamma4),
-        method="monte_carlo",
-        samples=samples,
-        b_h_se=b_se,
-        a_h_diag_se=a_se,
-        gamma4_se=float(gamma4_se),
-    )
+    sizes = (min(_MC_BATCH, samples - k) for k in range(0, samples, _MC_BATCH))
+    batches = (_increments(x, spec, _draw(spec, m, rng)) for m in sizes)
+    return _report(x, spec, batches, "monte_carlo", samples)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,10 @@ class GaussianScaled:
     var_per_h: float = 0.0
 
     def __post_init__(self):
-        if not self.var_per_h >= 0:
-            raise ValueError(f"var_per_h must be non-negative, got {self.var_per_h}")
+        if not math.isfinite(self.mean_per_h):
+            raise ValueError(f"mean_per_h must be finite, got {self.mean_per_h}")
+        if not 0 <= self.var_per_h < math.inf:
+            raise ValueError(f"var_per_h must be non-negative and finite, got {self.var_per_h}")
 
     def sample(self, h: float, rng: np.random.Generator, size=None):
         return rng.normal(self.mean_per_h * h, math.sqrt(self.var_per_h * h), size)
@@ -65,6 +67,10 @@ class Degenerate:
     """Point mass at value_per_h * h."""
 
     value_per_h: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.value_per_h):
+            raise ValueError(f"value_per_h must be finite, got {self.value_per_h}")
 
     def sample(self, h: float, rng: np.random.Generator, size=None):
         v = self.value_per_h * h

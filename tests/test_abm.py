@@ -345,17 +345,29 @@ def test_spec_validation_errors():
         (lambda: BoundedConfidence(math.nan), "radius"),
         (lambda: MollifiedBC(math.nan), "radius"),
         (lambda: GaussianScaled(0.0, math.nan), "var_per_h"),
+        # a NaN mollifier mean made the kernel NaN everywhere, so every pair
+        # interacted; an infinite std made it 0.5 while its saturation band
+        # said 1, and an infinite variance drew infinite noise
+        (lambda: NormalMollifier(0.0, math.inf), "std must be positive and finite"),
+        (lambda: GaussianScaled(0.0, math.inf), "var_per_h must be non-negative and finite"),
+        (lambda: NormalMollifier(math.nan, 0.01), "mean must be finite"),
+        (lambda: NormalMollifier(math.inf, 0.01), "mean must be finite"),
+        (lambda: GaussianScaled(math.nan, 0.05), "mean_per_h must be finite"),
+        (lambda: GaussianScaled(-math.inf, 0.05), "mean_per_h must be finite"),
+        (lambda: Degenerate(math.nan), "value_per_h must be finite"),
+        (lambda: Degenerate(math.inf), "value_per_h must be finite"),
     ],
     ids=[
         "h-nan", "h-inf", "horizon-nan", "horizon-inf", "horizon-no-step",
         "horizon-inf-steps", "dt-nan", "dt-inf", "std-nan", "bc-radius-nan",
-        "mollified-radius-nan", "var_per_h-nan",
+        "mollified-radius-nan", "var_per_h-nan", "std-inf", "var_per_h-inf",
+        "mollifier-mean-nan", "mollifier-mean-inf",
+        "mean_per_h-nan", "mean_per_h-inf", "value_per_h-nan", "value_per_h-inf",
     ],
 )
 def test_constructors_refuse_nan_and_non_finite(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
 
 def test_large_h_warns():
     with pytest.warns(UserWarning, match="convex hull"):

@@ -445,7 +445,6 @@ def test_int_keys_refuse_bool(section, key):
     with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: cannot parse 'True' as int"):
         config_from_dict({section: {key: True}})
 
-
 @pytest.mark.parametrize("data", [[], {"model": 5}, {"model": ["n_agents"]}, {"dem": None}])
 def test_non_table_config_or_section_refused(data):
     with pytest.raises(ConfigError, match="table"):
@@ -525,9 +524,19 @@ def test_bad_values_refused_before_anything_runs(tmp_path, capsys, monkeypatch, 
         ({"config": []}, "a config is a table"),
         (["config"], 'a manifest is a JSON object with a "config" table'),
         ({"engine": ENGINE_VERSION}, 'a manifest is a JSON object with a "config" table'),
+        # a string key takes only a string: null once named the directory 'None'
+        (
+            {"config": {"experiment": {"output_dir": None}}},
+            "[experiment] output_dir: expected a string, got None",
+        ),
+        (
+            {"config": {"selection": {"network_file": None}}},
+            "[selection] network_file: expected a string, got None",
+        ),
+        ({"config": {"noise": {"kind": 1}}}, "[noise] kind: expected a string, got 1"),
     ],
     ids=["bool-n_agents", "list-section", "string-section", "list-config", "not-an-object",
-         "no-config"],
+         "no-config", "null-output_dir", "null-network_file", "int-noise-kind"],
 )
 def test_malformed_manifest_is_a_config_error(tmp_path, capsys, monkeypatch, manifest, message):
     monkeypatch.chdir(tmp_path)
@@ -538,7 +547,7 @@ def test_malformed_manifest_is_a_config_error(tmp_path, capsys, monkeypatch, man
 
 
 @pytest.mark.parametrize(
-    "engine", [None, 1, 2, 3], ids=["no_key", "engine=1", "engine=2", "engine=3"]
+    "engine", [None, 1, 2, 3, 4], ids=["no_key", "engine=1", "engine=2", "engine=3", "engine=4"]
 )
 def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
     # manifests written before the engine key are version 1; an older

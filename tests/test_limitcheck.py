@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from opinion_limits.abm import (
+    DegreeWeighted,
     ModelSpec,
     ProbabilityProportional,
     UniformWithoutReplacement,
+    UniformWithReplacement,
     UpdateMode,
 )
 from opinion_limits.dem import build_limit
-from opinion_limits.kernel import Constant, MollifiedBC, NormalMollifier
+from opinion_limits.kernel import Constant, MollifiedBC, Network, NormalMollifier, pairwise_matrix
 from opinion_limits.limitcheck import (
     convergence_sweep,
     exact_coefficients,
@@ -69,6 +71,91 @@ def test_both_update_offdiagonal_negative_covariance():
     spec = make_spec(n_agents=3, kernel=Constant(1.0), update_mode=UpdateMode.BOTH)
     rep = exact_coefficients(np.array([0.0, 0.5, 1.0]), spec)
     assert rep.a_h_offdiag_max > 0.0
+
+
+def test_both_update_offdiagonal_hand_value():
+    # one step moves both agents of the ordered pair (i, j), with probability
+    # p_ij / N^2; the pairs (0, 2) and (2, 0) each move agents 0 and 2 by
+    # +-mu * 1, so a_h_02 = -(mu^2 / h) * (2 / N^2) * 1^2
+    spec = make_spec(n_agents=3, kernel=Constant(1.0), update_mode=UpdateMode.BOTH)
+    rep = exact_coefficients(np.array([0.0, 0.5, 1.0]), spec)
+    assert rep.a_h_offdiag_max == pytest.approx(spec.mu**2 / spec.h * 2.0 / 9.0, rel=1e-15)
+
+
+def _closed_form_coefficients(x, spec):
+    """The one-step moments written out scheme by scheme: the reference the
+    enumeration through _increments must reproduce."""
+    n, h, mu = spec.n_agents, spec.h, spec.mu
+    p = pairwise_matrix(spec.kernel, x)
+    sel = spec.selection
+    both = spec.update_mode is UpdateMode.BOTH
+    if both:  # the unordered pair {i, j} is selected either way round
+        w = 2.0 * p / n**2
+    elif isinstance(sel, UniformWithoutReplacement):
+        w = p / (n * (n - 1))
+        np.fill_diagonal(w, 0.0)
+    elif isinstance(sel, DegreeWeighted):
+        w = sel.network.adjacency * p / (n * sel.network.degrees[:, None])
+    elif isinstance(sel, ProbabilityProportional):
+        power = 2 if sel.double_weighting else 1
+        w = p**power / (n * p.sum(axis=1)[:, None])
+    else:
+        w = p / n**2
+    d = x[None, :] - x[:, None]
+    off = -(mu**2 / h) * (w * d**2) if both else np.zeros((n, n))
+    np.fill_diagonal(off, 0.0)
+    return {
+        "b_h": (mu / h) * (w * d).sum(axis=1),
+        "a_h_diag": (mu**2 / h) * (w * d**2).sum(axis=1),
+        "a_h_offdiag_max": np.abs(off).max(),
+        "gamma4": (mu**4 / h) * (w * d**4).sum(),
+    }
+
+
+def _weighted_network(n, rng):
+    a = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+    a = a + a.T
+    np.fill_diagonal(a, 1.0)
+    return Network(a)
+
+
+_ENUMERATED = {
+    "uniform": (lambda n, rng: UniformWithReplacement(), UpdateMode.SINGLE),
+    "without_replacement": (lambda n, rng: UniformWithoutReplacement(), UpdateMode.SINGLE),
+    "both_update": (lambda n, rng: UniformWithReplacement(), UpdateMode.BOTH),
+    "degree": (lambda n, rng: DegreeWeighted(_weighted_network(n, rng)), UpdateMode.SINGLE),
+    "proportional": (lambda n, rng: ProbabilityProportional(), UpdateMode.SINGLE),
+    "proportional_double": (
+        lambda n, rng: ProbabilityProportional(double_weighting=True),
+        UpdateMode.SINGLE,
+    ),
+}
+
+
+# n = 150 rows are longer than numpy's 128-element pairwise-summation block
+@pytest.mark.parametrize("n", [5, 50, 150])
+@pytest.mark.parametrize("scheme", sorted(_ENUMERATED))
+def test_exact_enumeration_matches_closed_forms(scheme, n):
+    # the enumeration sums step by step, the closed forms row by row, so
+    # they agree to rounding: the worst deviation over this grid was
+    # 1.5e-15 of the largest entry (both-update, n = 150, tied state, a_h_diag)
+    rng = np.random.default_rng([17, n, sorted(_ENUMERATED).index(scheme)])
+    selection, mode = _ENUMERATED[scheme]
+    spec = make_spec(n_agents=n, selection=selection(n, rng), update_mode=mode)
+    half = n // 2
+    states = {
+        "random": rng.uniform(-1.0, 1.0, n),
+        "two_cluster": np.concatenate(
+            [-0.5 + 0.02 * rng.uniform(-1, 1, half), 0.5 + 0.02 * rng.uniform(-1, 1, n - half)]
+        ),
+        "tied": np.round(rng.uniform(-1.0, 1.0, n), 1),
+    }
+    for name, x in states.items():
+        rep = exact_coefficients(x, spec)
+        for field, want in _closed_form_coefficients(x, spec).items():
+            got = np.asarray(getattr(rep, field))
+            scale = float(np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-14 * scale, (name, field)
 
 
 def test_mc_matches_exact_standard():
