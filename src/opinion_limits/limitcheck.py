@@ -80,24 +80,29 @@ def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport
     x = np.asarray(x, dtype=float)
     n = spec.n_agents
     weigh, _ = _normalisation(spec)
-    w, norm = weigh(pairwise_matrix(spec.kernel, x))
+    p = pairwise_matrix(spec.kernel, x)
+    w, norm = weigh(p)
     rate = w / np.reshape(norm, (-1, 1)) * (spec.h / spec.mu)
     if spec.update_mode is UpdateMode.BOTH:
         rate = rate / 2.0
     ii, jj = np.divmod(np.arange(n * n), n)
     draws = _Draws(ii, jj, None, None, None, np.zeros(n * n), None, None)
-    return _report(x, spec, [_increments(x, spec, draws)], "exact_enumeration", weight=rate.ravel())
+    batch = _increments(x, spec, draws, p)
+    return _report(x, spec, [batch], "exact_enumeration", weight=rate.ravel())
 
 
-def _increments(x, spec, draws):
+def _increments(x, spec, draws, p=None):
     """One-step increments of the chain from the fixed state x, one per draw.
+    p is pairwise_matrix(spec.kernel, x); callers that step from x more
+    than once build it once and pass it.
 
     Returns (ii, di, jj, dj) in sparse form: agent ii[k] moves by di[k] and
     agent jj[k] by dj[k]; jj/dj are None unless both agents move. This is
     abm's vectorised update rule for steps that all start from x.
     """
     kind = spec.noise.kind
-    p = pairwise_matrix(spec.kernel, x)
+    if p is None:
+        p = pairwise_matrix(spec.kernel, x)
     ii, jj, jp, up, uj, ua, z, z2 = draws
     sel = spec.selection
     always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting
@@ -198,8 +203,9 @@ def mc_coefficients(
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     x = np.asarray(x, dtype=float)
+    p = pairwise_matrix(spec.kernel, x)
     sizes = (min(_MC_BATCH, samples - k) for k in range(0, samples, _MC_BATCH))
-    batches = (_increments(x, spec, _draw(spec, m, rng)) for m in sizes)
+    batches = (_increments(x, spec, _draw(spec, m, rng), p) for m in sizes)
     return _report(x, spec, batches, "monte_carlo", samples)
 
 

@@ -25,8 +25,9 @@ from opinion_limits.kernel import (
     Network,
     NormalMollifier,
     erdos_renyi,
+    saturation,
 )
-from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
+from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind, analytic_mk
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
 
@@ -381,3 +382,214 @@ def test_integrate_batch_refuses_a_missing_stream():
     rngs[1] = None
     with pytest.raises(ValueError, match="random stream"):
         dem.integrate_batch(model, TIED, IntegratorSpec(dt=0.01), 0.1, [0.1], rngs)
+
+
+# --- the banded limit (dem._band_sums) against the dense pairwise matrix ---
+
+EPS = np.finfo(float).eps
+D_ONE, D_ZERO = saturation(KERNEL)
+
+
+def _band_states(n):
+    """Random, two-cluster and tied states of n agents. The tied state holds
+    signed zeros and pairs exactly d_one and d_zero apart."""
+    rng = np.random.default_rng(n)
+    half = n // 2
+    grid = [0.0, -0.0, D_ONE, -D_ONE, 2 * D_ONE, D_ZERO, -D_ZERO, 2 * D_ZERO, 0.3]
+    grid += [math.nextafter(D_ONE, 1.0), math.nextafter(D_ZERO, 0.0)]
+    return {
+        "random": rng.uniform(-1.0, 1.0, n),
+        "clusters": np.concatenate(
+            [-0.5 + 0.02 * rng.uniform(-1, 1, half), 0.5 + 0.02 * rng.uniform(-1, 1, n - half)]
+        ),
+        "tied": rng.choice(grid, n),
+    }
+
+
+def _band_variants(n):
+    """Every distance-kernel normalisation; uniform single-update selection
+    with each noise whose limit has a diffusion."""
+    base = dict(n_agents=n, kernel=KERNEL)
+    gauss = GaussianScaled(0.0, 0.05)
+    distance = GaussianScaled(float(n), 5.0)
+    return {
+        "uwr_single-none": make_spec(**base),
+        "uwr_single-external": make_spec(**base, noise=NoiseFamily(NoiseKind.EXTERNAL, gauss)),
+        "uwr_single-adaptation": make_spec(**base, noise=NoiseFamily(NoiseKind.ADAPTATION, gauss)),
+        "uwr_single-random_update_distance": make_spec(
+            **base, noise=NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, distance)
+        ),
+        "uwr_both": make_spec(**base, update_mode=UpdateMode.BOTH),
+        "uwor": make_spec(**base, selection=UniformWithoutReplacement()),
+        "proportional": make_spec(**base, selection=ProbabilityProportional()),
+        "proportional_double": make_spec(
+            **base, selection=ProbabilityProportional(double_weighting=True)
+        ),
+    }
+
+
+def _dense_and_banded(spec, monkeypatch):
+    """fields of the limit through the dense matrix, and of build_limit's
+    banded model, which fails if it builds a pairwise matrix."""
+    with monkeypatch.context() as m:
+        m.setattr(dem, "_BAND_MIN_AGENTS", math.inf)
+        dense = build_limit(spec).fields
+    banded = build_limit(spec).fields
+
+    def refused(kernel, x):
+        raise AssertionError("the banded limit built an N x N pairwise matrix")
+
+    def without_matrix(x):
+        with monkeypatch.context() as m:
+            m.setattr(dem, "pairwise_matrix", refused)
+            return banded(x)
+
+    return dense, without_matrix
+
+
+def _error_scales(spec, x):
+    """Per agent, the scales the banded sums are tested against: the drift's
+    sum_j w_ij (|x_j - x_i| + |x_i - m| + |x_j - m|) / norm_i, m the mean of
+    x, and the gate's m2 / n^2 * sum_j p_ij t_ij with t_ij = 1 under
+    adaptation noise, (x_j - x_i)^2 + (x_i - m)^2 + (x_j - m)^2 under a
+    random update distance. The prefix sums are centred on m, so their
+    rounding scales with distances from m as well as between agents."""
+    p = dem.pairwise_matrix(spec.kernel, x)
+    w, norm = dem._normalisation(spec)[0](p)
+    dx = x[None, :] - x[:, None]
+    c = np.abs(x - x.mean())
+    b = (w * (np.abs(dx) + c[:, None] + c[None, :])).sum(axis=1) / norm
+    m2 = analytic_mk(spec.noise, 2) / spec.n_agents**2
+    if spec.noise.kind is NoiseKind.RANDOM_UPDATE_DISTANCE:
+        return b, m2 * (p * (dx**2 + c[:, None] ** 2 + c[None, :] ** 2)).sum(axis=1)
+    return b, m2 * p.sum(axis=1)
+
+
+@pytest.mark.parametrize("state", ["random", "clusters", "tied"])
+@pytest.mark.parametrize("label", sorted(_band_variants(8)))
+@pytest.mark.parametrize("n", [dem._BAND_MIN_AGENTS, 500])
+def test_banded_fields_match_dense_within_rounding(n, label, state, monkeypatch):
+    spec = _band_variants(n)[label]
+    x = _band_states(n)[state]
+    b_scale, g_scale = _error_scales(spec, x)
+    dense, banded = _dense_and_banded(spec, monkeypatch)
+    b, sigma = banded(x)
+    b_ref, sigma_ref = dense(x)
+    assert np.all(np.abs(b - b_ref) <= 64 * EPS * b_scale)
+    assert (sigma is None) == (sigma_ref is None)
+    if spec.noise.kind is NoiseKind.EXTERNAL:
+        assert sigma.tobytes() == sigma_ref.tobytes()
+    elif sigma is not None:
+        assert np.all(np.abs(sigma**2 - sigma_ref**2) <= 64 * EPS * g_scale)
+
+
+def test_banded_form_chosen_from_band_min_agents_for_distance_kernels():
+    n = dem._BAND_MIN_AGENTS
+    x = _band_states(n)["random"]
+    built = []
+    original = dem.pairwise_matrix
+
+    def counted(kernel, y):
+        built.append(y.shape)
+        return original(kernel, y)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dem, "pairwise_matrix", counted)
+        build_limit(make_spec(n_agents=n, kernel=KERNEL)).fields(x)
+        assert built == []
+        build_limit(make_spec(n_agents=n - 1, kernel=KERNEL)).fields(x[:-1])
+        # an arbitrary adjacency keeps the dense form at every N
+        net = erdos_renyi(n, 0.5, seed=0)
+        build_limit(make_spec(n_agents=n, kernel=KERNEL, selection=DegreeWeighted(net))).fields(x)
+    assert built == [(n - 1,), (n,)]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stairs:
+    """top up to d = one, 0.5 below d = zero, 0 beyond: its pair masses
+    are exact in floats, and with dyadic steps on a dyadic grid of states
+    so is every pair sum."""
+
+    top: float = 1.0
+    one: float = 0.25
+    zero: float = 0.5
+    discontinuous = False
+
+    def eval(self, d):
+        return np.where(d <= self.one, self.top, np.where(d < self.zero, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("top", [1.0, 0.75], ids=["self_one", "self_below_one"])
+@pytest.mark.parametrize("power", [1, 2])
+def test_band_sums_weigh_every_pair_as_pairwise_matrix(top, power):
+    # 128 agents on multiples of 1/16, ties, signed zeros and distances of
+    # exactly d_one = 0.25 and d_zero = 0.5: every sum is exact, so one pair
+    # weighed differently from pairwise_matrix would show
+    kernel = _Stairs(top)
+    assert saturation(kernel) == ((0.25, 0.5) if top == 1.0 else (-math.inf, 0.5))
+    rng = np.random.default_rng(9)
+    x = rng.integers(-16, 17, size=(3, 128)) / 16.0
+    x[:, :4] = [-0.0, 0.0, -0.0, 0.25]
+    pull, mass, spread = dem._band_sums(kernel, x, power, True)
+    p = dem.pairwise_matrix(kernel, x)
+    dx = x[..., None, :] - x[..., :, None]
+    assert np.array_equal(pull, (p**power * dx).sum(axis=-1))
+    assert np.array_equal(mass, p.sum(axis=-1))
+    assert np.array_equal(spread, (p * dx**2).sum(axis=-1))
+    # with steps at 0.3 and 0.6, v + 0.3 and v + 0.6 round, so the distance
+    # computed back from them falls on either side of the step; the mass
+    # sums multiples of 0.25 and stays exact
+    kernel = _Stairs(top, 0.3, 0.6)
+    v = rng.uniform(-1.0, 1.0, 40)
+    assert np.any((v + 0.3) - v > 0.3) and np.any((v + 0.6) - v < 0.6)
+    x = np.concatenate([v, v + 0.3, v - 0.3, v + 0.6, v - 0.6])
+    mass = dem._band_sums(kernel, x, power, False)[1]
+    assert np.array_equal(mass, dem.pairwise_matrix(kernel, x).sum(axis=-1))
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_banded_refuses_an_agent_with_nobody_to_pick(stack, monkeypatch):
+    n = dem._BAND_MIN_AGENTS
+    spec = make_spec(n_agents=n, kernel=Constant(0.0), selection=ProbabilityProportional())
+    x = _band_states(n)["random"]
+    if stack:
+        x = np.stack([x, -x])
+    messages = []
+    for fields in _dense_and_banded(spec, monkeypatch):
+        with pytest.raises(RuntimeError, match="zero total interaction probability") as err:
+            fields(x)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["alone", "far_from_mean"])
+def test_banded_spread_in_a_tight_cluster_is_finite(far, monkeypatch):
+    # a cluster of spread 1e-12 at |x| ~ 1; with the rest of the agents at
+    # [-1, 0] the window sums cancel against a mean far from the cluster
+    n = dem._BAND_MIN_AGENTS
+    rng = np.random.default_rng(12)
+    x = 1.0 + 1e-12 * rng.uniform(-1, 1, n)
+    if far:
+        x[n // 2:] = rng.uniform(-1.0, 0.0, n - n // 2)
+    spec = _band_variants(n)["uwr_single-random_update_distance"]
+    dense, banded = _dense_and_banded(spec, monkeypatch)
+    sigma = banded(x)[1]
+    assert np.all(np.isfinite(sigma)) and np.all(sigma >= 0.0)
+    _, g_scale = _error_scales(spec, x)
+    assert np.all(np.abs(sigma**2 - dense(x)[1] ** 2) <= 64 * EPS * g_scale)
+
+
+@pytest.mark.parametrize(
+    "label", ["uwr_single-adaptation", "uwr_single-random_update_distance", "proportional_double"]
+)
+def test_banded_stack_gives_each_state_bits(label):
+    n = dem._BAND_MIN_AGENTS
+    model = build_limit(_band_variants(n)[label])
+    states = list(_band_states(n).values())
+    rng = np.random.default_rng(13)
+    x = np.stack(states + [rng.uniform(-1, 1, n) for _ in range(16 - len(states))])
+    b, sigma = model.fields(x)
+    for k in range(16):
+        b_k, sigma_k = model.fields(x[k])
+        assert b[k].tobytes() == b_k.tobytes()
+        assert sigma is None or sigma[k].tobytes() == sigma_k.tobytes()

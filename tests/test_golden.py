@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opinion_limits import abm
+from opinion_limits import abm, dem
 from opinion_limits.abm import (
     DegreeWeighted,
     ModelSpec,
@@ -89,8 +89,9 @@ _SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][2] is not UpdateMode.BOTH
 # under. A change to the random stream bumps abm.ENGINE_VERSION, so that
 # older manifests are refused, and re-records the hashes with it; a bump
 # for other outputs re-records only their hashes (4: ensemble variances,
-# none; 5: exact coefficients, the noise-free sweep hashes).
-GOLDEN_ENGINE = 5
+# none; 5: exact coefficients, the noise-free sweep hashes; 6: banded limit
+# fields at N >= dem._BAND_MIN_AGENTS, none: every case here is smaller).
+GOLDEN_ENGINE = 6
 
 
 def test_golden_hashes_match_engine_version():
@@ -213,6 +214,34 @@ def test_integrate_golden_hash_degenerate_noise():
     spec = replace(spec, noise=noise)
     assert not build_limit(spec).has_diffusion
     assert _sha(_integrate(spec, x0, seed + [2])) == "b27f2e1697f1875b", label
+
+
+# the same limits at 128 agents, where every scheme but degree-weighted
+# selection evaluates them banded
+INTEGRATE_BANDED_SHA256 = {
+    "uwr_single-none": "0bf47bea268962a2",
+    "uwr_single-ambiguity": "62e907203c9786d0",
+    "uwr_single-external": "912baab91d50baa9",
+    "uwr_single-adaptation": "2dc57632ee602e34",
+    "uwr_single-random_update_distance": "439ca321000df958",
+    "uwr_both-none": "37808ec99795d894",
+    "uwor-none": "f81aad9a89fec4f6",
+    "proportional-none": "bdae0954b507f49f",
+    "proportional_double-none": "297a04b820557df2",
+}
+
+
+@pytest.mark.parametrize("label", sorted(INTEGRATE_BANDED_SHA256))
+def test_integrate_banded_golden_hash(label):
+    n = 128
+    assert n >= dem._BAND_MIN_AGENTS
+    name, kind = label.split("-")
+    si = [s[0] for s in _SCHEMES].index(name)
+    ki = _KINDS.index(NoiseKind(kind))
+    _, spec, _, seed = _case(si, ki)
+    spec = replace(spec, n_agents=n, selection=_SCHEMES[si][1](n), noise=_noise(_KINDS[ki], n))
+    x0 = np.random.default_rng([7, si, ki, n]).uniform(-1.0, 1.0, n)
+    assert _sha(_integrate(spec, x0, seed + [2])) == INTEGRATE_BANDED_SHA256[label], label
 
 
 # one noise-free and one noisy variant per limit form: exact targets for the
