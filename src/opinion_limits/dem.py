@@ -35,16 +35,19 @@ __all__ = [
 ]
 
 # integrate_batch advances this many runs as one (B, N) state. On the
-# dense side (N < _BAND_MIN_AGENTS or degree-weighted selection) its
-# (B, N, N) temporaries stay small: one (R, N, N) array for a whole ensemble
-# was no faster than serial runs, and 16 was fastest at N = 50.
+# dense side (N < _BAND_MIN_AGENTS, degree-weighted selection, a random
+# update distance) its (B, N, N) temporaries stay small: one (R, N, N)
+# array for a whole ensemble was no faster than serial runs, and 16 was
+# fastest at N = 50.
 _EM_BLOCK = 16
 # From this many agents on, distance-kernel selection evaluates the limit
 # banded (_band_sums) rather than through the N x N pairwise matrix. With
 # adaptation noise on uniform states in [-1, 1]: at N = 100 a 16-state
 # stack took 1.7-1.8 ms banded against 3.8-4.1 ms dense, one state
 # 0.20-0.22 ms against 0.18 ms; from N = 150 banded won both; at N = 50
-# dense won both (0.08 against 0.16 ms, 0.64 against 0.78 ms).
+# dense won both (0.08 against 0.16 ms, 0.64 against 0.78 ms). Kernels
+# whose band holds every pair kept a stack faster banded from N = 100, and
+# one state from N = 150 (a mollifier of std 0.5) or 500 (Constant(0.5)).
 _BAND_MIN_AGENTS = 100
 
 
@@ -58,12 +61,12 @@ class LimitModel:
 
     fields(x) returns (b, sigma) from one evaluation of the interaction
     kernel per pair, with sigma None for a drift-only model: through the
-    dense N x N pairwise matrix, or banded without an N x N array
-    (_band_sums), as build_limit chose for the model. x is one state (N,)
-    or a stack of states (..., N), and b and sigma have x's shape; each
-    state's entries equal those of fields on that state alone, bit for
-    bit. drift and diffusion are views of fields; diffusion is None for a
-    drift-only model.
+    dense N x N pairwise matrix, or banded over the pairs inside the
+    kernel's saturation band (_band_sums), as build_limit chose for the
+    model. x is one state (N,) or a stack of states (..., N), and b and
+    sigma have x's shape; each state's entries equal those of fields on
+    that state alone, bit for bit. drift and diffusion are views of
+    fields; diffusion is None for a drift-only model.
     """
 
     fields: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
@@ -92,23 +95,40 @@ class IntegratorSpec:
         return int(round(m))
 
 
-def _normalisation(spec: ModelSpec):
-    """The selection scheme's (p -> (w, norm), name) for the drift.
+@dataclass(frozen=True)
+class _Weights:
+    """A selection scheme's drift weights, as data: called on the pairwise
+    matrix p it gives (w, norm), w = adjacency * p**power and norm_i the
+    given normaliser, or agent i's mass sum_j p_ij (_row_mass) when norm
+    is None."""
 
-    p is the pairwise interaction matrix; the drift of agent i is
-    sum_j w_ij (x_j - x_i) / norm_i. The same weights give the chain's
-    one-step jump probability: agent i moves toward j with probability
-    w_ij / norm_i * h / mu (exact_coefficients enumerates with it).
+    power: int = 1
+    norm: float | np.ndarray | None = None
+    adjacency: np.ndarray | None = None
+
+    def __call__(self, p):
+        w = p if self.power == 1 else p**self.power
+        if self.adjacency is not None:
+            w = self.adjacency * w
+        return w, _row_mass(p) if self.norm is None else self.norm
+
+
+def _normalisation(spec: ModelSpec):
+    """The selection scheme's (_Weights, name) for the drift.
+
+    The drift of agent i is sum_j w_ij (x_j - x_i) / norm_i. The same
+    weights give the chain's one-step jump probability: agent i moves
+    toward j with probability w_ij / norm_i * h / mu (exact_coefficients
+    enumerates with it).
     """
     sel = spec.selection
     if isinstance(sel, DegreeWeighted):
-        a, k = sel.network.adjacency, sel.network.degrees
-        return (lambda p: (a * p, k)), "node-degree normalisation"
+        weights = _Weights(norm=sel.network.degrees, adjacency=sel.network.adjacency)
+        return weights, "node-degree normalisation"
     if isinstance(sel, ProbabilityProportional):
-        power = 2 if sel.double_weighting else 1
-        return (lambda p: (p**power, _row_mass(p))), "interaction-probability normalisation"
-    n = spec.n_agents
-    return (lambda p: (p, n)), "standard"
+        weights = _Weights(power=2 if sel.double_weighting else 1)
+        return weights, "interaction-probability normalisation"
+    return _Weights(norm=spec.n_agents), "standard"
 
 
 def build_limit(spec: ModelSpec) -> LimitModel:
@@ -118,7 +138,8 @@ def build_limit(spec: ModelSpec) -> LimitModel:
     (_normalisation). Noise adds diffusion, and a noisy limit is derived
     only for uniform single-update selection. Distance-kernel selection at
     N >= _BAND_MIN_AGENTS evaluates the fields banded (_band_sums); degree-
-    weighted selection and smaller N build the dense pairwise matrix.
+    weighted selection, a random update distance and smaller N build the
+    dense pairwise matrix.
     """
     if spec.kernel.discontinuous:
         raise ValueError(
@@ -155,7 +176,6 @@ def build_limit(spec: ModelSpec) -> LimitModel:
         gate, provenance = "spread", "multiplicative-noise SDE"
     else:
         gate, provenance = "mass", "interaction-gated additive-noise SDE"
-    squares = gate == "spread"
 
     def sigma_of(shape, sums):
         """sigma for states of this shape; sums() gives the gate's per-agent sums."""
@@ -170,22 +190,22 @@ def build_limit(spec: ModelSpec) -> LimitModel:
         p = pairwise_matrix(kernel, x)
         diff = x[..., None, :] - x[..., :, None]
         # sigma before diff is overwritten
-        s = sigma_of(x.shape, lambda: (p * diff**2 if squares else p).sum(axis=-1))
+        s = sigma_of(x.shape, lambda: (p * diff**2 if gate == "spread" else p).sum(axis=-1))
         w, norm = weigh(p)
         return np.multiply(w, diff, out=diff).sum(axis=-1) / norm, s
 
-    proportional = isinstance(sel, ProbabilityProportional)
-    power = 2 if proportional and sel.double_weighting else 1
-
     def banded(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         x = np.asarray(x, dtype=float)
-        pull, mass, spread = _band_sums(kernel, x, power, squares)
-        s = sigma_of(x.shape, lambda: spread if squares else mass)
+        pull, mass = _band_sums(kernel, x, weigh.power)
         # rows of one column: _row_mass refuses the mass as the dense form does
-        norm = _row_mass(mass[..., None]) if proportional else n
-        return pull / norm, s
+        norm = _row_mass(mass[..., None]) if weigh.norm is None else weigh.norm
+        return pull / norm, sigma_of(x.shape, lambda: mass)
 
-    fields = dense if n < _BAND_MIN_AGENTS or isinstance(sel, DegreeWeighted) else banded
+    # the spread sums p_ij (x_j - x_i)^2, which vanishes on a tied cluster
+    # only when summed pair by pair: from prefix sums it leaves a rounding
+    # residue that the independent normals would pull apart
+    band = n >= _BAND_MIN_AGENTS and weigh.adjacency is None and gate != "spread"
+    fields = banded if band else dense
     return LimitModel(
         fields,
         drift=lambda x: fields(x)[0],
@@ -194,19 +214,19 @@ def build_limit(spec: ModelSpec) -> LimitModel:
     )
 
 
-def _band_sums(kernel, x, power, squares):
-    """Per-agent pair sums of the limit without an N x N array: (pull, mass,
-    spread), each of x's shape (..., N), with
+def _band_sums(kernel, x, power):
+    """Per-agent pair sums of the limit without an N x N array: (pull, mass),
+    each of x's shape (..., N), with
 
-        pull_i = sum_j p_ij^power (x_j - x_i),   mass_i = sum_j p_ij,
-        spread_i = sum_j p_ij (x_j - x_i)^2      (None unless squares).
+        pull_i = sum_j p_ij^power (x_j - x_i),   mass_i = sum_j p_ij.
 
     Each state (row) is sorted on its own. Pairs the kernel saturates at 1
     form a window around each agent, summed from prefix sums centred on
-    the row mean; the spread's window sum is clamped at 0, so it cannot
-    cancel below zero inside a tight cluster. kernel.eval runs once per
-    unordered pair in the band between d_one and d_zero, at the distance
-    pairwise_matrix uses, and scatters to both agents. Bounds from
+    the row mean; a window of equal opinions pulls exactly 0. kernel.eval
+    runs once per unordered pair in the band between d_one and d_zero, at
+    the distance pairwise_matrix uses, and scatters to both agents, so
+    time and memory grow with the number of band pairs: up to N(N - 1) / 2
+    per state for a kernel with no saturated range. Bounds from
     x_i + d_one and x_i + d_zero round; a pair on the rounded bound goes
     through kernel.eval, which gives exactly 1.0 or 0.0 there. So every
     p_ij equals pairwise_matrix's and only the order of summation
@@ -238,63 +258,45 @@ def _band_sums(kernel, x, power, squares):
         stop[at] = np.searchsorted(row, row + d_zero, "right")
         lo[at] = np.searchsorted(start[at], idx, "right")
 
-    # the saturated window: the sum over it of 1 * (y_j - y_i), y = x - row mean
+    # the saturated window: the sum over it of 1 * (y_j - y_i), y = x - row
+    # mean, from compensated prefix sums: c sums y and e the exact rounding
+    # error of each of c's additions (TwoSum)
     y = xs.reshape(r, n)
-    y = (y - y.sum(axis=-1, keepdims=True) / n).ravel()
+    y = y - y.sum(axis=-1, keepdims=True) / n
+    c = np.zeros((r, n + 1))
+    np.cumsum(y, axis=-1, out=c[:, 1:])
+    prev, new = c[:, :-1], c[:, 1:]
+    landed = new - prev
+    e = np.zeros((r, n + 1))
+    np.cumsum((prev - (new - landed)) + (y - landed), axis=-1, out=e[:, 1:])
+    c, e, y = c.ravel(), e.ravel(), y.ravel()
     count = start - lo
     row_of = np.repeat(np.arange(r), n)
-    # window ends in the (r, n + 1) prefix sums, flat
     top, bottom = start + row_of * (n + 1), lo + row_of * (n + 1)
-
-    def window(v):
-        """Sum of v over each window from compensated prefix sums: c sums v
-        and e the exact rounding error of each of c's additions (TwoSum)."""
-        v = v.reshape(r, n)
-        c = np.zeros((r, n + 1))
-        np.cumsum(v, axis=-1, out=c[:, 1:])
-        prev, new = c[:, :-1], c[:, 1:]
-        landed = new - prev
-        e = np.zeros((r, n + 1))
-        np.cumsum((prev - (new - landed)) + (v - landed), axis=-1, out=e[:, 1:])
-        c, e = c.ravel(), e.ravel()
-        return (c[top] - c[bottom]) + (e[top] - e[bottom])
-
-    s1 = window(y)
-    pull = s1 - count * y
+    pull = ((c[top] - c[bottom]) + (e[top] - e[bottom])) - count * y
+    base = row_of * n
+    pull[xs[lo + base] == xs[start - 1 + base]] = 0.0
     # every window holds the self pair, a one iff d_one >= 0; otherwise the
     # window is the self pair alone, which weighs eval(0) < 1
     mass = count.astype(float) if d_one >= 0 else np.full(size, kernel.eval(np.zeros(1))[0])
-    spread = None
-    if squares:
-        spread = np.maximum(window(y * y) - 2 * y * s1 + count * (y * y), 0.0)
 
     # the band: pairs (i, j) of sorted positions with i < j, flat over rows
     width = stop - start
     ii = np.repeat(np.arange(size), width)
-    first = start + row_of * n - (np.cumsum(width) - width)
+    first = start + base - (np.cumsum(width) - width)
     jj = np.repeat(first, width) + np.arange(len(ii))
     dx = xs[jj] - xs[ii]
     p = kernel.eval(np.abs(dx))
-
-    def at_i(w):
-        return np.bincount(ii, w, size)
-
-    def at_j(w):
-        return np.bincount(jj, w, size)
-
     pw = p**power * dx
-    pull += at_i(pw) - at_j(pw)
-    mass += at_i(p) + at_j(p)
-    if spread is not None:
-        q = p * dx**2
-        spread += at_i(q) + at_j(q)
+    pull += np.bincount(ii, pw, size) - np.bincount(jj, pw, size)
+    mass += np.bincount(ii, p, size) + np.bincount(jj, p, size)
 
     def unsort(v):
         out = np.empty(size)
         out[order] = v
         return out.reshape(shape)
 
-    return unsort(pull), unsort(mass), None if spread is None else unsort(spread)
+    return unsort(pull), unsort(mass)
 
 
 def integrate(

@@ -91,18 +91,15 @@ def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport
     return _report(x, spec, [batch], "exact_enumeration", weight=rate.ravel())
 
 
-def _increments(x, spec, draws, p=None):
-    """One-step increments of the chain from the fixed state x, one per draw.
-    p is pairwise_matrix(spec.kernel, x); callers that step from x more
-    than once build it once and pass it.
+def _increments(x, spec, draws, p):
+    """One-step increments of the chain from the fixed state x, one per draw,
+    with p = pairwise_matrix(spec.kernel, x).
 
     Returns (ii, di, jj, dj) in sparse form: agent ii[k] moves by di[k] and
     agent jj[k] by dj[k]; jj/dj are None unless both agents move. This is
     abm's vectorised update rule for steps that all start from x.
     """
     kind = spec.noise.kind
-    if p is None:
-        p = pairwise_matrix(spec.kernel, x)
     ii, jj, jp, up, uj, ua, z, z2 = draws
     sel = spec.selection
     always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting

@@ -406,19 +406,21 @@ def _band_states(n):
     }
 
 
-def _band_variants(n):
+def _random_update_distance(n, kernel=KERNEL):
+    noise = NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, GaussianScaled(float(n), 5.0))
+    return make_spec(n_agents=n, kernel=kernel, noise=noise)
+
+
+def _band_variants(n, kernel=KERNEL):
     """Every distance-kernel normalisation; uniform single-update selection
-    with each noise whose limit has a diffusion."""
-    base = dict(n_agents=n, kernel=KERNEL)
+    with external and adaptation noise. A random update distance keeps the
+    dense form (_random_update_distance)."""
+    base = dict(n_agents=n, kernel=kernel)
     gauss = GaussianScaled(0.0, 0.05)
-    distance = GaussianScaled(float(n), 5.0)
     return {
         "uwr_single-none": make_spec(**base),
         "uwr_single-external": make_spec(**base, noise=NoiseFamily(NoiseKind.EXTERNAL, gauss)),
         "uwr_single-adaptation": make_spec(**base, noise=NoiseFamily(NoiseKind.ADAPTATION, gauss)),
-        "uwr_single-random_update_distance": make_spec(
-            **base, noise=NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, distance)
-        ),
         "uwr_both": make_spec(**base, update_mode=UpdateMode.BOTH),
         "uwor": make_spec(**base, selection=UniformWithoutReplacement()),
         "proportional": make_spec(**base, selection=ProbabilityProportional()),
@@ -447,31 +449,16 @@ def _dense_and_banded(spec, monkeypatch):
     return dense, without_matrix
 
 
-def _error_scales(spec, x):
-    """Per agent, the scales the banded sums are tested against: the drift's
-    sum_j w_ij (|x_j - x_i| + |x_i - m| + |x_j - m|) / norm_i, m the mean of
-    x, and the gate's m2 / n^2 * sum_j p_ij t_ij with t_ij = 1 under
-    adaptation noise, (x_j - x_i)^2 + (x_i - m)^2 + (x_j - m)^2 under a
-    random update distance. The prefix sums are centred on m, so their
-    rounding scales with distances from m as well as between agents."""
+def _assert_banded_matches_dense(spec, x, monkeypatch):
+    """The banded drift within 64 eps of sum_j w_ij (|x_j - x_i| + |x_i - m|
+    + |x_j - m|) / norm_i, m the mean of x: the prefix sums are centred on
+    m, so their rounding scales with distances from m as well as between
+    agents. The adaptation gate within 64 eps of m2 / n^2 * sum_j p_ij."""
     p = dem.pairwise_matrix(spec.kernel, x)
     w, norm = dem._normalisation(spec)[0](p)
     dx = x[None, :] - x[:, None]
     c = np.abs(x - x.mean())
-    b = (w * (np.abs(dx) + c[:, None] + c[None, :])).sum(axis=1) / norm
-    m2 = analytic_mk(spec.noise, 2) / spec.n_agents**2
-    if spec.noise.kind is NoiseKind.RANDOM_UPDATE_DISTANCE:
-        return b, m2 * (p * (dx**2 + c[:, None] ** 2 + c[None, :] ** 2)).sum(axis=1)
-    return b, m2 * p.sum(axis=1)
-
-
-@pytest.mark.parametrize("state", ["random", "clusters", "tied"])
-@pytest.mark.parametrize("label", sorted(_band_variants(8)))
-@pytest.mark.parametrize("n", [dem._BAND_MIN_AGENTS, 500])
-def test_banded_fields_match_dense_within_rounding(n, label, state, monkeypatch):
-    spec = _band_variants(n)[label]
-    x = _band_states(n)[state]
-    b_scale, g_scale = _error_scales(spec, x)
+    b_scale = (w * (np.abs(dx) + c[:, None] + c[None, :])).sum(axis=1) / norm
     dense, banded = _dense_and_banded(spec, monkeypatch)
     b, sigma = banded(x)
     b_ref, sigma_ref = dense(x)
@@ -480,7 +467,32 @@ def test_banded_fields_match_dense_within_rounding(n, label, state, monkeypatch)
     if spec.noise.kind is NoiseKind.EXTERNAL:
         assert sigma.tobytes() == sigma_ref.tobytes()
     elif sigma is not None:
+        g_scale = analytic_mk(spec.noise, 2) / spec.n_agents**2 * p.sum(axis=1)
         assert np.all(np.abs(sigma**2 - sigma_ref**2) <= 64 * EPS * g_scale)
+
+
+@pytest.mark.parametrize("state", ["random", "clusters", "tied"])
+@pytest.mark.parametrize("label", sorted(_band_variants(8)))
+@pytest.mark.parametrize("n", [dem._BAND_MIN_AGENTS, 500])
+def test_banded_fields_match_dense_within_rounding(n, label, state, monkeypatch):
+    _assert_banded_matches_dense(_band_variants(n)[label], _band_states(n)[state], monkeypatch)
+
+
+@pytest.mark.parametrize("state", ["random", "tied"])
+@pytest.mark.parametrize("label", ["uwr_single-adaptation", "proportional_double"])
+@pytest.mark.parametrize(
+    "kernel",
+    [Constant(0.5), MollifiedBC(0.5, NormalMollifier(0.0, 0.5))],
+    ids=["constant", "wide_mollifier"],
+)
+def test_banded_fields_match_dense_when_every_pair_is_in_the_band(
+    kernel, label, state, monkeypatch
+):
+    # no saturated-one range (d_one = -inf): the band holds every pair
+    n = dem._BAND_MIN_AGENTS
+    assert saturation(kernel)[0] == -math.inf
+    spec = _band_variants(n, kernel)[label]
+    _assert_banded_matches_dense(spec, _band_states(n)[state], monkeypatch)
 
 
 def test_banded_form_chosen_from_band_min_agents_for_distance_kernels():
@@ -498,10 +510,12 @@ def test_banded_form_chosen_from_band_min_agents_for_distance_kernels():
         build_limit(make_spec(n_agents=n, kernel=KERNEL)).fields(x)
         assert built == []
         build_limit(make_spec(n_agents=n - 1, kernel=KERNEL)).fields(x[:-1])
-        # an arbitrary adjacency keeps the dense form at every N
+        # an arbitrary adjacency and a random update distance keep the dense
+        # form at every N
         net = erdos_renyi(n, 0.5, seed=0)
         build_limit(make_spec(n_agents=n, kernel=KERNEL, selection=DegreeWeighted(net))).fields(x)
-    assert built == [(n - 1,), (n,)]
+        build_limit(_random_update_distance(n)).fields(x)
+    assert built == [(n - 1,), (n,), (n,)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -530,12 +544,11 @@ def test_band_sums_weigh_every_pair_as_pairwise_matrix(top, power):
     rng = np.random.default_rng(9)
     x = rng.integers(-16, 17, size=(3, 128)) / 16.0
     x[:, :4] = [-0.0, 0.0, -0.0, 0.25]
-    pull, mass, spread = dem._band_sums(kernel, x, power, True)
+    pull, mass = dem._band_sums(kernel, x, power)
     p = dem.pairwise_matrix(kernel, x)
     dx = x[..., None, :] - x[..., :, None]
     assert np.array_equal(pull, (p**power * dx).sum(axis=-1))
     assert np.array_equal(mass, p.sum(axis=-1))
-    assert np.array_equal(spread, (p * dx**2).sum(axis=-1))
     # with steps at 0.3 and 0.6, v + 0.3 and v + 0.6 round, so the distance
     # computed back from them falls on either side of the step; the mass
     # sums multiples of 0.25 and stays exact
@@ -543,7 +556,7 @@ def test_band_sums_weigh_every_pair_as_pairwise_matrix(top, power):
     v = rng.uniform(-1.0, 1.0, 40)
     assert np.any((v + 0.3) - v > 0.3) and np.any((v + 0.6) - v < 0.6)
     x = np.concatenate([v, v + 0.3, v - 0.3, v + 0.6, v - 0.6])
-    mass = dem._band_sums(kernel, x, power, False)[1]
+    mass = dem._band_sums(kernel, x, power)[1]
     assert np.array_equal(mass, dem.pairwise_matrix(kernel, x).sum(axis=-1))
 
 
@@ -562,26 +575,45 @@ def test_banded_refuses_an_agent_with_nobody_to_pick(stack, monkeypatch):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("label", ["none", "adaptation", "random_update_distance"])
+@pytest.mark.parametrize("split", [50, 30])
+def test_tied_clusters_stay_tied_at_band_min_agents(split, label):
+    # two exactly tied clusters farther apart than d_zero, one of them away
+    # from the mean: every pair is tied or weighs 0, so each agent's drift
+    # is exactly 0, a random update distance gives sigma exactly 0, and the
+    # adaptation gate is the same for every agent of a cluster
+    n = dem._BAND_MIN_AGENTS
+    x = np.repeat([-0.4, 0.4], [split, n - split])
+    if label == "random_update_distance":
+        spec = _random_update_distance(n)
+    else:
+        spec = _band_variants(n)[f"uwr_single-{label}"]
+    b, sigma = build_limit(spec).fields(x)
+    assert np.all(b == 0.0)
+    if label == "random_update_distance":
+        assert np.all(sigma == 0.0)
+    elif sigma is not None:
+        assert len(np.unique(sigma[:split])) == len(np.unique(sigma[split:])) == 1
+
+
 @pytest.mark.parametrize("far", [False, True], ids=["alone", "far_from_mean"])
-def test_banded_spread_in_a_tight_cluster_is_finite(far, monkeypatch):
-    # a cluster of spread 1e-12 at |x| ~ 1; with the rest of the agents at
-    # [-1, 0] the window sums cancel against a mean far from the cluster
+def test_random_update_distance_sigma_in_a_tight_cluster(far, monkeypatch):
+    # a cluster of spread 1e-12 at |x| ~ 1, alone or with the rest of the
+    # agents in [-1, 0]: sigma is the dense form's, finite and >= 0
     n = dem._BAND_MIN_AGENTS
     rng = np.random.default_rng(12)
     x = 1.0 + 1e-12 * rng.uniform(-1, 1, n)
     if far:
         x[n // 2:] = rng.uniform(-1.0, 0.0, n - n // 2)
-    spec = _band_variants(n)["uwr_single-random_update_distance"]
-    dense, banded = _dense_and_banded(spec, monkeypatch)
-    sigma = banded(x)[1]
+    spec = _random_update_distance(n)
+    sigma = build_limit(spec).fields(x)[1]
     assert np.all(np.isfinite(sigma)) and np.all(sigma >= 0.0)
-    _, g_scale = _error_scales(spec, x)
-    assert np.all(np.abs(sigma**2 - dense(x)[1] ** 2) <= 64 * EPS * g_scale)
+    with monkeypatch.context() as m:
+        m.setattr(dem, "_BAND_MIN_AGENTS", math.inf)
+        assert sigma.tobytes() == build_limit(spec).fields(x)[1].tobytes()
 
 
-@pytest.mark.parametrize(
-    "label", ["uwr_single-adaptation", "uwr_single-random_update_distance", "proportional_double"]
-)
+@pytest.mark.parametrize("label", ["uwr_single-adaptation", "proportional", "proportional_double"])
 def test_banded_stack_gives_each_state_bits(label):
     n = dem._BAND_MIN_AGENTS
     model = build_limit(_band_variants(n)[label])

@@ -217,13 +217,14 @@ def test_integrate_golden_hash_degenerate_noise():
 
 
 # the same limits at 128 agents, where every scheme but degree-weighted
-# selection evaluates them banded
+# selection evaluates them banded; a random update distance keeps the
+# dense form
 INTEGRATE_BANDED_SHA256 = {
     "uwr_single-none": "0bf47bea268962a2",
     "uwr_single-ambiguity": "62e907203c9786d0",
     "uwr_single-external": "912baab91d50baa9",
     "uwr_single-adaptation": "2dc57632ee602e34",
-    "uwr_single-random_update_distance": "439ca321000df958",
+    "uwr_single-random_update_distance": "1dc639ac04407949",
     "uwr_both-none": "37808ec99795d894",
     "uwor-none": "f81aad9a89fec4f6",
     "proportional-none": "bdae0954b507f49f",

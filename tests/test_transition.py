@@ -69,10 +69,10 @@ def test_scalar_apply_matches_vectorised_increments(scheme, kind):
     x = np.random.default_rng(1).uniform(-1.0, 1.0, N)
     m = 400
     draws = _draw(spec, m, np.random.default_rng(2))
+    p = pairwise_matrix(spec.kernel, x)
     if scheme == "proportional_fallback":
-        p = pairwise_matrix(spec.kernel, x)
         assert np.mean(~np.any(draws.up < p[draws.ii[:, None], draws.jp], axis=1)) > 0.5
-    ii, di, jj, dj = _increments(x, spec, draws)
+    ii, di, jj, dj = _increments(x, spec, draws, p)
     moved = 0
     for k in range(m):
         vec = x.copy()
