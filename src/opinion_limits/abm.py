@@ -43,8 +43,9 @@ __all__ = [
 # 4 computes ensemble variances in one pass, shifted by the first run; 5:
 # exact coefficients through _increments, which moves noise-free limitcheck
 # values by rounding; 6: limits at N >= dem._BAND_MIN_AGENTS sum their
-# fields banded, which moves them by rounding.
-ENGINE_VERSION = 6
+# fields banded, which moves them by rounding; 7: coefficient fourth powers
+# are squared squares, not pow(d, 4), which moves them by rounding.
+ENGINE_VERSION = 7
 
 # Steps drawn at a time from a run's stream; the last block is cut at the
 # horizon. Larger blocks hold more memory for little speed: at 4096, a

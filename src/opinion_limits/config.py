@@ -299,6 +299,10 @@ class ExperimentConfig:
                 raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
             if self.experiment == "limitcheck" and len(set(h_list)) < len(h_list):
                 raise ConfigError("[experiment] h_list: limitcheck needs distinct steps")
+            # sweep_summary's shrink conditions compare the largest h with
+            # the smallest, so a single h could only read FAIL
+            if self.experiment == "limitcheck" and len(h_list) < 2:
+                raise ConfigError("[experiment] h_list: limitcheck needs at least two steps")
         noisy = spec.noise.kind is not NoiseKind.NONE
         least = {
             "sweep_h": {"runs_per_h": 1},

@@ -148,15 +148,19 @@ def _report(x, spec, batches, method, samples=None, weight=None):
     s_off = np.zeros((n, n))
     s_g = 0.0
     q_g = 0.0
+    # powers are products: numpy has no fast path for d**4 and calls pow per
+    # element, which cost most of a Monte Carlo call
     for ii, di, jj, dj in batches:
         if dj is not None:
-            np.add.at(s_off, (ii, jj), weigh(di * dj))
-            np.add.at(s_off, (jj, ii), weigh(di * dj))
+            cross = weigh(di * dj)
+            np.add.at(s_off, (ii, jj), cross)
+            np.add.at(s_off, (jj, ii), cross)
         g = None  # per step, the summed fourth powers of the agents it moves
         for a, d in [(ii, di)] if dj is None else [(ii, di), (jj, dj)]:
-            d4 = d**4
+            d2 = d * d
+            d4 = d2 * d2
             np.add.at(s_b, a, weigh(d))
-            np.add.at(s_a, a, weigh(d**2))
+            np.add.at(s_a, a, weigh(d2))
             np.add.at(q_a, a, weigh(d4))
             g = d4 if g is None else g + d4
         s_g += float(weigh(g).sum())

@@ -330,6 +330,7 @@ horizon = 0.2
         ("sweep_h", "h_list = 1e-2,0", "h_list"),
         ("limitcheck", "h_list = 1e-2,-1e-3", "h_list"),
         ("limitcheck", "h_list = 1e-2,1e-2", "h_list"),
+        ("limitcheck", "h_list = 1e-2", "h_list"),
         ("limitcheck", "samples = 5000\n[noise]\nkind = adaptation\nvar_per_h = 0.05", "samples"),
         # with no derived limit there is no target to measure the coefficients against
         ("limitcheck", "[kernel]\ntype = bounded_confidence", "discontinuous"),
@@ -341,8 +342,8 @@ horizon = 0.2
     ],
     ids=[
         "runs_per_h=0", "n_runs=1", "n_runs=0", "n_states=-1", "sweep_h-h_zero",
-        "limitcheck-h_negative", "limitcheck-h_repeated", "noisy-samples=5000",
-        "limitcheck-bounded_confidence", "limitcheck-degree_weighted-external",
+        "limitcheck-h_negative", "limitcheck-h_repeated", "limitcheck-h_single",
+        "noisy-samples=5000", "limitcheck-bounded_confidence", "limitcheck-degree_weighted-external",
     ],
 )
 def test_bad_experiment_counts_rejected_at_config_time(tmp_path, capsys, experiment, settings, key):
@@ -548,8 +549,8 @@ def test_malformed_manifest_is_a_config_error(tmp_path, capsys, monkeypatch, man
 
 @pytest.mark.parametrize(
     "engine",
-    [None, 1, 2, 3, 4, 5],
-    ids=["no_key", "engine=1", "engine=2", "engine=3", "engine=4", "engine=5"],
+    [None, 1, 2, 3, 4, 5, 6],
+    ids=["no_key", "engine=1", "engine=2", "engine=3", "engine=4", "engine=5", "engine=6"],
 )
 def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
     # manifests written before the engine key are version 1; an older

@@ -90,8 +90,9 @@ _SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][2] is not UpdateMode.BOTH
 # older manifests are refused, and re-records the hashes with it; a bump
 # for other outputs re-records only their hashes (4: ensemble variances,
 # none; 5: exact coefficients, the noise-free sweep hashes; 6: banded limit
-# fields at N >= dem._BAND_MIN_AGENTS, none: every case here is smaller).
-GOLDEN_ENGINE = 6
+# fields at N >= dem._BAND_MIN_AGENTS, none: every case here is smaller;
+# 7: fourth powers as squared squares, the sweep hashes whose gamma4 moved).
+GOLDEN_ENGINE = 7
 
 
 def test_golden_hashes_match_engine_version():
@@ -249,7 +250,7 @@ def test_integrate_banded_golden_hash(label):
 # degree and proportional normalisations, Monte Carlo for each diffusion
 SWEEP_SHA256 = {
     "degree-none": "03ce54b9945f341f",
-    "proportional_double-none": "24a52213b4c50ff8",
+    "proportional_double-none": "ab6de096bcd26c26",
     "uwr_single-external": "c624d128123be7bd",
     "uwr_single-adaptation": "8de1a248d13dfe88",
     "uwr_single-random_update_distance": "2831261c7d0fc413",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from opinion_limits.abm import (
     UniformWithoutReplacement,
     UniformWithReplacement,
     UpdateMode,
+    _draw,
 )
 from opinion_limits.dem import build_limit
 from opinion_limits.kernel import Constant, MollifiedBC, Network, NormalMollifier, pairwise_matrix
 from opinion_limits.limitcheck import (
+    _increments,
+    _report,
     convergence_sweep,
     exact_coefficients,
     mc_coefficients,
@@ -158,6 +163,11 @@ def test_exact_enumeration_matches_closed_forms(scheme, n):
             assert np.abs(got - want).max() <= 1e-14 * scale, (name, field)
 
 
+# Each estimate is a mean of 200,000 independent steps from a seed fixed
+# before the first run; under the normal approximation a 4-standard-error
+# check fails by chance with probability 6.3e-5. The three tests below make
+# 23 such checks (b_h and a_h_diag per agent, gamma4 once per test), so at
+# most 1.5e-3 for any of them, 1.9e-4 for the three on gamma4.
 def test_mc_matches_exact_standard():
     spec = make_spec()
     x = np.random.default_rng(2).uniform(-1, 1, 5)
@@ -165,6 +175,7 @@ def test_mc_matches_exact_standard():
     mc = mc_coefficients(x, spec, 200_000, np.random.default_rng(3))
     assert np.all(np.abs(mc.b_h - exact.b_h) <= 4 * mc.b_h_se + 1e-12)
     assert np.all(np.abs(mc.a_h_diag - exact.a_h_diag) <= 4 * mc.a_h_diag_se + 1e-12)
+    assert abs(mc.gamma4 - exact.gamma4) <= 4 * mc.gamma4_se
 
 
 def test_mc_matches_exact_without_replacement():
@@ -173,6 +184,7 @@ def test_mc_matches_exact_without_replacement():
     exact = exact_coefficients(x, spec)
     mc = mc_coefficients(x, spec, 200_000, np.random.default_rng(5))
     assert np.all(np.abs(mc.b_h - exact.b_h) <= 4 * mc.b_h_se + 1e-12)
+    assert abs(mc.gamma4 - exact.gamma4) <= 4 * mc.gamma4_se
 
 
 def test_mc_matches_exact_probability_proportional():
@@ -181,6 +193,72 @@ def test_mc_matches_exact_probability_proportional():
     exact = exact_coefficients(x, spec)
     mc = mc_coefficients(x, spec, 200_000, np.random.default_rng(7))
     assert np.all(np.abs(mc.b_h - exact.b_h) <= 4 * mc.b_h_se + 1e-12)
+    assert abs(mc.gamma4 - exact.gamma4) <= 4 * mc.gamma4_se
+
+
+def _fsum_mc_outputs(batches, n, h, samples):
+    """_report's Monte Carlo gamma4, a_h_diag_se, gamma4_se and
+    a_h_offdiag_max, each sum a math.fsum over Python powers d**4, d**8."""
+    sq = [[] for _ in range(n)]  # per agent, d**2 of each step that moves it
+    fourth = [[] for _ in range(n)]  # and d**4
+    g, g2 = [], []  # the terms of the steps' summed fourth powers and their squares
+    off = {}
+    for ii, di, jj, dj in batches:
+        movers = [(ii, di)] if dj is None else [(ii, di), (jj, dj)]
+        for step in zip(*(zip(a.tolist(), d.tolist()) for a, d in movers)):
+            for i, d in step:
+                sq[i].append(d**2)
+                fourth[i].append(d**4)
+                g.append(d**4)
+                g2.append(d**8)
+            if len(step) == 2:  # (d**4 + e**4)**2 = d**8 + 2 d**4 e**4 + e**8
+                (i, d), (j, e) = step
+                g2.append(2.0 * d**4 * e**4)
+                if i != j:
+                    off.setdefault(frozenset((i, j)), []).append(d * e)
+
+    def se(s, q):
+        mean = math.fsum(s) / samples
+        return math.sqrt(max(math.fsum(q) / samples - mean**2, 0.0) / samples) / h
+
+    return {
+        "gamma4": math.fsum(g) / samples / h,
+        "a_h_diag_se": np.array([se(sq[i], fourth[i]) for i in range(n)]),
+        "gamma4_se": se(g, g2),
+        "a_h_offdiag_max": max(
+            (abs(math.fsum(v)) / (samples * h) for v in off.values()), default=0.0
+        ),
+    }
+
+
+_MC_CASES = {
+    "single-adaptation": (UpdateMode.SINGLE, NoiseKind.ADAPTATION),
+    "single-external": (UpdateMode.SINGLE, NoiseKind.EXTERNAL),
+    "both-external": (UpdateMode.BOTH, NoiseKind.EXTERNAL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MC_CASES))
+def test_mc_report_matches_fsum_reference(case):
+    # _report sums in float64 with np.add.at and forms d**4 as (d*d)*(d*d).
+    # 1e-12 (4500 eps) is far above the rounding of ~10^4 same-signed terms
+    # per agent (about sqrt(n) eps) and far below one step's share (~1e-4).
+    # The worst deviation over these cases was 3.4e-15 relative
+    # (both-update, a_h_diag_se), with pow or with products.
+    mode, kind = _MC_CASES[case]
+    noise = NoiseFamily(kind, GaussianScaled(0.0, 0.05))
+    spec = make_spec(update_mode=mode, noise=noise)
+    rng = np.random.default_rng([19, sorted(_MC_CASES).index(case)])
+    x = rng.uniform(-1, 1, spec.n_agents)
+    p = pairwise_matrix(spec.kernel, x)
+    batches = [_increments(x, spec, _draw(spec, m, rng), p) for m in (20_000, 20_000, 7_000)]
+    samples = 47_000
+    rep = _report(x, spec, batches, "monte_carlo", samples)
+    want = _fsum_mc_outputs(batches, spec.n_agents, spec.h, samples)
+    for field, ref in want.items():
+        got = getattr(rep, field)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (field, got, ref)
+    assert (rep.a_h_offdiag_max > 0.0) == (mode is UpdateMode.BOTH)
 
 
 def test_mc_minimum_samples():
