@@ -6,7 +6,6 @@ from .abm import (
     ProbabilityProportional,
     UniformWithoutReplacement,
     UniformWithReplacement,
-    UpdateMode,
     abm_step,
     run_abm,
     run_abm_batch,

@@ -9,7 +9,6 @@ approach the continuous-time limits as h shrinks.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ __all__ = [
     "DegreeWeighted",
     "ProbabilityProportional",
     "SelectionScheme",
-    "UpdateMode",
     "ModelSpec",
     "abm_step",
     "run_abm",
@@ -71,7 +69,14 @@ class UniformWithReplacement:
 
     i == j brings no attraction, but it is not a no-op: any noise the step
     carries (external, adaptation, ambiguity) still reaches agent i.
+
+    With both_update set, a step also moves j toward i, each agent with its
+    own noise draw, and the update distance halves to N h / 2. When i == j
+    the j-side update is written last and is the one that lands, so the
+    agent gets one noise draw, not two.
     """
+
+    both_update: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,18 +112,6 @@ SelectionScheme = Union[
 ]
 
 
-class UpdateMode(enum.Enum):
-    """Which agents a step moves.
-
-    SINGLE moves i toward j. BOTH also moves j toward i, each agent with its
-    own noise draw; when i == j the j-side update is written last and is the
-    one that lands, so the agent gets one noise draw, not two.
-    """
-
-    SINGLE = "single"
-    BOTH = "both"
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Full configuration of one agent-based model."""
@@ -128,7 +121,6 @@ class ModelSpec:
     horizon: float
     kernel: InteractionKernel
     selection: SelectionScheme = field(default_factory=UniformWithReplacement)
-    update_mode: UpdateMode = UpdateMode.SINGLE
     noise: NoiseFamily = field(default_factory=NoiseFamily)
 
     def __post_init__(self):
@@ -144,13 +136,8 @@ class ModelSpec:
             )
         if isinstance(self.selection, UniformWithoutReplacement) and self.n_agents < 2:
             raise ValueError("selection without replacement needs at least 2 agents")
-        if self.update_mode is UpdateMode.BOTH and not isinstance(
-            self.selection, UniformWithReplacement
-        ):
-            raise ValueError("both-update mode is defined for uniform selection only")
-        if isinstance(self.selection, DegreeWeighted):
-            if self.selection.network.n != self.n_agents:
-                raise ValueError("selection network size does not match n_agents")
+        if isinstance(self.selection, DegreeWeighted) and self.selection.network.n != self.n_agents:
+            raise ValueError("selection network size does not match n_agents")
         self.noise.validate_for_population(self.n_agents)
         if self.mu > 1.0:
             warnings.warn(
@@ -161,8 +148,8 @@ class ModelSpec:
 
     @property
     def mu(self) -> float:
-        """Per-step update distance implied by the update mode and selection."""
-        if self.update_mode is UpdateMode.BOTH:
+        """Per-step update distance implied by the selection scheme."""
+        if _both(self):
             return self.n_agents * self.h / 2.0
         if isinstance(self.selection, UniformWithoutReplacement):
             return (self.n_agents - 1) * self.h
@@ -351,11 +338,17 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     return _Draws(ii, jj, jp, up, uj, ua, z, z2)
 
 
+def _both(spec: ModelSpec) -> bool:
+    """Whether a step of spec moves both agents of its pair."""
+    sel = spec.selection
+    return isinstance(sel, UniformWithReplacement) and sel.both_update
+
+
 def _pair_noise(spec: ModelSpec) -> bool:
     """Whether both agents of a step take their own noise draw."""
     kind = spec.noise.kind
     return (
-        spec.update_mode is UpdateMode.BOTH
+        _both(spec)
         and kind is not NoiseKind.NONE
         and kind is not NoiseKind.RANDOM_UPDATE_DISTANCE
     )
@@ -405,7 +398,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     kind = spec.noise.kind
     p = spec.kernel.eval
     d_one, d_zero = saturation(spec.kernel)
-    both = spec.update_mode is UpdateMode.BOTH
+    both = _both(spec)
     sel = spec.selection
     always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting
     ii, jj, jp, up, uj, ua, z, z2 = (None if a is None else a.tolist() for a in draws)
@@ -474,13 +467,13 @@ def _update_rule(spec):
 
     It returns (move, ti, tj). Where move holds (everywhere if move is
     None), agent i becomes xi + ti[0] (+ ti[1]), the terms added left to
-    right as _apply adds them, and in both-update mode agent j becomes
-    xj + tj[0] (+ tj[1]); elsewhere neither agent changes. tj is None in
-    single-update modes.
+    right as _apply adds them, and under both-update selection agent j
+    becomes xj + tj[0] (+ tj[1]); elsewhere neither agent changes. tj is
+    None unless both agents move.
     """
     mu = spec.mu
     kind = spec.noise.kind
-    both = spec.update_mode is UpdateMode.BOTH
+    both = _both(spec)
 
     def rule(xi, xj, z, z2, accept):
         if kind is NoiseKind.AMBIGUITY:
@@ -512,7 +505,7 @@ def _run_group(spec, x0, plan, rngs, out):
     """run_abm_batch for one group of runs, into out of shape (R, samples, N)."""
     n = spec.n_agents
     runs = len(rngs)
-    both = spec.update_mode is UpdateMode.BOTH
+    both = _both(spec)
     rule = _update_rule(spec)
     p = spec.kernel.eval
     x = np.tile(x0, (runs, 1))

@@ -170,7 +170,7 @@ _RUNNERS = {
 
 
 def _versions() -> dict:
-    """The software that wrote the outputs; informational, a rerun checks only the engine."""
+    """The software that wrote the outputs; informational, a rerun does not check them."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -187,6 +187,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> str:
         "config": cfg.to_dict(),
         "engine": ENGINE_VERSION,
         "limit": build_limit(cfg.model_spec()).provenance,
+        "network_sha256": cfg.network_sha256(),
         "versions": _versions(),
     }
     with open(os.path.join(out, "manifest.json"), "w") as f:
@@ -210,6 +211,12 @@ def _load_config(path: str, out_override: str | None, paper_scale: bool) -> Expe
             raise ConfigError(
                 f"manifest was written by engine version {engine}, this is engine version "
                 f"{ENGINE_VERSION}; a rerun could write different outputs"
+            )
+        # the config names the network file, not its contents
+        if manifest.get("network_sha256") != cfg.network_sha256():
+            raise ConfigError(
+                "[selection] network_file: its sha256 is not the one the manifest records; "
+                "a rerun could write different outputs"
             )
     else:
         cfg = parse_config(text)

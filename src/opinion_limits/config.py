@@ -11,6 +11,7 @@ through a plain dict, which is what the emitted manifest stores.
 from __future__ import annotations
 
 import configparser
+import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .abm import (
     SelectionScheme,
     UniformWithoutReplacement,
     UniformWithReplacement,
-    UpdateMode,
 )
 from .dem import IntegratorSpec, build_limit
 from .kernel import (
@@ -67,7 +67,6 @@ _SCHEMA: dict[str, dict[str, tuple[type | tuple[str, ...], Any]]] = {
         "n_agents": (int, 50),
         "h": (float, 1e-5),
         "horizon": (float, 20.0),
-        "update_mode": (tuple(m.value for m in UpdateMode), "single"),
     },
     "kernel": {
         "type": (("bounded_confidence", "constant", "mollified_bc"), "mollified_bc"),
@@ -83,6 +82,7 @@ _SCHEMA: dict[str, dict[str, tuple[type | tuple[str, ...], Any]]] = {
         "scheme": (
             (
                 "uniform_with_replacement",
+                "uniform_with_replacement_both",
                 "uniform_without_replacement",
                 "degree_weighted",
                 "probability_proportional",
@@ -221,17 +221,24 @@ class ExperimentConfig:
             return Network.from_csv(s["network_file"])
         return erdos_renyi(self.raw["model"]["n_agents"], s["p_conn"], s["network_seed"])
 
+    def network_sha256(self) -> str | None:
+        """sha256 of the network file the selection scheme reads, if any."""
+        s = self.raw["selection"]
+        if s["scheme"] != "degree_weighted" or not s["network_file"]:
+            return None
+        with open(s["network_file"], "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
     @_section("selection")
     def selection(self) -> SelectionScheme:
         scheme = self.raw["selection"]["scheme"]
-        if scheme == "uniform_with_replacement":
-            return UniformWithReplacement()
         if scheme == "uniform_without_replacement":
             return UniformWithoutReplacement()
         if scheme == "degree_weighted":
             return DegreeWeighted(self.network())
-        double = scheme == "probability_proportional_double"
-        return ProbabilityProportional(double_weighting=double)
+        if scheme.startswith("probability_proportional"):
+            return ProbabilityProportional(double_weighting=scheme.endswith("_double"))
+        return UniformWithReplacement(both_update=scheme.endswith("_both"))
 
     @_section("noise")
     def noise(self) -> NoiseFamily:
@@ -253,7 +260,6 @@ class ExperimentConfig:
                 horizon=m["horizon"],
                 kernel=kernel,
                 selection=selection,
-                update_mode=UpdateMode(m["update_mode"]),
                 noise=noise,
             )
 

@@ -18,7 +18,6 @@ from .abm import (
     ModelSpec,
     ProbabilityProportional,
     UniformWithReplacement,
-    UpdateMode,
     _row_mass,
 )
 from .kernel import pairwise_matrix, saturation
@@ -136,7 +135,7 @@ def build_limit(spec: ModelSpec) -> LimitModel:
 
     The way pairs are selected fixes the drift's weights and normaliser
     (_normalisation). Noise adds diffusion, and a noisy limit is derived
-    only for uniform single-update selection. Distance-kernel selection at
+    only for UniformWithReplacement(), single-update. Distance-kernel selection at
     N >= _BAND_MIN_AGENTS evaluates the fields banded (_band_sums); degree-
     weighted selection, a random update distance and smaller N build the
     dense pairwise matrix.
@@ -149,13 +148,9 @@ def build_limit(spec: ModelSpec) -> LimitModel:
     n = spec.n_agents
     kernel = spec.kernel
     kind = spec.noise.kind
-    sel = spec.selection
-    uniform_single = (
-        isinstance(sel, UniformWithReplacement) and spec.update_mode is UpdateMode.SINGLE
-    )
-    if kind is not NoiseKind.NONE and not uniform_single:
+    if kind is not NoiseKind.NONE and spec.selection != UniformWithReplacement():
         raise NoDerivedLimitError(
-            f"no derived limit for {kind.value} noise outside the uniform single-update setup"
+            f"no derived limit for {kind.value} noise under any scheme but uniform_with_replacement"
         )
 
     weigh, name = _normalisation(spec)

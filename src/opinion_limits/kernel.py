@@ -187,7 +187,7 @@ class Network:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if np.any(a < 0) or np.any(a > 1):
+        if not np.all((a >= 0) & (a <= 1)):  # NaN fails both bounds
             raise ValueError("adjacency entries must lie in [0, 1]")
         if not np.all(np.diag(a) == 1.0):
             raise ValueError("adjacency must have unit diagonal (self-loops)")

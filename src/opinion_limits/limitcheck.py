@@ -20,7 +20,7 @@ import numpy as np
 from .abm import (
     ModelSpec,
     ProbabilityProportional,
-    UpdateMode,
+    _both,
     _bisect_rows,
     _draw,
     _Draws,
@@ -73,7 +73,8 @@ def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport
     Every ordered pair (i, j) is one step through _increments, accepted
     whenever p_ij > 0, and its moments weigh with the pair's jump
     probability: the selection weight w_ij / norm_i of _normalisation times
-    h / mu, halved in both-update mode, where one step moves both agents.
+    h / mu, halved under both-update selection, where one step moves both
+    agents.
     """
     if spec.noise.kind is not NoiseKind.NONE:
         raise ValueError("exact enumeration is only available for noise-free variants")
@@ -83,7 +84,7 @@ def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport
     p = pairwise_matrix(spec.kernel, x)
     w, norm = weigh(p)
     rate = w / np.reshape(norm, (-1, 1)) * (spec.h / spec.mu)
-    if spec.update_mode is UpdateMode.BOTH:
+    if _both(spec):
         rate = rate / 2.0
     ii, jj = np.divmod(np.arange(n * n), n)
     draws = _Draws(ii, jj, None, None, None, np.zeros(n * n), None, None)

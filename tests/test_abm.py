@@ -11,7 +11,7 @@ from opinion_limits.abm import (
     ModelSpec,
     ProbabilityProportional,
     UniformWithoutReplacement,
-    UpdateMode,
+    UniformWithReplacement,
     _apply,
     _draw,
     abm_step,
@@ -30,6 +30,7 @@ from opinion_limits.kernel import (
 from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseKind
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
+BOTH = UniformWithReplacement(both_update=True)
 
 
 def spec2(**kw):
@@ -71,7 +72,7 @@ def test_external_noise_always_applied():
 
 def test_external_noise_reaches_both_agents_on_rejection():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
-    spec = spec2(kernel=Constant(0.0), noise=noise, update_mode=UpdateMode.BOTH)
+    spec = spec2(kernel=Constant(0.0), noise=noise, selection=BOTH)
     new = abm_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
     assert new[0] != 0.0
     assert new[1] != 1.0
@@ -104,7 +105,7 @@ def test_exactly_one_agent_changes():
 
 def test_both_update_preserves_mean():
     spec = ModelSpec(
-        n_agents=6, h=0.01, horizon=1.0, kernel=Constant(1.0), update_mode=UpdateMode.BOTH
+        n_agents=6, h=0.01, horizon=1.0, kernel=Constant(1.0), selection=BOTH
     )
     rng = np.random.default_rng(8)
     x = np.linspace(-1, 1, 6)
@@ -118,7 +119,7 @@ def test_abm_step_is_one_step_of_run_abm():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     spec = ModelSpec(
         n_agents=5, h=0.01, horizon=0.01, kernel=KERNEL, noise=noise,
-        update_mode=UpdateMode.BOTH,
+        selection=BOTH,
     )
     x0 = np.linspace(-0.4, 0.4, 5)
     for seed in range(50):
@@ -316,11 +317,6 @@ def test_run_abm_matches_step_semantics_mean_drift():
 def test_spec_validation_errors():
     with pytest.raises(ValueError, match="timestep"):
         spec2(h=0.0)
-    with pytest.raises(ValueError, match="both-update"):
-        ModelSpec(
-            n_agents=3, h=0.01, horizon=1.0, kernel=Constant(1.0),
-            update_mode=UpdateMode.BOTH, selection=ProbabilityProportional(),
-        )
     with pytest.raises(ValueError, match="at least 2 agents"):
         spec2(n_agents=1, selection=UniformWithoutReplacement())
     net = erdos_renyi(4, 0.5, seed=0)
@@ -374,9 +370,9 @@ def test_large_h_warns():
         ModelSpec(n_agents=10, h=0.2, horizon=1.0, kernel=Constant(1.0))
 
 
-def test_mu_per_update_mode():
+def test_mu_per_selection_scheme():
     assert spec2().mu == pytest.approx(0.02)
-    both = spec2(update_mode=UpdateMode.BOTH)
+    both = spec2(selection=BOTH)
     assert both.mu == pytest.approx(0.01)
     swor = spec2(selection=UniformWithoutReplacement())
     assert swor.mu == pytest.approx(0.01)
@@ -386,7 +382,7 @@ def test_mu_per_update_mode():
     "kw",
     [
         # mu = N h / 2 = 0.8
-        dict(n_agents=4, h=0.4, update_mode=UpdateMode.BOTH),
+        dict(n_agents=4, h=0.4, selection=BOTH),
         # mu = (N - 1) h = 0.9
         dict(n_agents=4, h=0.3, selection=UniformWithoutReplacement()),
     ],
@@ -418,7 +414,7 @@ def test_check_hull_sees_the_j_side_update():
     # inside the hull [0, 3], and agent 1 to -0.5, outside it
     with pytest.warns(UserWarning, match="convex hull"):
         spec = ModelSpec(
-            n_agents=3, h=1.0, horizon=1.0, kernel=Constant(1.0), update_mode=UpdateMode.BOTH
+            n_agents=3, h=1.0, horizon=1.0, kernel=Constant(1.0), selection=BOTH
         )
     x0 = [0.0, 1.0, 3.0]
     draws = _draw(spec, 1, np.random.default_rng(35))

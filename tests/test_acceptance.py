@@ -13,7 +13,7 @@ from opinion_limits.abm import (
     ModelSpec,
     ProbabilityProportional,
     UniformWithoutReplacement,
-    UpdateMode,
+    UniformWithReplacement,
     run_abm,
     run_abm_batch,
 )
@@ -87,7 +87,7 @@ def test_03_monte_carlo_matches_enumeration():
     variants = {
         "uniform": {},
         "without_replacement": {"selection": UniformWithoutReplacement()},
-        "both_update": {"update_mode": UpdateMode.BOTH},
+        "both_update": {"selection": UniformWithReplacement(both_update=True)},
         "degree_weighted": {"selection": DegreeWeighted(net)},
         "proportional": {"selection": ProbabilityProportional()},
         "proportional_squared": {"selection": ProbabilityProportional(double_weighting=True)},

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from opinion_limits import cli, dem
-from opinion_limits.abm import ENGINE_VERSION, ProbabilityProportional
+from opinion_limits.abm import ENGINE_VERSION, ProbabilityProportional, UniformWithReplacement
 from opinion_limits.cli import main
 from opinion_limits.config import _SCHEMA, ConfigError, config_from_dict, parse_config
 from opinion_limits.dem import build_limit
+from opinion_limits.kernel import erdos_renyi
 from opinion_limits.limitcheck import SweepRow, write_sweep_csv
 from opinion_limits.trajectory import Trajectory, write_csv
 
@@ -373,9 +375,13 @@ def test_manifest_with_integration_scheme_rejected(tmp_path, capsys):
     "key, value, message",
     [
         ("double_weighting", True, "unknown key 'double_weighting'"),
-        ("update_mode", "single_without_replacement", "unknown value 'single_without_replacement'"),
+        ("update_mode", "single_without_replacement", "unknown key 'update_mode'"),
+        ("update_mode", "single", "unknown key 'update_mode'"),
+        ("update_mode", "both", "unknown key 'update_mode'"),
     ],
-    ids=["double_weighting", "single_without_replacement"],
+    ids=[
+        "double_weighting", "single_without_replacement", "update_mode=single", "update_mode=both",
+    ],
 )
 def test_manifest_with_old_variant_spelling_rejected(tmp_path, capsys, key, value, message):
     # the selection scheme states the model variant; a manifest that still
@@ -397,11 +403,20 @@ def test_double_weighting_is_a_selection_scheme():
     assert cfg.model_spec().selection == ProbabilityProportional()
 
 
+def test_both_update_is_a_selection_scheme():
+    cfg = parse_config("[selection]\nscheme = uniform_with_replacement_both\n" + _SMALL_MODEL)
+    spec = cfg.model_spec()
+    assert spec.selection == UniformWithReplacement(both_update=True)
+    assert spec.mu == 5 * 1e-3 / 2
+    cfg = parse_config("[selection]\nscheme = uniform_with_replacement\n" + _SMALL_MODEL)
+    assert cfg.model_spec().selection == UniformWithReplacement()
+
+
 def test_selection_without_replacement_is_single_update():
     text = "[selection]\nscheme = uniform_without_replacement\n" + _SMALL_MODEL
-    spec = parse_config(text + "update_mode = single\n").model_spec()
+    spec = parse_config(text).model_spec()
     assert spec.mu == (5 - 1) * 1e-3
-    with pytest.raises(ConfigError, match="both-update"):
+    with pytest.raises(ConfigError, match="unknown key 'update_mode'"):
         parse_config(text + "update_mode = both\n")
 
 
@@ -483,6 +498,20 @@ def test_readme_lists_every_allowed_value():
         if f"`{choice}`" not in readme
     ]
     assert not missing
+
+
+def test_readme_names_only_schema_keys():
+    # the converse of the check above: a key removed from the schema must
+    # leave the README's list of config sections too
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    entries = re.findall(r"^- `\[(\w+)\]`:(.*?)(?=^- `\[|^$)", readme, re.S | re.M)
+    assert sorted(section for section, _ in entries) == sorted(_SCHEMA)
+    unknown = []
+    for section, text in entries:
+        values = {c for t, _ in _SCHEMA[section].values() if isinstance(t, tuple) for c in t}
+        names = set(re.findall(r"`(\w+)`", text)) - values
+        unknown += [f"[{section}] {name}" for name in sorted(names - set(_SCHEMA[section]))]
+    assert not unknown
 
 
 # each was accepted before the schema checked every key given: NaN and inf
@@ -734,3 +763,91 @@ def test_em_block_size_does_not_change_outputs(tmp_path, monkeypatch):
         if p.name != "manifest.json":
             for out in outs[1:]:
                 assert p.read_bytes() == (out / p.name).read_bytes(), p.name
+
+
+_NETWORK_COMPARE = SMALL_COMPARE + """
+[selection]
+scheme = degree_weighted
+{network}
+"""
+
+
+def _network_run(tmp_path, name, network):
+    out = tmp_path / name
+    text = _NETWORK_COMPARE.format(out=out, network=network)
+    return main([str(_write(tmp_path, text, f"{name}.ini"))]), out
+
+
+def test_network_file_matches_generated_network(tmp_path):
+    # the file holds the graph that p_conn and network_seed generate
+    path = tmp_path / "net.csv"
+    erdos_renyi(10, 0.3, 5).to_csv(path)
+    rc, generated = _network_run(tmp_path, "generated", "p_conn = 0.3\nnetwork_seed = 5")
+    assert rc == 0
+    rc, loaded = _network_run(tmp_path, "loaded", f"network_file = {path}")
+    assert rc == 0
+    names = sorted(p.name for p in generated.iterdir())
+    assert names == sorted(p.name for p in loaded.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (generated / name).read_bytes() == (loaded / name).read_bytes(), name
+
+
+def _ones(n, rows):
+    """rows lines of n comma-separated ones."""
+    return "\n".join(",".join(["1.0"] * n) for _ in range(rows))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# n=4\n" + _ones(4, 4), "network size"),
+        ("# n=10\n" + _ones(10, 9), "10x10"),
+        ("# size=10\n" + _ones(10, 10), "header"),
+        (
+            "# n=10\n1.0,nan" + ",0.0" * 8 + "\n" + _ones(10, 9),
+            "[selection] adjacency entries must lie in [0, 1]",
+        ),
+        (None, "No such file"),
+    ],
+    ids=["wrong-size", "short", "bad-header", "nan", "missing"],
+)
+def test_bad_network_file_refused(tmp_path, capsys, text, message):
+    path = tmp_path / "net.csv"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    ini = _NETWORK_COMPARE.format(out=out, network=f"network_file = {path}")
+    rc = main([str(_write(tmp_path, ini))])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_manifest_pins_the_network_file(tmp_path, capsys):
+    path = tmp_path / "net.csv"
+    erdos_renyi(10, 0.3, 5).to_csv(path)
+    rc, out = _network_run(tmp_path, "first", f"network_file = {path}")
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["network_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the same file reruns; another graph in its place is refused
+    assert main([str(out / "manifest.json"), "--out", str(tmp_path / "same")]) == 0
+    assert (tmp_path / "same" / "abm.csv").read_bytes() == (out / "abm.csv").read_bytes()
+    erdos_renyi(10, 0.3, 6).to_csv(path)
+    capsys.readouterr()
+    assert main([str(out / "manifest.json"), "--out", str(tmp_path / "other")]) == 1
+    assert "[selection] network_file: its sha256 is not the one" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
+    # so is a manifest that reads a network file but records no hash
+    del manifest["network_sha256"]
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    assert main([str(tmp_path / "old.json"), "--out", str(tmp_path / "old")]) == 1
+    assert not (tmp_path / "old").exists()
+
+
+def test_manifest_without_network_file_records_no_hash(tmp_path):
+    rc, out = _network_run(tmp_path, "generated", "p_conn = 0.3")
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["network_sha256"] is None

@@ -9,7 +9,7 @@ from opinion_limits.abm import (
     ModelSpec,
     ProbabilityProportional,
     UniformWithoutReplacement,
-    UpdateMode,
+    UniformWithReplacement,
 )
 from opinion_limits import dem
 from opinion_limits.dem import (
@@ -131,6 +131,8 @@ def test_no_limit_for_noise_with_special_selection():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     with pytest.raises(NoDerivedLimitError):
         build_limit(make_spec(selection=ProbabilityProportional(), noise=noise))
+    with pytest.raises(NoDerivedLimitError):
+        build_limit(make_spec(selection=UniformWithReplacement(both_update=True), noise=noise))
     with pytest.raises(NoDerivedLimitError):
         build_limit(
             make_spec(
@@ -261,7 +263,7 @@ def _limit_variants():
         "degenerate": NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, Degenerate(float(n))),
     }
     variants = {f"uwr_single-{k}": make_spec(**uwr, noise=v) for k, v in noises.items()}
-    variants["uwr_both"] = make_spec(**uwr, update_mode=UpdateMode.BOTH)
+    variants["uwr_both"] = make_spec(**uwr, selection=UniformWithReplacement(both_update=True))
     variants["uwor"] = make_spec(**uwr, selection=UniformWithoutReplacement())
     variants["degree"] = make_spec(**uwr, selection=DegreeWeighted(erdos_renyi(n, 0.5, seed=n)))
     variants["proportional"] = make_spec(**uwr, selection=ProbabilityProportional())
@@ -421,7 +423,7 @@ def _band_variants(n, kernel=KERNEL):
         "uwr_single-none": make_spec(**base),
         "uwr_single-external": make_spec(**base, noise=NoiseFamily(NoiseKind.EXTERNAL, gauss)),
         "uwr_single-adaptation": make_spec(**base, noise=NoiseFamily(NoiseKind.ADAPTATION, gauss)),
-        "uwr_both": make_spec(**base, update_mode=UpdateMode.BOTH),
+        "uwr_both": make_spec(**base, selection=UniformWithReplacement(both_update=True)),
         "uwor": make_spec(**base, selection=UniformWithoutReplacement()),
         "proportional": make_spec(**base, selection=ProbabilityProportional()),
         "proportional_double": make_spec(

@@ -1,8 +1,8 @@
 """Golden hashes pinning the random stream of the ABM engine and the limit.
 
 run_abm promises bit-identical trajectories per seed, and mc_coefficients
-promises bit-identical estimates per seed in single-update modes. Each
-case below runs one valid selection x noise kind x update mode variant
+promises bit-identical estimates per seed under single-update schemes.
+Each case below runs one selection scheme x noise kind variant
 from a fixed seed and compares the sha256 of the raw float64 output with
 a recorded value, so any refactor that moves a draw or reorders the
 arithmetic of a step shows up here. The same variants pin the limiting
@@ -24,7 +24,6 @@ from opinion_limits.abm import (
     ProbabilityProportional,
     UniformWithoutReplacement,
     UniformWithReplacement,
-    UpdateMode,
     run_abm,
 )
 from opinion_limits.dem import IntegratorSpec, NoDerivedLimitError, build_limit, integrate
@@ -34,18 +33,14 @@ from opinion_limits.noise import Degenerate, GaussianScaled, NoiseFamily, NoiseK
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
 
-# (name, selection factory of n, update mode)
+# (name, selection factory of n)
 _SCHEMES = [
-    ("uwr_single", lambda n: UniformWithReplacement(), UpdateMode.SINGLE),
-    ("uwr_both", lambda n: UniformWithReplacement(), UpdateMode.BOTH),
-    ("uwor", lambda n: UniformWithoutReplacement(), UpdateMode.SINGLE),
-    ("degree", lambda n: DegreeWeighted(erdos_renyi(n, 0.5, seed=n)), UpdateMode.SINGLE),
-    ("proportional", lambda n: ProbabilityProportional(), UpdateMode.SINGLE),
-    (
-        "proportional_double",
-        lambda n: ProbabilityProportional(double_weighting=True),
-        UpdateMode.SINGLE,
-    ),
+    ("uwr_single", lambda n: UniformWithReplacement()),
+    ("uwr_both", lambda n: UniformWithReplacement(both_update=True)),
+    ("uwor", lambda n: UniformWithoutReplacement()),
+    ("degree", lambda n: DegreeWeighted(erdos_renyi(n, 0.5, seed=n))),
+    ("proportional", lambda n: ProbabilityProportional()),
+    ("proportional_double", lambda n: ProbabilityProportional(double_weighting=True)),
 ]
 _KINDS = list(NoiseKind)
 
@@ -59,7 +54,7 @@ def _noise(kind: NoiseKind, n: int) -> NoiseFamily:
 
 
 def _case(si: int, ki: int):
-    name, selection, mode = _SCHEMES[si]
+    name, selection = _SCHEMES[si]
     kind = _KINDS[ki]
     n = 6 + (si + ki) % 5
     spec = ModelSpec(
@@ -68,7 +63,6 @@ def _case(si: int, ki: int):
         horizon=2.0,
         kernel=KERNEL,
         selection=selection(n),
-        update_mode=mode,
         noise=_noise(kind, n),
     )
     x0 = np.random.default_rng([7, si, ki]).uniform(-1.0, 1.0, n)
@@ -83,7 +77,7 @@ def _sha(*arrays) -> str:
 
 
 _ALL = [(si, ki) for si in range(len(_SCHEMES)) for ki in range(len(_KINDS))]
-_SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][2] is not UpdateMode.BOTH]
+_SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][0] != "uwr_both"]
 
 # The engine version the run_abm and mc_coefficients hashes were checked
 # under. A change to the random stream bumps abm.ENGINE_VERSION, so that

@@ -128,6 +128,15 @@ def test_network_requires_self_loops():
         Network(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5], ids=["nan", "negative", "above-one"])
+def test_network_refuses_entries_outside_unit_interval(bad):
+    # NaN fails both a < 0 and a > 1, so the check asks for 0 <= a <= 1
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        Network(a)
+
+
 def test_network_csv_roundtrip(tmp_path):
     net = erdos_renyi(8, 0.4, seed=5)
     path = tmp_path / "net.csv"

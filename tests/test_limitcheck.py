@@ -9,7 +9,6 @@ from opinion_limits.abm import (
     ProbabilityProportional,
     UniformWithoutReplacement,
     UniformWithReplacement,
-    UpdateMode,
     _draw,
 )
 from opinion_limits.dem import build_limit
@@ -27,6 +26,7 @@ from opinion_limits.limitcheck import (
 from opinion_limits.noise import GaussianScaled, NoiseFamily, NoiseKind
 
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
+BOTH = UniformWithReplacement(both_update=True)
 
 
 def make_spec(**kw):
@@ -73,7 +73,7 @@ def test_exact_requires_noise_free():
 
 
 def test_both_update_offdiagonal_negative_covariance():
-    spec = make_spec(n_agents=3, kernel=Constant(1.0), update_mode=UpdateMode.BOTH)
+    spec = make_spec(n_agents=3, kernel=Constant(1.0), selection=BOTH)
     rep = exact_coefficients(np.array([0.0, 0.5, 1.0]), spec)
     assert rep.a_h_offdiag_max > 0.0
 
@@ -82,7 +82,7 @@ def test_both_update_offdiagonal_hand_value():
     # one step moves both agents of the ordered pair (i, j), with probability
     # p_ij / N^2; the pairs (0, 2) and (2, 0) each move agents 0 and 2 by
     # +-mu * 1, so a_h_02 = -(mu^2 / h) * (2 / N^2) * 1^2
-    spec = make_spec(n_agents=3, kernel=Constant(1.0), update_mode=UpdateMode.BOTH)
+    spec = make_spec(n_agents=3, kernel=Constant(1.0), selection=BOTH)
     rep = exact_coefficients(np.array([0.0, 0.5, 1.0]), spec)
     assert rep.a_h_offdiag_max == pytest.approx(spec.mu**2 / spec.h * 2.0 / 9.0, rel=1e-15)
 
@@ -93,7 +93,7 @@ def _closed_form_coefficients(x, spec):
     n, h, mu = spec.n_agents, spec.h, spec.mu
     p = pairwise_matrix(spec.kernel, x)
     sel = spec.selection
-    both = spec.update_mode is UpdateMode.BOTH
+    both = isinstance(sel, UniformWithReplacement) and sel.both_update
     if both:  # the unordered pair {i, j} is selected either way round
         w = 2.0 * p / n**2
     elif isinstance(sel, UniformWithoutReplacement):
@@ -125,15 +125,12 @@ def _weighted_network(n, rng):
 
 
 _ENUMERATED = {
-    "uniform": (lambda n, rng: UniformWithReplacement(), UpdateMode.SINGLE),
-    "without_replacement": (lambda n, rng: UniformWithoutReplacement(), UpdateMode.SINGLE),
-    "both_update": (lambda n, rng: UniformWithReplacement(), UpdateMode.BOTH),
-    "degree": (lambda n, rng: DegreeWeighted(_weighted_network(n, rng)), UpdateMode.SINGLE),
-    "proportional": (lambda n, rng: ProbabilityProportional(), UpdateMode.SINGLE),
-    "proportional_double": (
-        lambda n, rng: ProbabilityProportional(double_weighting=True),
-        UpdateMode.SINGLE,
-    ),
+    "uniform": lambda n, rng: UniformWithReplacement(),
+    "without_replacement": lambda n, rng: UniformWithoutReplacement(),
+    "both_update": lambda n, rng: BOTH,
+    "degree": lambda n, rng: DegreeWeighted(_weighted_network(n, rng)),
+    "proportional": lambda n, rng: ProbabilityProportional(),
+    "proportional_double": lambda n, rng: ProbabilityProportional(double_weighting=True),
 }
 
 
@@ -145,8 +142,7 @@ def test_exact_enumeration_matches_closed_forms(scheme, n):
     # they agree to rounding: the worst deviation over this grid was
     # 1.5e-15 of the largest entry (both-update, n = 150, tied state, a_h_diag)
     rng = np.random.default_rng([17, n, sorted(_ENUMERATED).index(scheme)])
-    selection, mode = _ENUMERATED[scheme]
-    spec = make_spec(n_agents=n, selection=selection(n, rng), update_mode=mode)
+    spec = make_spec(n_agents=n, selection=_ENUMERATED[scheme](n, rng))
     half = n // 2
     states = {
         "random": rng.uniform(-1.0, 1.0, n),
@@ -232,9 +228,9 @@ def _fsum_mc_outputs(batches, n, h, samples):
 
 
 _MC_CASES = {
-    "single-adaptation": (UpdateMode.SINGLE, NoiseKind.ADAPTATION),
-    "single-external": (UpdateMode.SINGLE, NoiseKind.EXTERNAL),
-    "both-external": (UpdateMode.BOTH, NoiseKind.EXTERNAL),
+    "single-adaptation": (UniformWithReplacement(), NoiseKind.ADAPTATION),
+    "single-external": (UniformWithReplacement(), NoiseKind.EXTERNAL),
+    "both-external": (BOTH, NoiseKind.EXTERNAL),
 }
 
 
@@ -245,9 +241,9 @@ def test_mc_report_matches_fsum_reference(case):
     # per agent (about sqrt(n) eps) and far below one step's share (~1e-4).
     # The worst deviation over these cases was 3.4e-15 relative
     # (both-update, a_h_diag_se), with pow or with products.
-    mode, kind = _MC_CASES[case]
+    selection, kind = _MC_CASES[case]
     noise = NoiseFamily(kind, GaussianScaled(0.0, 0.05))
-    spec = make_spec(update_mode=mode, noise=noise)
+    spec = make_spec(selection=selection, noise=noise)
     rng = np.random.default_rng([19, sorted(_MC_CASES).index(case)])
     x = rng.uniform(-1, 1, spec.n_agents)
     p = pairwise_matrix(spec.kernel, x)
@@ -258,7 +254,7 @@ def test_mc_report_matches_fsum_reference(case):
     for field, ref in want.items():
         got = getattr(rep, field)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (field, got, ref)
-    assert (rep.a_h_offdiag_max > 0.0) == (mode is UpdateMode.BOTH)
+    assert (rep.a_h_offdiag_max > 0.0) == selection.both_update
 
 
 def test_mc_minimum_samples():

@@ -17,7 +17,6 @@ from opinion_limits.abm import (
     ProbabilityProportional,
     UniformWithoutReplacement,
     UniformWithReplacement,
-    UpdateMode,
     _DRAW_BLOCK,
     _apply,
     _draw,
@@ -41,7 +40,7 @@ N = 7
 
 _SCHEMES = {
     "uwr_single": dict(selection=UniformWithReplacement()),
-    "uwr_both": dict(selection=UniformWithReplacement(), update_mode=UpdateMode.BOTH),
+    "uwr_both": dict(selection=UniformWithReplacement(both_update=True)),
     "uwor": dict(selection=UniformWithoutReplacement()),
     "degree": dict(selection=DegreeWeighted(erdos_renyi(N, 0.5, seed=3))),
     "proportional": dict(selection=ProbabilityProportional()),
@@ -99,7 +98,7 @@ def test_mc_second_moment_matches_chain_when_i_equals_j():
     noise = NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05))
     spec = ModelSpec(
         n_agents=2, h=0.01, horizon=0.01, kernel=Constant(1.0), noise=noise,
-        update_mode=UpdateMode.BOTH,
+        selection=UniformWithReplacement(both_update=True),
     )
     x0 = np.array([0.0, 1.0])
     runs = 10_000
@@ -161,7 +160,7 @@ def test_batch_engine_matches_run_abm_beyond_one_chunk(kind):
     # two full blocks and a partial one, with no sample between them
     spec = ModelSpec(
         n_agents=N, h=1e-3, horizon=1.1, kernel=KERNEL, noise=_noise(kind),
-        update_mode=UpdateMode.BOTH,
+        selection=UniformWithReplacement(both_update=True),
     )
     grid = [0.0, 1.1]
     blocks = [block for _, block, _, _ in _plan(spec, grid)[1]]
@@ -203,7 +202,7 @@ def test_batch_engine_both_update_with_i_equal_to_j(kind):
     # N=2: half of all draws pick i == j, where only the j-side update lands
     spec = ModelSpec(
         n_agents=2, h=0.01, horizon=1.0, kernel=Constant(1.0), noise=_noise(kind, 2),
-        update_mode=UpdateMode.BOTH,
+        selection=UniformWithReplacement(both_update=True),
     )
     seeds = [[43, r] for r in range(20)]
     first = _draw(spec, 100, np.random.default_rng(seeds[0]))
