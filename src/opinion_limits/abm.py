@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernel import InteractionKernel, Network, saturation
 from .noise import NoiseFamily, NoiseKind
-from .trajectory import Trajectory
+from .trajectory import Trajectory, trajectories
 
 __all__ = [
     "UniformWithReplacement",
@@ -243,7 +243,7 @@ def run_abm_batch(
     group = max(1, _BATCH_STEPS // max(block for _, block, _, _ in plan))
     for a in range(0, len(rngs), group):
         _run_group(spec, x0, plan, rngs[a : a + group], out[a : a + group])
-    return [Trajectory(times, values) for values in out]
+    return trajectories(times, out)
 
 
 def _plan(spec: ModelSpec, sample_times: Sequence[float]):

@@ -11,6 +11,7 @@ through a plain dict, which is what the emitted manifest stores.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 from contextlib import contextmanager
@@ -146,9 +147,12 @@ def _coerce(section: str, key: str, raw: Any, typ: type | tuple[str, ...]):
 
 @contextmanager
 def _section(name: str):
-    """Report a ValueError raised inside the block as a ConfigError of [name]."""
+    """Report a ValueError raised inside the block as a ConfigError of [name];
+    a ConfigError, already labelled, passes unchanged."""
     try:
         yield
+    except ConfigError:
+        raise
     except ValueError as e:
         raise ConfigError(f"[{name}] {e}") from None
 
@@ -215,10 +219,21 @@ class ExperimentConfig:
             return MollifiedBC(k["radius"], NormalMollifier(k["mean"], k["std"]))
         return MollifiedBC(k["radius"], UniformMollifier(k["lo"], k["hi"]))
 
+    @functools.cached_property
+    def _network_bytes(self) -> bytes:
+        """The bytes of network_file, read once per config: the graph and its
+        sha256 both come from them, so the hash is that of the graph used."""
+        path = self.raw["selection"]["network_file"]
+        try:
+            with open(path, "rb") as f:
+                return f.read()
+        except OSError as e:
+            raise ConfigError(f"[selection] network_file: {e}") from None
+
     def network(self) -> Network:
         s = self.raw["selection"]
         if s["network_file"]:
-            return Network.from_csv(s["network_file"])
+            return Network.from_csv_bytes(self._network_bytes)
         return erdos_renyi(self.raw["model"]["n_agents"], s["p_conn"], s["network_seed"])
 
     def network_sha256(self) -> str | None:
@@ -226,8 +241,7 @@ class ExperimentConfig:
         s = self.raw["selection"]
         if s["scheme"] != "degree_weighted" or not s["network_file"]:
             return None
-        with open(s["network_file"], "rb") as f:
-            return hashlib.sha256(f.read()).hexdigest()
+        return hashlib.sha256(self._network_bytes).hexdigest()
 
     @_section("selection")
     def selection(self) -> SelectionScheme:

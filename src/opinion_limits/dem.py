@@ -22,7 +22,7 @@ from .abm import (
 )
 from .kernel import pairwise_matrix, saturation
 from .noise import NoiseKind, analytic_mk
-from .trajectory import Trajectory
+from .trajectory import Trajectory, trajectories
 
 __all__ = [
     "LimitModel",
@@ -182,8 +182,8 @@ def build_limit(spec: ModelSpec) -> LimitModel:
 
     def dense(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         x = np.asarray(x, dtype=float)
-        p = pairwise_matrix(kernel, x)
         diff = x[..., None, :] - x[..., :, None]
+        p = pairwise_matrix(kernel, x, diff=diff)
         # sigma before diff is overwritten
         s = sigma_of(x.shape, lambda: (p * diff**2 if gate == "spread" else p).sum(axis=-1))
         w, norm = weigh(p)
@@ -345,26 +345,24 @@ def integrate_batch(
         raise ValueError("sample times must lie within [0, T]")
 
     x0 = np.asarray(x0, dtype=float)
-    if not stochastic:
-        [values] = _advance(model, x0, integrator.dt, steps, targets, [None])
-        return [Trajectory(times, values)] * len(rngs)
-    return [
-        Trajectory(times, values)
-        for a in range(0, len(rngs), _EM_BLOCK)
-        for values in _advance(model, x0, integrator.dt, steps, targets, rngs[a:a + _EM_BLOCK])
-    ]
+    runs = rngs if stochastic else [None]
+    values = np.empty((len(runs), len(targets), len(x0)))
+    for a in range(0, len(runs), _EM_BLOCK):
+        block = slice(a, a + _EM_BLOCK)
+        _advance(model, x0, integrator.dt, steps, targets, runs[block], values[block])
+    out = trajectories(times, values)
+    return out if stochastic else out * len(rngs)
 
 
-def _advance(model, x0, dt, steps, targets, rngs) -> np.ndarray:
-    """States of one run per entry of rngs, from x0, at the target step
-    numbers; shape (runs, len(targets), N).
+def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
+    """Writes the states of one run per entry of rngs, from x0, at the
+    target step numbers into out, of shape (runs, len(targets), N).
 
     Each step is x + (b dt + sigma sqrt(dt) z). For a model with diffusion,
     z holds one standard_normal(N) per run, from rngs[k] for run k; a
     drift-only model leaves rngs unused.
     """
     x = np.repeat(x0[None], len(rngs), axis=0)
-    out = np.empty((len(rngs), len(targets), len(x0)))
     z = np.empty_like(x)
     sqrt_dt = math.sqrt(dt)
     ti = 0
@@ -381,4 +379,3 @@ def _advance(model, x0, dt, steps, targets, rngs) -> np.ndarray:
                 rng.standard_normal(out=z[k])
             dx = dx + sigma * sqrt_dt * z
         x = x + dx
-    return out

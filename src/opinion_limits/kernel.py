@@ -10,6 +10,7 @@ distribution's CDF F.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -69,7 +70,8 @@ class NormalMollifier:
             raise ValueError(f"std must be positive and finite, got {self.std}")
 
     def cdf(self, z):
-        return ndtr((z - self.mean) / self.std)
+        # z - 0.0 is z, and ndtr(+0.0) is ndtr(-0.0): a zero mean skips a pass
+        return ndtr((z if self.mean == 0.0 else z - self.mean) / self.std)
 
 
 @dataclass(frozen=True)
@@ -209,37 +211,66 @@ class Network:
 
     @classmethod
     def from_csv(cls, path) -> "Network":
-        with open(path) as f:
-            header = f.readline().strip()
-            if not header.startswith("# n="):
-                raise ValueError(f"bad network CSV header: {header!r}")
-            n = int(header[4:])
-            rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
+        with open(path, "rb") as f:
+            return cls.from_csv_bytes(f.read())
+
+    @classmethod
+    def from_csv_bytes(cls, data: bytes) -> "Network":
+        """The network of a CSV file that to_csv wrote, from the file's bytes."""
+        f = io.TextIOWrapper(io.BytesIO(data))  # decoded as open(path) decodes
+        header = f.readline().strip()
+        if not header.startswith("# n="):
+            raise ValueError(f"bad network CSV header: {header!r}")
+        n = int(header[4:])
+        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
         a = np.array(rows, dtype=float)
         if a.shape != (n, n):
             raise ValueError(f"expected {n}x{n} adjacency, got {a.shape}")
         return cls(a)
 
 
-def pairwise_matrix(kernel: InteractionKernel, x: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, shift) of N x N matrices: upper marks i <= j, and flat index
+    k of entry (i, j) plus shift[k] = (j - i)(n - 1) is that of (j, i)."""
+    i = np.arange(n)
+    return i[:, None] <= i[None, :], ((i[None, :] - i[:, None]) * (n - 1)).ravel()
+
+
+def pairwise_matrix(
+    kernel: InteractionKernel, x: np.ndarray, diff: np.ndarray | None = None
+) -> np.ndarray:
     """Full N x N matrix of pairwise interaction probabilities, or one such
     matrix per state for x of shape (..., N): the result is (..., N, N).
 
-    Entries outside the kernel's saturation band are set to 1.0 or 0.0
-    directly; kernel.eval runs only on the distances inside it. Every
-    entry is computed elementwise, so a stack of states gives the bits
-    each state gives alone.
+    diff, if given, is the signed difference of every pair of x, either
+    x_j - x_i or x_i - x_j at (..., i, j); it is read, not written, and
+    spares a subtraction. Entries outside the kernel's saturation band are
+    set to 1.0 or 0.0 directly; kernel.eval runs once per unordered pair
+    i <= j inside it, and the result is mirrored to (j, i). Every entry is
+    computed elementwise, so a stack of states gives the bits each state
+    gives alone.
     """
     x = np.asarray(x, dtype=float)
     d_one, d_zero = saturation(kernel)
-    # one buffer holds the distances and then the probabilities
-    p = x[..., :, None] - x[..., None, :]
-    np.abs(p, out=p)
+    # one buffer holds the distances and then the probabilities;
+    # |x_i - x_j| and |x_j - x_i| are the same float
+    if diff is None:
+        p = x[..., :, None] - x[..., None, :]
+        np.abs(p, out=p)
+    else:
+        p = np.abs(diff, order="C")
+    n = x.shape[-1]
+    upper, shift = _triangle(n)
     ones = p <= d_one
-    band = np.flatnonzero((p < d_zero) != ones)  # ones implies p < d_zero
-    inside = kernel.eval(p.ravel()[band])
+    band = (p < d_zero) != ones  # ones implies p < d_zero
+    band &= upper
+    k = np.flatnonzero(band)
+    flat = p.ravel()
+    inside = kernel.eval(flat[k])
     np.copyto(p, ones)
-    p.ravel()[band] = inside
+    flat[k] = inside
+    flat[k + shift[k % (n * n)]] = inside
     return p
 
 

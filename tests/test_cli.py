@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import math
@@ -808,7 +809,7 @@ def _ones(n, rows):
             "# n=10\n1.0,nan" + ",0.0" * 8 + "\n" + _ones(10, 9),
             "[selection] adjacency entries must lie in [0, 1]",
         ),
-        (None, "No such file"),
+        (None, "config error: [selection] network_file: [Errno 2] No such file"),
     ],
     ids=["wrong-size", "short", "bad-header", "nan", "missing"],
 )
@@ -823,6 +824,34 @@ def test_bad_network_file_refused(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()
+
+
+def test_network_file_is_read_once_per_config(tmp_path, monkeypatch):
+    path = tmp_path / "net.csv"
+    erdos_renyi(10, 0.3, 5).to_csv(path)
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    reads = []
+    real_open = builtins.open
+
+    def counted(file, mode="r", *args, **kwargs):
+        if str(file) == str(path) and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    out = tmp_path / "out"
+    cfg = parse_config(_NETWORK_COMPARE.format(out=out, network=f"network_file = {path}"))
+    graph = cfg.model_spec().selection.network.adjacency
+    cli.run_experiment(cfg)
+    assert cfg.network_sha256() == sha
+    assert json.loads((out / "manifest.json").read_text())["network_sha256"] == sha
+    assert len(reads) == 1
+    # another graph in the file's place changes neither the graph nor the
+    # hash the loaded config reports
+    erdos_renyi(10, 0.3, 6).to_csv(path)
+    assert cfg.network_sha256() == sha
+    assert np.array_equal(cfg.model_spec().selection.network.adjacency, graph)
+    assert len(reads) == 1
 
 
 def test_manifest_pins_the_network_file(tmp_path, capsys):

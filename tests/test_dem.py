@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -295,24 +296,56 @@ def test_fields_equal_drift_and_diffusion_bit_for_bit(label):
     assert _bits(b) == _bits((w * (TIED[None, :] - TIED[:, None])).sum(axis=1) / norm)
 
 
+def _stand_in(built, refuse=False):
+    """A stand-in for dem.pairwise_matrix that takes whatever arguments the
+    limit passes: it appends the shape of x to built, then raises if refuse
+    is set and builds the matrix otherwise."""
+    original = dem.pairwise_matrix
+    signature = inspect.signature(original)
+
+    def stand_in(*args, **kwargs):
+        built.append(np.shape(signature.bind(*args, **kwargs).arguments["x"]))
+        if refuse:
+            raise AssertionError("built an N x N pairwise matrix")
+        return original(*args, **kwargs)
+
+    return stand_in
+
+
 @pytest.mark.parametrize("kind", ["adaptation", "random_update_distance"])
 def test_euler_maruyama_builds_one_pairwise_matrix_per_step(kind, monkeypatch):
     model = build_limit(_VARIANTS[f"uwr_single-{kind}"])
     assert model.has_diffusion
     calls = []
-    original = dem.pairwise_matrix
-
-    def counted(kernel, x):
-        calls.append(len(x))
-        return original(kernel, x)
-
-    monkeypatch.setattr(dem, "pairwise_matrix", counted)
+    monkeypatch.setattr(dem, "pairwise_matrix", _stand_in(calls))
     integrate(model, TIED, IntegratorSpec(dt=0.01), 0.25, [0.25], np.random.default_rng(0))
     assert len(calls) == 25
 
 
 def _streams(r, seed=11):
     return [np.random.default_rng([seed, k]) for k in range(r)]
+
+
+@pytest.mark.parametrize("run", [0, 20, 36])
+def test_integrate_batch_refuses_a_run_gone_non_finite(run):
+    # the stack of runs is checked once; a NaN in any one run is still refused
+    model = build_limit(_VARIANTS["uwr_single-external"])
+    block, row = divmod(run, dem._EM_BLOCK)
+    steps = 10  # of dt = 0.01 up to 0.1, per block
+    calls = []
+
+    def fields(x):
+        b, sigma = model.fields(x)
+        if len(calls) == block * steps:  # the first step of the run's block
+            b = b.copy()
+            b[row, 0] = np.nan
+        calls.append(len(x))
+        return b, sigma
+
+    poisoned = dataclasses.replace(model, fields=fields)
+    with pytest.raises(ValueError, match="non-finite"):
+        dem.integrate_batch(poisoned, TIED, IntegratorSpec(dt=0.01), 0.1, [0.0, 0.1], _streams(37))
+    assert len(calls) == 3 * steps
 
 
 @pytest.mark.parametrize("label", sorted(_VARIANTS))
@@ -432,23 +465,27 @@ def _band_variants(n, kernel=KERNEL):
     }
 
 
-def _dense_and_banded(spec, monkeypatch):
+def _dense_and_banded(spec, x, monkeypatch):
     """fields of the limit through the dense matrix, and of build_limit's
-    banded model, which fails if it builds a pairwise matrix."""
+    banded model, which fails if it builds a pairwise matrix. The refusing
+    stand-in is first seen to fire on the dense form at x, so the banded
+    form's silence means it built no matrix."""
     with monkeypatch.context() as m:
         m.setattr(dem, "_BAND_MIN_AGENTS", math.inf)
         dense = build_limit(spec).fields
     banded = build_limit(spec).fields
 
-    def refused(kernel, x):
-        raise AssertionError("the banded limit built an N x N pairwise matrix")
+    def without_matrix(fields):
+        def run(y):
+            with monkeypatch.context() as m:
+                m.setattr(dem, "pairwise_matrix", _stand_in([], refuse=True))
+                return fields(y)
 
-    def without_matrix(x):
-        with monkeypatch.context() as m:
-            m.setattr(dem, "pairwise_matrix", refused)
-            return banded(x)
+        return run
 
-    return dense, without_matrix
+    with pytest.raises(AssertionError, match="pairwise matrix"):
+        without_matrix(dense)(x)
+    return dense, without_matrix(banded)
 
 
 def _assert_banded_matches_dense(spec, x, monkeypatch):
@@ -461,7 +498,7 @@ def _assert_banded_matches_dense(spec, x, monkeypatch):
     dx = x[None, :] - x[:, None]
     c = np.abs(x - x.mean())
     b_scale = (w * (np.abs(dx) + c[:, None] + c[None, :])).sum(axis=1) / norm
-    dense, banded = _dense_and_banded(spec, monkeypatch)
+    dense, banded = _dense_and_banded(spec, x, monkeypatch)
     b, sigma = banded(x)
     b_ref, sigma_ref = dense(x)
     assert np.all(np.abs(b - b_ref) <= 64 * EPS * b_scale)
@@ -501,14 +538,8 @@ def test_banded_form_chosen_from_band_min_agents_for_distance_kernels():
     n = dem._BAND_MIN_AGENTS
     x = _band_states(n)["random"]
     built = []
-    original = dem.pairwise_matrix
-
-    def counted(kernel, y):
-        built.append(y.shape)
-        return original(kernel, y)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dem, "pairwise_matrix", counted)
+        m.setattr(dem, "pairwise_matrix", _stand_in(built))
         build_limit(make_spec(n_agents=n, kernel=KERNEL)).fields(x)
         assert built == []
         build_limit(make_spec(n_agents=n - 1, kernel=KERNEL)).fields(x[:-1])
@@ -570,7 +601,7 @@ def test_banded_refuses_an_agent_with_nobody_to_pick(stack, monkeypatch):
     if stack:
         x = np.stack([x, -x])
     messages = []
-    for fields in _dense_and_banded(spec, monkeypatch):
+    for fields in _dense_and_banded(spec, x, monkeypatch):
         with pytest.raises(RuntimeError, match="zero total interaction probability") as err:
             fields(x)
         messages.append(str(err.value))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtr
 
 from opinion_limits.kernel import (
     BoundedConfidence,
@@ -245,3 +246,68 @@ def test_pairwise_matrix_of_a_stack_equals_each_state(kernel):
     assert p.shape == (2, 3, 40, 40)
     for k in np.ndindex(2, 3):
         assert p[k].tobytes() == pairwise_matrix(kernel, xs[k]).tobytes()
+
+
+class _Counting:
+    """A kernel that records the number of distances each eval receives."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.discontinuous = kernel.discontinuous
+        self.sizes = []
+
+    def eval(self, d):
+        self.sizes.append(np.size(d))
+        return self.kernel.eval(d)
+
+
+def _symmetric_cases():
+    """States (..., N) for N = 1, 2 and 40: uniform, and tied with zeros of
+    both signs; 1-D, (B, N) and (2, 3, N)."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 40):
+        for shape in ((n,), (4, n), (2, 3, n)):
+            yield rng.uniform(-1.0, 1.0, shape)
+            yield np.resize([0.25, -0.0, 0.25, 0.0, 0.75], shape)
+            yield np.zeros(shape)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        MOLLIFIED,
+        MollifiedBC(0.5, UniformMollifier(-0.05, 0.05)),
+        # d_one = -inf: the diagonal is in the band
+        Constant(0.5),
+        MollifiedBC(0.5, NormalMollifier(0.0, 0.5)),
+    ],
+    ids=repr,
+)
+def test_pairwise_matrix_evaluates_each_unordered_pair_once(kernel):
+    counting = _Counting(kernel)
+    saturation(counting)  # its bisection calls eval too
+    for x in _symmetric_cases():
+        counting.sizes.clear()
+        p = pairwise_matrix(counting, x)
+        n = x.shape[-1]
+        assert sum(counting.sizes) <= x.size // n * n * (n + 1) // 2
+        assert p.tobytes() == kernel.eval(np.abs(x[..., :, None] - x[..., None, :])).tobytes()
+        diff = x[..., None, :] - x[..., :, None]
+        passed = diff.copy()
+        assert pairwise_matrix(kernel, x, diff=passed).tobytes() == p.tobytes()
+        assert passed.tobytes() == diff.tobytes()  # read, not written
+        assert pairwise_matrix(kernel, x, diff=-diff).tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("mean", [0.0, -0.0, 0.02, -0.3])
+def test_normal_mollifier_cdf_equals_explicit_form(mean):
+    # a zero mean skips the subtraction; the bits must not move
+    m = NormalMollifier(mean, 0.05)
+    z = np.concatenate([
+        np.linspace(-1.0, 1.0, 4001),
+        [0.0, -0.0, mean, -mean, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf],
+    ])
+    want = ndtr((z - mean) / 0.05)
+    assert m.cdf(z).tobytes() == want.tobytes()
+    got = np.array([m.cdf(v) for v in z.tolist()])
+    assert got.tobytes() == want.tobytes()

@@ -215,3 +215,23 @@ def test_batch_engine_refuses_proportional_selection():
     spec = ModelSpec(n_agents=N, h=0.01, horizon=1.0, kernel=KERNEL, **_SCHEMES["proportional"])
     with pytest.raises(ValueError):
         run_abm_batch(spec, np.zeros(N), [0.0], [np.random.default_rng(0)])
+
+
+@pytest.mark.parametrize("run", [0, 2])
+def test_batch_engine_refuses_a_run_gone_non_finite(run, monkeypatch):
+    # the stack of runs is checked once; a NaN in any one run is still refused
+    spec = ModelSpec(
+        n_agents=N, h=1e-3, horizon=1.0, kernel=KERNEL, noise=_noise(NoiseKind.EXTERNAL)
+    )
+    rngs = [np.random.default_rng([45, r]) for r in range(3)]
+    original = abm._draw
+
+    def draw(spec, m, rng):
+        d = original(spec, m, rng)
+        if rng is rngs[run]:
+            d.z[0] = np.nan
+        return d
+
+    monkeypatch.setattr(abm, "_draw", draw)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_abm_batch(spec, np.zeros(N), _GRID, rngs)
