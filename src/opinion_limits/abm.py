@@ -128,7 +128,7 @@ class ModelSpec:
             raise ValueError("n_agents must be at least 1")
         if not 0 < self.h < math.inf:
             raise ValueError(f"timestep must be positive and finite, got {self.h}")
-        # _plan takes ceil(horizon/h - 1e-9) steps; NaN fails this test too
+        # _plan sizes its draws for ceil(horizon/h - 1e-9) steps; NaN fails this test too
         if not 1e-9 < self.horizon / self.h < math.inf:
             raise ValueError(
                 f"horizon must span at least one and finitely many steps of h={self.h}, "
@@ -190,14 +190,16 @@ def run_abm(
     rng: np.random.Generator,
     check_hull: bool = False,
 ) -> Trajectory:
-    """Run ceil(T/h) steps and record the piecewise-constant state.
+    """Run the steps up to the last sample and record the piecewise-constant
+    state.
 
     A sample at time s records the state after floor(s/h) steps; the
     samples do not change the chain, which draws its steps in blocks of
-    _DRAW_BLOCK counted from step 0. With check_hull enabled, an opinion
-    that a step moves out of [min x0, max x0] raises RuntimeError. Only
-    noise-free steps keep opinions in that hull, so check_hull on a noisy
-    spec raises ValueError before the first step.
+    _DRAW_BLOCK counted from step 0 and sized as for ceil(T/h) steps. With
+    check_hull enabled, an opinion that a step up to the last sample moves
+    out of [min x0, max x0] raises RuntimeError. Only noise-free steps keep
+    opinions in that hull, so check_hull on a noisy spec raises ValueError
+    before the first step.
     """
     x0 = np.asarray(x0, dtype=float)
     n = spec.n_agents
@@ -247,14 +249,16 @@ def run_abm_batch(
 
 
 def _plan(spec: ModelSpec, sample_times: Sequence[float]):
-    """Validated sample times and the ceil(T/h) steps between them, cut at
+    """Validated sample times and the steps up to the last sample, cut at
     sample steps and block edges.
 
     The plan is a list of (samples, block, a, b): record the state at the
     sample indices samples, draw the next block of block steps if block is
     not 0, then take steps a..b-1 of the current block. Blocks hold
-    _DRAW_BLOCK steps counted from step 0; the last is cut at the horizon.
-    A sample at time s records the state after floor(s/h) steps.
+    _DRAW_BLOCK steps counted from step 0, the last cut at step ceil(T/h)
+    whatever the last sample is, so a run that stops at its last sample
+    draws the values that a run to the horizon draws. A sample at time s
+    records the state after floor(s/h) steps.
     """
     times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(times) < 0):
@@ -273,7 +277,11 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
             ti += 1
         a = start % _DRAW_BLOCK
         block = min(_DRAW_BLOCK, total - start) if a == 0 and start < total else 0
-        plan.append((slice(first, ti), block, a, a + stop - start))
+        # steps after the last sample change nothing that is returned
+        last = ti == len(targets)
+        plan.append((slice(first, ti), block, a, a if last else a + stop - start))
+        if last:
+            break
     return times, plan
 
 

@@ -40,10 +40,9 @@ _TAG_SWEEP = 5
 
 def _prelude(cfg: ExperimentConfig):
     """Spec, integrator, x0 and the dt sample grid of an experiment."""
-    spec = cfg.model_spec()
-    integrator = cfg.integrator()
+    spec, integrator = cfg.spec, cfg.integrator
     times = np.round(np.arange(integrator.steps(spec.horizon) + 1) * integrator.dt, 12)
-    return spec, integrator, cfg.x0(), times
+    return spec, integrator, cfg.x0, times
 
 
 def _fan_out(block, n_runs: int, threads: int, *args) -> list:
@@ -103,7 +102,7 @@ def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
     spec, integrator, x0, times = _prelude(cfg)
-    dem_traj = integrate(build_limit(spec), x0, integrator, spec.horizon, times)
+    dem_traj = integrate(cfg.limit, x0, integrator, spec.horizon, times)
 
     h_list = cfg.h_list
     runs_per_h = cfg.raw["experiment"]["runs_per_h"]
@@ -143,7 +142,7 @@ def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_limitcheck(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec = cfg.model_spec()
+    spec = cfg.spec
     exp = cfg.raw["experiment"]
     states = probe_states(
         spec.n_agents, exp["n_states"], np.random.default_rng([cfg.base_seed, _TAG_STATES])
@@ -186,8 +185,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> str:
     manifest = {
         "config": cfg.to_dict(),
         "engine": ENGINE_VERSION,
-        "limit": build_limit(cfg.model_spec()).provenance,
-        "network_sha256": cfg.network_sha256(),
+        "limit": cfg.limit.provenance,
+        "network_sha256": cfg.network_sha256,
         "versions": _versions(),
     }
     with open(os.path.join(out, "manifest.json"), "w") as f:
@@ -198,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> str:
 
 
 def _load_config(path: str, out_override: str | None, paper_scale: bool) -> ExperimentConfig:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         text = f.read()
     if path.endswith(".json"):
         manifest = json.loads(text)
@@ -213,19 +212,20 @@ def _load_config(path: str, out_override: str | None, paper_scale: bool) -> Expe
                 f"{ENGINE_VERSION}; a rerun could write different outputs"
             )
         # the config names the network file, not its contents
-        if manifest.get("network_sha256") != cfg.network_sha256():
+        if manifest.get("network_sha256") != cfg.network_sha256:
             raise ConfigError(
                 "[selection] network_file: its sha256 is not the one the manifest records; "
                 "a rerun could write different outputs"
             )
     else:
         cfg = parse_config(text)
-    raw = cfg.to_dict()
+    # neither override feeds a built object, so the config is not rebuilt
+    experiment = dict(cfg.raw["experiment"])
     if out_override is not None:
-        raw["experiment"]["output_dir"] = out_override
+        experiment["output_dir"] = out_override
     if paper_scale:
-        raw["experiment"]["n_runs"] = 5000
-    return config_from_dict(raw)
+        experiment["n_runs"] = 5000
+    return replace(cfg, raw={**cfg.raw, "experiment": experiment})
 
 
 def main(argv=None) -> int:
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config, args.out, args.paper_scale)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     try:

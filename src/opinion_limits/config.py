@@ -1,4 +1,5 @@
-"""Experiment configuration: strict parsing, validation, defaults.
+"""Experiment configuration: strict parsing, validation, defaults, and
+the one build of an experiment's model, initial state and limit.
 
 Config files are INI-style: named sections of key = value lines. The
 schema states each key's type, or the strings an enumerated key accepts,
@@ -11,7 +12,6 @@ through a plain dict, which is what the emitted manifest stores.
 from __future__ import annotations
 
 import configparser
-import functools
 import hashlib
 import math
 from contextlib import contextmanager
@@ -28,7 +28,7 @@ from .abm import (
     UniformWithoutReplacement,
     UniformWithReplacement,
 )
-from .dem import IntegratorSpec, build_limit
+from .dem import IntegratorSpec, LimitModel, build_limit
 from .kernel import (
     BoundedConfidence,
     Constant,
@@ -178,11 +178,83 @@ def _resolve(raw: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return resolved
 
 
-@dataclass(frozen=True)
+# the builders below branch on enumerated keys; _coerce admitted only the
+# values they name
+
+
+@_section("kernel")
+def _kernel(k: dict[str, Any]) -> InteractionKernel:
+    if k["type"] == "bounded_confidence":
+        return BoundedConfidence(k["radius"])
+    if k["type"] == "constant":
+        return Constant(k["value"])
+    if k["mollifier"] == "normal":
+        return MollifiedBC(k["radius"], NormalMollifier(k["mean"], k["std"]))
+    return MollifiedBC(k["radius"], UniformMollifier(k["lo"], k["hi"]))
+
+
+@_section("selection")
+def _selection(r: dict[str, dict[str, Any]]) -> tuple[SelectionScheme, str | None]:
+    """The selection scheme, and the sha256 of the network file it read, if any.
+
+    The graph and the hash come from one read of the file, so the hash is
+    that of the graph used.
+    """
+    s = r["selection"]
+    scheme = s["scheme"]
+    if scheme == "uniform_without_replacement":
+        return UniformWithoutReplacement(), None
+    if scheme.startswith("probability_proportional"):
+        return ProbabilityProportional(double_weighting=scheme.endswith("_double")), None
+    if scheme != "degree_weighted":
+        return UniformWithReplacement(both_update=scheme.endswith("_both")), None
+    if not s["network_file"]:
+        network = erdos_renyi(r["model"]["n_agents"], s["p_conn"], s["network_seed"])
+        return DegreeWeighted(network), None
+    try:
+        with open(s["network_file"], "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise ConfigError(f"[selection] network_file: {e}") from None
+    return DegreeWeighted(Network.from_csv_bytes(data)), hashlib.sha256(data).hexdigest()
+
+
+@_section("noise")
+def _noise(nz: dict[str, Any]) -> NoiseFamily:
+    kind = NoiseKind(nz["kind"])
+    if kind is NoiseKind.NONE:
+        return NoiseFamily()
+    if nz["law"] == "gaussian":
+        return NoiseFamily(kind, GaussianScaled(nz["mean_per_h"], nz["var_per_h"]))
+    return NoiseFamily(kind, Degenerate(nz["value_per_h"]))
+
+
+def _x0(init: dict[str, Any], n: int) -> np.ndarray:
+    if init["x0"] == "uniform":
+        lo, hi = init["lo"], init["hi"]
+        if not 0.0 <= hi - lo < math.inf:
+            raise ConfigError(f"[init] lo, hi: need finite lo <= hi, got ({lo}, {hi})")
+        return np.random.default_rng(init["seed"]).uniform(lo, hi, n)
+    vals = np.array([_coerce("init", "values", v, float) for v in init["values"].split(",")])
+    if len(vals) != n:
+        raise ConfigError(f"[init] values: expected {n} entries, got {len(vals)}")
+    return vals
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully resolved and validated experiment configuration."""
+    """A resolved, validated experiment: the table the manifest stores and
+    what config_from_dict built from it, once."""
 
     raw: dict[str, dict[str, Any]] = field(repr=False)
+    spec: ModelSpec
+    # None for limitcheck, which integrates nothing and reads no [dem] dt
+    integrator: IntegratorSpec | None
+    x0: np.ndarray = field(repr=False)
+    h_list: list[float]
+    limit: LimitModel = field(repr=False)
+    # sha256 of the network file the graph was parsed from, if any
+    network_sha256: str | None
 
     @property
     def experiment(self) -> str:
@@ -200,148 +272,61 @@ class ExperimentConfig:
     def error_norm(self) -> str:
         return self.raw["experiment"]["error_norm"]
 
-    @property
-    def h_list(self) -> list[float]:
-        entries = self.raw["experiment"]["h_list"].split(",")
-        return [_coerce("experiment", "h_list", v, float) for v in entries if v.strip()]
-
-    # the builders below branch on enumerated keys; _coerce admitted only
-    # the values they name
-
-    @_section("kernel")
-    def kernel(self) -> InteractionKernel:
-        k = self.raw["kernel"]
-        if k["type"] == "bounded_confidence":
-            return BoundedConfidence(k["radius"])
-        if k["type"] == "constant":
-            return Constant(k["value"])
-        if k["mollifier"] == "normal":
-            return MollifiedBC(k["radius"], NormalMollifier(k["mean"], k["std"]))
-        return MollifiedBC(k["radius"], UniformMollifier(k["lo"], k["hi"]))
-
-    @functools.cached_property
-    def _network_bytes(self) -> bytes:
-        """The bytes of network_file, read once per config: the graph and its
-        sha256 both come from them, so the hash is that of the graph used."""
-        path = self.raw["selection"]["network_file"]
-        try:
-            with open(path, "rb") as f:
-                return f.read()
-        except OSError as e:
-            raise ConfigError(f"[selection] network_file: {e}") from None
-
-    def network(self) -> Network:
-        s = self.raw["selection"]
-        if s["network_file"]:
-            return Network.from_csv_bytes(self._network_bytes)
-        return erdos_renyi(self.raw["model"]["n_agents"], s["p_conn"], s["network_seed"])
-
-    def network_sha256(self) -> str | None:
-        """sha256 of the network file the selection scheme reads, if any."""
-        s = self.raw["selection"]
-        if s["scheme"] != "degree_weighted" or not s["network_file"]:
-            return None
-        return hashlib.sha256(self._network_bytes).hexdigest()
-
-    @_section("selection")
-    def selection(self) -> SelectionScheme:
-        scheme = self.raw["selection"]["scheme"]
-        if scheme == "uniform_without_replacement":
-            return UniformWithoutReplacement()
-        if scheme == "degree_weighted":
-            return DegreeWeighted(self.network())
-        if scheme.startswith("probability_proportional"):
-            return ProbabilityProportional(double_weighting=scheme.endswith("_double"))
-        return UniformWithReplacement(both_update=scheme.endswith("_both"))
-
-    @_section("noise")
-    def noise(self) -> NoiseFamily:
-        nz = self.raw["noise"]
-        kind = NoiseKind(nz["kind"])
-        if kind is NoiseKind.NONE:
-            return NoiseFamily()
-        if nz["law"] == "gaussian":
-            return NoiseFamily(kind, GaussianScaled(nz["mean_per_h"], nz["var_per_h"]))
-        return NoiseFamily(kind, Degenerate(nz["value_per_h"]))
-
-    def model_spec(self) -> ModelSpec:
-        m = self.raw["model"]
-        kernel, selection, noise = self.kernel(), self.selection(), self.noise()
-        with _section("model"):
-            return ModelSpec(
-                n_agents=m["n_agents"],
-                h=m["h"],
-                horizon=m["horizon"],
-                kernel=kernel,
-                selection=selection,
-                noise=noise,
-            )
-
-    @_section("dem")
-    def integrator(self) -> IntegratorSpec:
-        return IntegratorSpec(dt=self.raw["dem"]["dt"])
-
-    def x0(self) -> np.ndarray:
-        init = self.raw["init"]
-        n = self.raw["model"]["n_agents"]
-        if init["x0"] == "uniform":
-            lo, hi = init["lo"], init["hi"]
-            if not 0.0 <= hi - lo < math.inf:
-                raise ConfigError(f"[init] lo, hi: need finite lo <= hi, got ({lo}, {hi})")
-            return np.random.default_rng(init["seed"]).uniform(lo, hi, n)
-        vals = np.array([_coerce("init", "values", v, float) for v in init["values"].split(",")])
-        if len(vals) != n:
-            raise ConfigError(f"[init] values: expected {n} entries, got {len(vals)}")
-        return vals
-
-    def validate(self) -> None:
-        """Cross-field validation; raises ConfigError on the first problem."""
-        spec = self.model_spec()
-        self.x0()
-        h_list = self.h_list
-        # every experiment measures the model against its limit
-        try:
-            model = build_limit(spec)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        if self.experiment in ("compare", "sweep_h", "ensemble"):
-            integrator = self.integrator()
-            try:
-                integrator.steps(spec.horizon)
-            except ValueError as e:
-                raise ConfigError(f"[model] horizon: {e}") from None
-        if self.experiment == "sweep_h" and model.has_diffusion:
-            raise ConfigError(
-                "sweep_h compares against a deterministic limit; this model's limit has diffusion"
-            )
-        if self.experiment in ("sweep_h", "limitcheck"):
-            if not (h_list and all(h > 0 for h in h_list)):
-                raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
-            if self.experiment == "limitcheck" and len(set(h_list)) < len(h_list):
-                raise ConfigError("[experiment] h_list: limitcheck needs distinct steps")
-            # sweep_summary's shrink conditions compare the largest h with
-            # the smallest, so a single h could only read FAIL
-            if self.experiment == "limitcheck" and len(h_list) < 2:
-                raise ConfigError("[experiment] h_list: limitcheck needs at least two steps")
-        noisy = spec.noise.kind is not NoiseKind.NONE
-        least = {
-            "sweep_h": {"runs_per_h": 1},
-            "ensemble": {"n_runs": 2},
-            "limitcheck": {"n_states": 0, "samples": MIN_MC_SAMPLES if noisy else 0},
-        }.get(self.experiment, {})
-        for key, low in least.items():
-            got = self.raw["experiment"][key]
-            if got < low:
-                raise ConfigError(f"[experiment] {key}: must be at least {low}, got {got}")
-
     def to_dict(self) -> dict[str, dict[str, Any]]:
         return {s: dict(v) for s, v in self.raw.items()}
 
 
 def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
-    cfg = ExperimentConfig(raw=_resolve(data))
-    cfg.validate()
-    return cfg
+    """Resolve the table and build its experiment, checking the fields
+    against each other; raises ConfigError on the first problem."""
+    r = _resolve(data)
+    exp = r["experiment"]
+    experiment = exp["type"]
+    kernel = _kernel(r["kernel"])
+    selection, network_sha256 = _selection(r)
+    noise = _noise(r["noise"])
+    with _section("model"):  # [model] holds n_agents, h and horizon
+        spec = ModelSpec(**r["model"], kernel=kernel, selection=selection, noise=noise)
+    x0 = _x0(r["init"], spec.n_agents)
+    entries = exp["h_list"].split(",")
+    h_list = [_coerce("experiment", "h_list", v, float) for v in entries if v.strip()]
+    # every experiment measures the model against its limit
+    try:
+        limit = build_limit(spec)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    integrator = None
+    if experiment != "limitcheck":
+        with _section("dem"):
+            integrator = IntegratorSpec(dt=r["dem"]["dt"])
+        try:
+            integrator.steps(spec.horizon)
+        except ValueError as e:
+            raise ConfigError(f"[model] horizon: {e}") from None
+    if experiment == "sweep_h" and limit.has_diffusion:
+        raise ConfigError(
+            "sweep_h compares against a deterministic limit; this model's limit has diffusion"
+        )
+    if experiment in ("sweep_h", "limitcheck"):
+        if not (h_list and all(h > 0 for h in h_list)):
+            raise ConfigError("[experiment] h_list: must be a non-empty list of positive steps")
+        if experiment == "limitcheck" and len(set(h_list)) < len(h_list):
+            raise ConfigError("[experiment] h_list: limitcheck needs distinct steps")
+        # sweep_summary's shrink conditions compare the largest h with
+        # the smallest, so a single h could only read FAIL
+        if experiment == "limitcheck" and len(h_list) < 2:
+            raise ConfigError("[experiment] h_list: limitcheck needs at least two steps")
+    noisy = noise.kind is not NoiseKind.NONE
+    least = {
+        "sweep_h": {"runs_per_h": 1},
+        "ensemble": {"n_runs": 2},
+        "limitcheck": {"n_states": 0, "samples": MIN_MC_SAMPLES if noisy else 0},
+    }.get(experiment, {})
+    for key, low in least.items():
+        got = exp[key]
+        if got < low:
+            raise ConfigError(f"[experiment] {key}: must be at least {low}, got {got}")
+    return ExperimentConfig(r, spec, integrator, x0, h_list, limit, network_sha256)
 
 
 def parse_config(text: str) -> ExperimentConfig:

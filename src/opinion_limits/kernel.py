@@ -210,11 +210,6 @@ class Network:
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
 
     @classmethod
-    def from_csv(cls, path) -> "Network":
-        with open(path, "rb") as f:
-            return cls.from_csv_bytes(f.read())
-
-    @classmethod
     def from_csv_bytes(cls, data: bytes) -> "Network":
         """The network of a CSV file that to_csv wrote, from the file's bytes."""
         f = io.TextIOWrapper(io.BytesIO(data))  # decoded as open(path) decodes

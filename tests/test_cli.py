@@ -109,7 +109,7 @@ def test_explicit_x0():
         "[model]\nn_agents = 3\nh = 1e-3\nhorizon = 1.0\n"
         "[init]\nx0 = explicit\nvalues = -0.5, 0.0, 0.5\n"
     )
-    assert np.array_equal(cfg.x0(), [-0.5, 0.0, 0.5])
+    assert np.array_equal(cfg.x0, [-0.5, 0.0, 0.5])
     with pytest.raises(ConfigError, match="expected 3"):
         parse_config(
             "[model]\nn_agents = 3\nh = 1e-3\nhorizon = 1.0\n"
@@ -118,8 +118,8 @@ def test_explicit_x0():
 
 
 def test_x0_reproducible_across_builds():
-    cfg = parse_config("[init]\nseed = 42\n")
-    assert np.array_equal(cfg.x0(), cfg.x0())
+    text = "[init]\nseed = 42\n"
+    assert parse_config(text).x0.tobytes() == parse_config(text).x0.tobytes()
 
 
 def test_manifest_round_trip_byte_identical(tmp_path):
@@ -165,6 +165,14 @@ def test_exit_code_config_error(tmp_path, capsys):
     rc = main([str(_write(tmp_path, "[init]\nlo = 1.0\nhi = -1.0\n"))])
     assert rc == 1
     assert "config error: [init]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bad.ini", "bad.json"])
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe[model]\nh = 1e-3\n")
+    assert main([str(path)]) == 1
+    assert "config error: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -399,23 +407,23 @@ def test_manifest_with_old_variant_spelling_rejected(tmp_path, capsys, key, valu
 
 def test_double_weighting_is_a_selection_scheme():
     cfg = parse_config("[selection]\nscheme = probability_proportional_double\n" + _SMALL_MODEL)
-    assert cfg.model_spec().selection == ProbabilityProportional(double_weighting=True)
+    assert cfg.spec.selection == ProbabilityProportional(double_weighting=True)
     cfg = parse_config("[selection]\nscheme = probability_proportional\n" + _SMALL_MODEL)
-    assert cfg.model_spec().selection == ProbabilityProportional()
+    assert cfg.spec.selection == ProbabilityProportional()
 
 
 def test_both_update_is_a_selection_scheme():
     cfg = parse_config("[selection]\nscheme = uniform_with_replacement_both\n" + _SMALL_MODEL)
-    spec = cfg.model_spec()
+    spec = cfg.spec
     assert spec.selection == UniformWithReplacement(both_update=True)
     assert spec.mu == 5 * 1e-3 / 2
     cfg = parse_config("[selection]\nscheme = uniform_with_replacement\n" + _SMALL_MODEL)
-    assert cfg.model_spec().selection == UniformWithReplacement()
+    assert cfg.spec.selection == UniformWithReplacement()
 
 
 def test_selection_without_replacement_is_single_update():
     text = "[selection]\nscheme = uniform_without_replacement\n" + _SMALL_MODEL
-    spec = parse_config(text).model_spec()
+    spec = parse_config(text).spec
     assert spec.mu == (5 - 1) * 1e-3
     with pytest.raises(ConfigError, match="unknown key 'update_mode'"):
         parse_config(text + "update_mode = both\n")
@@ -651,7 +659,7 @@ def test_manifest_records_the_limit(tmp_path, experiment):
     assert main([str(_write(tmp_path, text.format(out=out)))]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["limit"] == provenance
-    spec = config_from_dict(manifest["config"]).model_spec()
+    spec = config_from_dict(manifest["config"]).spec
     assert manifest["limit"] == build_limit(spec).provenance
 
 
@@ -841,17 +849,48 @@ def test_network_file_is_read_once_per_config(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", counted)
     out = tmp_path / "out"
     cfg = parse_config(_NETWORK_COMPARE.format(out=out, network=f"network_file = {path}"))
-    graph = cfg.model_spec().selection.network.adjacency
+    graph = cfg.spec.selection.network.adjacency
     cli.run_experiment(cfg)
-    assert cfg.network_sha256() == sha
+    assert cfg.network_sha256 == sha
     assert json.loads((out / "manifest.json").read_text())["network_sha256"] == sha
     assert len(reads) == 1
     # another graph in the file's place changes neither the graph nor the
     # hash the loaded config reports
     erdos_renyi(10, 0.3, 6).to_csv(path)
-    assert cfg.network_sha256() == sha
-    assert np.array_equal(cfg.model_spec().selection.network.adjacency, graph)
+    assert cfg.network_sha256 == sha
+    assert np.array_equal(cfg.spec.selection.network.adjacency, graph)
     assert len(reads) == 1
+
+
+def test_cli_run_builds_its_network_once(tmp_path, monkeypatch):
+    # one read of network_file per CLI run, whether from INI or a manifest
+    path = tmp_path / "net.csv"
+    erdos_renyi(10, 0.3, 5).to_csv(path)
+    reads = []
+    real_open = builtins.open
+
+    def counted(file, mode="r", *args, **kwargs):
+        if str(file) == str(path) and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    rc, out = _network_run(tmp_path, "first", f"network_file = {path}")
+    assert rc == 0 and len(reads) == 1
+    assert main([str(out / "manifest.json"), "--out", str(tmp_path / "rerun")]) == 0
+    assert len(reads) == 2
+    # a generated graph is generated once per CLI run
+    calls = []
+
+    def generate(*args):
+        calls.append(args)
+        return erdos_renyi(*args)
+
+    monkeypatch.setattr("opinion_limits.config.erdos_renyi", generate)
+    rc, out = _network_run(tmp_path, "generated", "p_conn = 0.3")
+    assert rc == 0 and len(calls) == 1
+    assert main([str(out / "manifest.json"), "--out", str(tmp_path / "regenerated")]) == 0
+    assert len(calls) == 2
 
 
 def test_manifest_pins_the_network_file(tmp_path, capsys):

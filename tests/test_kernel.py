@@ -142,7 +142,7 @@ def test_network_csv_roundtrip(tmp_path):
     net = erdos_renyi(8, 0.4, seed=5)
     path = tmp_path / "net.csv"
     net.to_csv(path)
-    assert np.array_equal(Network.from_csv(path).adjacency, net.adjacency)
+    assert np.array_equal(Network.from_csv_bytes(path.read_bytes()).adjacency, net.adjacency)
 
 
 _SATURATING = [

@@ -197,6 +197,28 @@ def test_final_state_does_not_depend_on_sample_grid(scheme, kind, horizon):
     assert len(finals) == 1
 
 
+# at h = 1e-4 and T = 0.1025: no step, inside the first block, at the end
+# of the first and inside the second, short of the horizon's third
+@pytest.mark.parametrize("last", [0.0, 0.03, 0.0512, 0.07])
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("scheme", ["uwr_single", "uwr_both", "proportional"])
+def test_run_stops_at_its_last_sample_with_the_draws_of_a_full_run(scheme, kind, last):
+    spec = ModelSpec(
+        n_agents=N, h=1e-4, horizon=0.1025, kernel=KERNEL, noise=_noise(kind),
+        **_SCHEMES[scheme],
+    )
+    grid = [0.0, last]
+    assert sum(b - a for _, _, a, b in _plan(spec, grid)[1]) == round(last / spec.h)
+    x0 = np.random.default_rng(46).uniform(-0.5, 0.5, N)
+    seeds = [[46, 0], [46, 1]]
+    full = [run_abm(spec, x0, [*grid, 0.1025], np.random.default_rng(s)) for s in seeds]
+    short = [run_abm(spec, x0, grid, np.random.default_rng(s)) for s in seeds]
+    assert _bits(short) == [f.values[:2].tobytes() for f in full]
+    if scheme != "proportional":
+        batch = run_abm_batch(spec, x0, grid, [np.random.default_rng(s) for s in seeds])
+        assert _bits(batch) == _bits(short)
+
+
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
 def test_batch_engine_both_update_with_i_equal_to_j(kind):
     # N=2: half of all draws pick i == j, where only the j-side update lands
