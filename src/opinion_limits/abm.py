@@ -55,9 +55,10 @@ _DRAW_BLOCK = 512
 _PROPOSALS = 8
 # Blocks of fewer runs than this are faster through run_abm one at a time
 # than through run_abm_batch: at N=50 with external noise (1000 steps,
-# sampled every 100), 10 runs took 21-42% longer batched, 12 runs 5-23% less
-# and 14 runs 16-20% less.
-_BATCH_MIN_RUNS = 12
+# sampled every 100), the median ratio of batched to serial time over
+# interleaved rounds was 1.14 at 20 runs, 1.03-1.05 at 22, 1.00 at 24 and
+# 0.91 at 26.
+_BATCH_MIN_RUNS = 24
 # run_abm_batch advances runs in groups whose draw buffers hold at most
 # this many steps, summed over the runs of the group: 2048 runs of one block.
 _BATCH_STEPS = 1 << 20
@@ -362,6 +363,20 @@ def _pair_noise(spec: ModelSpec) -> bool:
     )
 
 
+def _kinds(spec: ModelSpec) -> tuple[bool, bool, bool, bool]:
+    """Whether spec's noise kind is ambiguity, none, external or adaptation;
+    all four False means a random update distance. The step loops test
+    these locals, since an Enum member lookup per step costs several times
+    as much as the arithmetic it selects."""
+    kind = spec.noise.kind
+    return (
+        kind is NoiseKind.AMBIGUITY,
+        kind is NoiseKind.NONE,
+        kind is NoiseKind.EXTERNAL,
+        kind is NoiseKind.ADAPTATION,
+    )
+
+
 def _row_mass(p: np.ndarray, agents: Sequence[int] | None = None) -> np.ndarray:
     """Row sums of the pairwise matrix p, the normaliser of probability-
     proportional selection; raises if an agent has nobody to pick.
@@ -403,7 +418,7 @@ def _fallback_j(kernel, x, i, u):
 def _apply(spec, x, draws, lo, hi, check_hull):
     """Execute the drawn steps in order, in place on the opinion list x."""
     mu = spec.mu
-    kind = spec.noise.kind
+    ambiguity, none, external, adaptation = _kinds(spec)
     p = spec.kernel.eval
     d_one, d_zero = saturation(spec.kernel)
     both = _both(spec)
@@ -426,19 +441,19 @@ def _apply(spec, x, draws, lo, hi, check_hull):
             j = jj[k]
 
         xj = x[j]
-        if kind is NoiseKind.AMBIGUITY:  # i moves toward j's perturbed opinion
+        if ambiguity:  # i moves toward j's perturbed opinion
             d = xj + z[k] - xi
         else:
             d = xj - xi
         ad = abs(d)
         ok = always or ad <= d_one or (ad < d_zero and ua[k] < p(ad))
 
-        if kind is NoiseKind.AMBIGUITY:
+        if ambiguity:
             if ok:
                 x[i] = xi + mu * d
                 if both:
                     x[j] = xj + mu * (xi + z2[k] - xj)
-        elif kind is NoiseKind.NONE:
+        elif none:
             if ok and d != 0.0:
                 x[i] = xi + mu * d
                 if both:
@@ -447,12 +462,12 @@ def _apply(spec, x, draws, lo, hi, check_hull):
                     for a in (i, j):
                         if not lo <= x[a] <= hi:
                             raise RuntimeError(f"opinion of agent {a} left the initial hull")
-        elif kind is NoiseKind.EXTERNAL:
+        elif external:
             pull = mu * d if ok else 0.0
             x[i] = xi + z[k] + pull
             if both:
                 x[j] = xj + z2[k] - pull
-        elif kind is NoiseKind.ADAPTATION:
+        elif adaptation:
             if ok:
                 x[i] = xi + mu * d + z[k]
                 if both:
@@ -480,21 +495,21 @@ def _update_rule(spec):
     None unless both agents move.
     """
     mu = spec.mu
-    kind = spec.noise.kind
+    ambiguity, none, external, adaptation = _kinds(spec)
     both = _both(spec)
 
     def rule(xi, xj, z, z2, accept):
-        if kind is NoiseKind.AMBIGUITY:
+        if ambiguity:
             dd = xj + z - xi
             return accept(dd), (mu * dd,), (mu * (xi + z2 - xj),) if both else None
         d = xj - xi
         ok = accept(d)
-        if kind is NoiseKind.EXTERNAL:
+        if external:
             pull = np.where(ok, mu * d, 0.0)
             return None, (z, pull), (z2, -pull) if both else None
-        if kind is NoiseKind.ADAPTATION:
+        if adaptation:
             return ok, (mu * d, z), (-(mu * d), z2) if both else None
-        step = mu * d if kind is NoiseKind.NONE else z * d  # random update distance
+        step = mu * d if none else z * d  # random update distance
         # a zero pull is skipped, so an opinion of -0.0 keeps its sign
         return ok & (d != 0.0), (step,), (-step,) if both else None
 

@@ -6,25 +6,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Trajectory", "csv_line", "trajectories", "write_csv"]
-
-_FLOAT17 = "{:.17g}".format
-
-
-def csv_line(row: np.ndarray) -> str:
-    """A float64 row as one CSV line, each entry as %.17g, which round-trips.
-
-    Formatting Python floats (row.tolist()) gives the same text as
-    formatting np.float64 scalars, at lower cost.
-    """
-    return ",".join(map(_FLOAT17, row.tolist())) + "\n"
+__all__ = ["Trajectory", "trajectories", "write_csv"]
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """A CSV table: a line of column names, then one csv_line per row of floats."""
+    """A CSV table: a line of column names, then one line per row of floats,
+    each entry as %.17g, which round-trips.
+
+    rows must be 2-D with one column per name in header. Each line is one
+    % format of the row's Python floats, which gives the text of
+    format(v, ".17g") per value at lower cost; the text of one row is held
+    at a time.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"a table must be 2-D, got shape {rows.shape}")
+    if rows.shape[1] != len(header):
+        raise ValueError(
+            f"table rows have {rows.shape[1]} values but the header has {len(header)} names"
+        )
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(map(csv_line, np.asarray(rows, dtype=float)))
+        f.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -688,6 +688,46 @@ def test_csv_writers_pin_the_bytes_of_awkward_floats(tmp_path):
     assert path.read_text() == "h,b_deviation,a_deviation,gamma4\n" + "".join(rows)
 
 
+@pytest.mark.parametrize(
+    "shape, names",
+    [((4, 3), 2), ((4, 1), 2), ((0, 3), 2), ((4,), 4), ((2, 2, 2), 2)],
+    ids=["3_under_2", "1_under_2", "empty_3_under_2", "1d", "3d"],
+)
+def test_csv_writer_refuses_a_table_that_does_not_fit_its_header(tmp_path, shape, names):
+    path = tmp_path / "table.csv"
+    header = [f"c{k}" for k in range(names)]
+    with pytest.raises(ValueError) as err:
+        write_csv(path, header, np.zeros(shape))
+    if len(shape) == 2:
+        assert f"{shape[1]} values" in str(err.value)
+        assert f"{names} names" in str(err.value)
+    else:
+        assert str(shape) in str(err.value)
+    assert not path.exists()
+
+
+# beside AWKWARD: the other zero, subnormals, the smallest normal, the
+# largest finite float and integers whose text has or lacks an exponent
+_SPECIAL = AWKWARD + [0.0, -5e-324, 1e-310, 2.2250738585072014e-308, -1.7976931348623157e308,
+                      3.0, -12.0, 2.0**53, 1e16, 1e17]
+
+
+@pytest.mark.parametrize(
+    "shape", [(0, 1), (0, 4), (1, 1), (40, 1), (7, 3), (26, 501)], ids=lambda s: "x".join(map(str, s))
+)
+def test_csv_writer_matches_a_per_value_format_reference(tmp_path, shape):
+    # seeded draws over the whole exponent range, a third replaced by _SPECIAL
+    rng = np.random.default_rng([17, *shape])
+    drawn = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    special = rng.choice(_SPECIAL, shape)
+    rows = np.where(rng.random(shape) < 1 / 3, special, drawn)
+    header = ["t", *(f"x_{k}" for k in range(shape[1] - 1))]
+    path = tmp_path / "table.csv"
+    write_csv(path, header, rows)
+    lines = [header, *([format(v, ".17g") for v in row] for row in rows.tolist())]
+    assert path.read_bytes() == "".join(",".join(line) + "\n" for line in lines).encode()
+
+
 def test_trajectory_csv_round_trips_awkward_floats_bit_for_bit(tmp_path):
     path = tmp_path / "traj.csv"
     values = np.array([AWKWARD, AWKWARD[::-1]])
