@@ -42,8 +42,10 @@ __all__ = [
 # exact coefficients through _increments, which moves noise-free limitcheck
 # values by rounding; 6: limits at N >= dem._BAND_MIN_AGENTS sum their
 # fields banded, which moves them by rounding; 7: coefficient fourth powers
-# are squared squares, not pow(d, 4), which moves them by rounding.
-ENGINE_VERSION = 7
+# are squared squares, not pow(d, 4), which moves them by rounding; 8: Monte
+# Carlo coefficients draw batches of limitcheck._MC_BATCH = 4096 steps, not
+# 200 000, which gives every Monte Carlo estimate other stream values.
+ENGINE_VERSION = 8
 
 # Steps drawn at a time from a run's stream; the last block is cut at the
 # horizon. Larger blocks hold more memory for little speed: at 4096, a

@@ -587,8 +587,11 @@ def test_malformed_manifest_is_a_config_error(tmp_path, capsys, monkeypatch, man
 
 @pytest.mark.parametrize(
     "engine",
-    [None, 1, 2, 3, 4, 5, 6],
-    ids=["no_key", "engine=1", "engine=2", "engine=3", "engine=4", "engine=5", "engine=6"],
+    [None, 1, 2, 3, 4, 5, 6, 7],
+    ids=[
+        "no_key", "engine=1", "engine=2", "engine=3", "engine=4", "engine=5", "engine=6",
+        "engine=7",
+    ],
 )
 def test_manifest_from_older_engine_rejected(tmp_path, capsys, engine):
     # manifests written before the engine key are version 1; an older

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,29 @@ def test_mc_report_matches_fsum_reference(case):
         got = getattr(rep, field)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (field, got, ref)
     assert (rep.a_h_offdiag_max > 0.0) == selection.both_update
+
+
+def test_mc_working_set_does_not_grow_with_samples():
+    # tracemalloc sees numpy's buffers. In batches of 4096 steps the peak is
+    # about 0.5 MB at N = 50 whatever the sample count; batches of 8192 peak
+    # at 0.9 MB at 10^6 samples, and engine 7's 200 000-step batches at 21 MB.
+    noise = NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05))
+    spec = make_spec(n_agents=50, noise=noise)
+    x = np.random.default_rng(20).uniform(-1, 1, 50)
+    for samples in (10_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            mc_coefficients(x, spec, samples, np.random.default_rng(21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640_000, (samples, peak)
+
+
+def test_mc_proportional_refuses_an_agent_with_nobody_to_pick():
+    spec = make_spec(kernel=Constant(0.0), selection=ProbabilityProportional())
+    with pytest.raises(RuntimeError, match="zero total interaction probability"):
+        mc_coefficients(np.zeros(5), spec, 10_000, np.random.default_rng(0))
 
 
 def test_mc_minimum_samples():
