@@ -85,8 +85,10 @@ _SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][0] != "uwr_both"]
 # for other outputs re-records only their hashes (4: ensemble variances,
 # none; 5: exact coefficients, the noise-free sweep hashes; 6: banded limit
 # fields at N >= dem._BAND_MIN_AGENTS, none: every case here is smaller;
-# 7: fourth powers as squared squares, the sweep hashes whose gamma4 moved).
-GOLDEN_ENGINE = 7
+# 7: fourth powers as squared squares, the sweep hashes whose gamma4 moved;
+# 8: Monte Carlo batches of 4096 steps, every mc_coefficients hash and the
+# noisy sweep hashes).
+GOLDEN_ENGINE = 8
 
 
 def test_golden_hashes_match_engine_version():
@@ -128,31 +130,31 @@ RUN_ABM_SHA256 = {
 }
 
 MC_SHA256 = {
-    "uwr_single-none": "9e2802259b054ccc",
-    "uwr_single-ambiguity": "7fa524e2d735edd5",
-    "uwr_single-external": "43d1cee3e98e88df",
-    "uwr_single-adaptation": "c9a0a8167c8edf12",
-    "uwr_single-random_update_distance": "bd5b344ca03904ae",
-    "uwor-none": "c6774e56c1fd675e",
-    "uwor-ambiguity": "3e30e334ba70784a",
-    "uwor-external": "3cf700c182ef2d1f",
-    "uwor-adaptation": "16b5309a3a67191b",
-    "uwor-random_update_distance": "67d39d7cc5334453",
-    "degree-none": "bdea6a480071ef16",
-    "degree-ambiguity": "ce50775ebb03a664",
-    "degree-external": "837fd4511b928a60",
-    "degree-adaptation": "f45263452c4d8cc8",
-    "degree-random_update_distance": "99fdf895fcaa7fe0",
-    "proportional-none": "6db3adb116833d25",
-    "proportional-ambiguity": "14e00b2ba37ac522",
-    "proportional-external": "835fc5316241cbc5",
-    "proportional-adaptation": "bc0733659809746a",
-    "proportional-random_update_distance": "7ecba57b95cac244",
-    "proportional_double-none": "73ad5c99037846ee",
-    "proportional_double-ambiguity": "52ae01117f21b227",
-    "proportional_double-external": "77fbc5874c3e42df",
-    "proportional_double-adaptation": "d915347198309169",
-    "proportional_double-random_update_distance": "fe9962e56b3ae06b",
+    "uwr_single-none": "76a2898a755b5f69",
+    "uwr_single-ambiguity": "4995e3c1520683c8",
+    "uwr_single-external": "2112b4ab08b79219",
+    "uwr_single-adaptation": "83ec8f9635d56289",
+    "uwr_single-random_update_distance": "bfea5d0c8b9ccc15",
+    "uwor-none": "92830aeeaefb25c7",
+    "uwor-ambiguity": "c3b2344f55c6413a",
+    "uwor-external": "0417cc1965515812",
+    "uwor-adaptation": "9f5874b9b49854ff",
+    "uwor-random_update_distance": "0fd44f44cb0bd062",
+    "degree-none": "4e090581c1e998b7",
+    "degree-ambiguity": "4b8e1f883c6b76ec",
+    "degree-external": "6e01ab4fc52b498e",
+    "degree-adaptation": "73865fef30249d1f",
+    "degree-random_update_distance": "32b8c25482f9877b",
+    "proportional-none": "4020ae9607d45f72",
+    "proportional-ambiguity": "041a0db8cdbfd9ce",
+    "proportional-external": "2b64b536128cba21",
+    "proportional-adaptation": "a8bf825019686176",
+    "proportional-random_update_distance": "aeb527f853a8b781",
+    "proportional_double-none": "4761bbc21a32b01c",
+    "proportional_double-ambiguity": "8cb3b408da4a27f7",
+    "proportional_double-external": "b94ddd73207a0873",
+    "proportional_double-adaptation": "a6fe2ebd24708389",
+    "proportional_double-random_update_distance": "a74da60f3f8f7713",
 }
 
 
@@ -245,9 +247,9 @@ def test_integrate_banded_golden_hash(label):
 SWEEP_SHA256 = {
     "degree-none": "03ce54b9945f341f",
     "proportional_double-none": "ab6de096bcd26c26",
-    "uwr_single-external": "c624d128123be7bd",
-    "uwr_single-adaptation": "8de1a248d13dfe88",
-    "uwr_single-random_update_distance": "2831261c7d0fc413",
+    "uwr_single-external": "2b16395b00424dbc",
+    "uwr_single-adaptation": "09b07db947f81613",
+    "uwr_single-random_update_distance": "b97141f4ffe582c1",
 }
 
 
