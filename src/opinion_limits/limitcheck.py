@@ -102,9 +102,9 @@ def exact_coefficients(x: Sequence[float], spec: ModelSpec) -> CoefficientReport
 def _increments(x, spec, draws, p, cum=None):
     """One-step increments of the chain from the fixed state x, one per draw,
     with p = pairwise_matrix(spec.kernel, x). Draws of probability-
-    proportional selection carry proposals, which are thinned against p;
-    cum = np.cumsum(p, axis=1), the fallback's running row sums, may come
-    from the caller, so a sampler computes it once per state, not per batch.
+    proportional selection carry proposals, which are thinned against p,
+    and need cum = np.cumsum(p, axis=1) for the fallback: it depends on the
+    state only, so a sampler computes it once, not once per batch.
 
     Returns (ii, di, jj, dj) in sparse form: agent ii[k] moves by di[k] and
     agent jj[k] by dj[k]; jj/dj are None unless both agents move. This is
@@ -120,8 +120,6 @@ def _increments(x, spec, draws, p, cum=None):
         steps = np.arange(len(ii))
         jj = jp[steps, first]
         miss = ~hit[steps, first]  # every proposal rejected
-        if cum is None:
-            cum = np.cumsum(p, axis=1)
         jj[miss] = _bisect_rows(cum, ii[miss], uj[miss])
 
     def accept(d):

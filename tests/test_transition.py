@@ -71,7 +71,7 @@ def test_scalar_apply_matches_vectorised_increments(scheme, kind):
     p = pairwise_matrix(spec.kernel, x)
     if scheme == "proportional_fallback":
         assert np.mean(~np.any(draws.up < p[draws.ii[:, None], draws.jp], axis=1)) > 0.5
-    ii, di, jj, dj = _increments(x, spec, draws, p)
+    ii, di, jj, dj = _increments(x, spec, draws, p, np.cumsum(p, axis=1))
     moved = 0
     for k in range(m):
         vec = x.copy()
