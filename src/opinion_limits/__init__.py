@@ -6,7 +6,6 @@ from .abm import (
     ProbabilityProportional,
     UniformWithoutReplacement,
     UniformWithReplacement,
-    abm_step,
     run_abm,
     run_abm_batch,
 )
@@ -31,7 +30,6 @@ from .kernel import (
     NormalMollifier,
     UniformMollifier,
     erdos_renyi,
-    eval_kernel,
     pairwise_matrix,
 )
 from .limitcheck import (
@@ -47,8 +45,6 @@ from .noise import (
     NoiseFamily,
     NoiseKind,
     analytic_mk,
-    empirical_mk,
-    sample_noise,
 )
 from .trajectory import Trajectory
 

@@ -28,7 +28,6 @@ __all__ = [
     "ProbabilityProportional",
     "SelectionScheme",
     "ModelSpec",
-    "abm_step",
     "run_abm",
     "run_abm_batch",
 ]
@@ -159,33 +158,6 @@ class ModelSpec:
         return self.n_agents * self.h
 
 
-def abm_step(
-    x: Sequence[float],
-    spec: ModelSpec,
-    rng: np.random.Generator,
-    pair: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Advance the state x by one timestep of size h; returns the new state.
-
-    From the same stream this is the state a one-step run_abm reaches: the
-    step is a block of its own. pair, if given, replaces the drawn (i, j) so
-    tests can pin down a single transition.
-    """
-    x = np.asarray(x, dtype=float)
-    n = spec.n_agents
-    if len(x) != n:
-        raise ValueError("state size does not match spec")
-    draws = _draw(spec, 1, rng)
-    if pair is not None:
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError("pair index out of range")
-        draws = draws._replace(ii=np.array([i]), jj=np.array([j]))
-    out = x.tolist()
-    _apply(spec, out, draws, 0.0, 0.0, False)
-    return np.array(out)
-
-
 def run_abm(
     spec: ModelSpec,
     x0: Sequence[float],
@@ -266,9 +238,10 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
     times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
-    if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-9):
-        raise ValueError("sample times must lie within [0, T]")
     h = spec.h
+    # a last sample past T by more than rounding, 1e-6 of a step, is refused
+    if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-6 * h):
+        raise ValueError("sample times must lie within [0, T]")
     total = int(math.ceil(spec.horizon / h - 1e-9))
     targets = [min(total, int(math.floor(s / h + 1e-9))) for s in times]
     cuts = sorted({*targets, *range(0, total, _DRAW_BLOCK), total})
@@ -318,7 +291,7 @@ def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
     """Draw m steps in the fixed order: pair indices, then acceptance
     uniforms, then noise. Under probability-proportional selection the pair
     indices are i, the proposed j's and their uniforms, then one fallback
-    uniform per step. run_abm, abm_step, run_abm_batch and the Monte Carlo
+    uniform per step. run_abm, run_abm_batch and the Monte Carlo
     coefficient check all take their randomness from here, so one seed
     gives one chain.
     """

@@ -115,6 +115,10 @@ _SCHEMA: dict[str, dict[str, tuple[type | tuple[str, ...], Any]]] = {
 }
 
 
+# the keys that seed a numpy stream, which takes only a non-negative integer
+_SEEDS = (("experiment", "base_seed"), ("selection", "network_seed"), ("init", "seed"))
+
+
 def _coerce(section: str, key: str, raw: Any, typ: type | tuple[str, ...]):
     """raw as a value of [section] key, or a ConfigError if the key refuses it.
 
@@ -280,6 +284,9 @@ def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
     """Resolve the table and build its experiment, checking the fields
     against each other; raises ConfigError on the first problem."""
     r = _resolve(data)
+    for section, key in _SEEDS:
+        if r[section][key] < 0:
+            raise ConfigError(f"[{section}] {key}: must be non-negative, got {r[section][key]}")
     exp = r["experiment"]
     experiment = exp["type"]
     kernel = _kernel(r["kernel"])
@@ -297,12 +304,26 @@ def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
         raise ConfigError(str(e)) from None
     integrator = None
     if experiment != "limitcheck":
+        dt = r["dem"]["dt"]
         with _section("dem"):
-            integrator = IntegratorSpec(dt=r["dem"]["dt"])
+            integrator = IntegratorSpec(dt=dt)
+        # cli._prelude samples at k * dt rounded to 12 decimals, which moves a
+        # sample off the dt grid unless dt lies on that decimal grid
+        if np.round(dt, 12) != dt:
+            raise ConfigError(f"[dem] dt: must be a multiple of 1e-12, got {dt}")
         try:
-            integrator.steps(spec.horizon)
+            steps = integrator.steps(spec.horizon)
         except ValueError as e:
             raise ConfigError(f"[model] horizon: {e}") from None
+        # run_abm refuses a last sample past the horizon by more than 1e-6 of
+        # its step; the grid's end may pass it by rounding, 1e-15 relative,
+        # which is less up to 10^9 steps
+        end = float(np.round(steps * dt, 12))
+        if end > spec.horizon * (1 + 1e-15):
+            raise ConfigError(
+                f"[model] horizon: {spec.horizon} is not a multiple of dt={dt}; "
+                f"the sample grid ends at {end}"
+            )
     if experiment == "sweep_h" and limit.has_diffusion:
         raise ConfigError(
             "sweep_h compares against a deterministic limit; this model's limit has diffusion"

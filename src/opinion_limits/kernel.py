@@ -28,7 +28,6 @@ __all__ = [
     "InteractionKernel",
     "MollifierSpec",
     "Network",
-    "eval_kernel",
     "pairwise_matrix",
     "saturation",
     "erdos_renyi",
@@ -163,20 +162,6 @@ def saturation(kernel: InteractionKernel) -> tuple[float, float]:
         d_one = -math.inf if below_one == 0.0 else math.nextafter(below_one, -math.inf)
     d_zero = _first(lambda d: kernel.eval(d) == 0.0)
     return d_one, math.inf if d_zero is None else d_zero
-
-
-def eval_kernel(kernel: InteractionKernel, d):
-    """Interaction probability at opinion distance d: a float for a scalar,
-    an array for an array-like.
-
-    Coerces d to floats and rejects negative distances; kernel.eval itself
-    takes only a float or a float ndarray and trusts its value.
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("opinion distance must be non-negative")
-    out = kernel.eval(d)
-    return float(out) if d.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -21,10 +21,7 @@ __all__ = [
     "Degenerate",
     "NoiseLaw",
     "NoiseFamily",
-    "MomentEstimate",
-    "sample_noise",
     "analytic_mk",
-    "empirical_mk",
 ]
 
 
@@ -122,15 +119,6 @@ class NoiseFamily:
                 )
 
 
-def sample_noise(family: NoiseFamily, h: float, rng: np.random.Generator, size=None):
-    """Draw from the family's law at step size h."""
-    if h <= 0:
-        raise ValueError("timestep h must be positive")
-    if family.kind is NoiseKind.NONE:
-        raise ValueError("cannot sample from a 'none' noise family")
-    return family.law.sample(h, rng, size)
-
-
 def analytic_mk(family: NoiseFamily, k: int) -> float:
     """Closed-form limit of E[zeta_h^k] / h as h -> 0.
 
@@ -142,35 +130,3 @@ def analytic_mk(family: NoiseFamily, k: int) -> float:
     if family.kind is NoiseKind.NONE:
         return 0.0
     return family.law.mk(k)
-
-
-class MomentEstimate(NamedTuple):
-    h: float
-    estimate: float
-    std_error: float
-
-
-def empirical_mk(
-    family: NoiseFamily,
-    k: int,
-    h_values: Sequence[float],
-    samples_per_h: int,
-    rng: np.random.Generator,
-) -> list[MomentEstimate]:
-    """Monte Carlo estimates of E[zeta_h^k] / h, one row per h."""
-    if k not in (1, 2, 3, 4):
-        raise ValueError("k must be in 1..4")
-    if len(h_values) == 0:
-        raise ValueError("h_values must be non-empty")
-    if samples_per_h < 1000:
-        raise ValueError("need at least 1000 samples per h")
-    rows = []
-    for h in h_values:
-        if h <= 0:
-            raise ValueError("timestep values must be positive")
-        draws = np.asarray(sample_noise(family, h, rng, size=samples_per_h), dtype=float)
-        powers = draws**k / h
-        est = float(powers.mean())
-        se = float(powers.std(ddof=1) / math.sqrt(samples_per_h))
-        rows.append(MomentEstimate(h=float(h), estimate=est, std_error=se))
-    return rows

@@ -54,11 +54,6 @@ class Trajectory:
         header = ["t", *(f"x_{i}" for i in range(self.n_agents))]
         write_csv(path, header, np.column_stack((self.sample_times, self.values)))
 
-    @classmethod
-    def from_csv(cls, path) -> "Trajectory":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, 0], data[:, 1:])
-
 
 def _checked(sample_times, values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """sample_times and values as float arrays, refused unless the times are

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from opinion_limits.abm import (
     UniformWithReplacement,
     _apply,
     _draw,
-    abm_step,
     run_abm,
 )
 from opinion_limits.dem import IntegratorSpec
@@ -33,6 +33,17 @@ KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
 BOTH = UniformWithReplacement(both_update=True)
 
 
+def one_step(x, spec, rng, pair=None):
+    """The state after one step of spec from x: run_abm over one step, or,
+    with pair, _apply on one step's draws with (i, j) replaced by pair."""
+    if pair is None:
+        return run_abm(replace(spec, horizon=spec.h), x, [spec.h], rng).values[-1]
+    draws = _draw(spec, 1, rng)._replace(ii=np.array([pair[0]]), jj=np.array([pair[1]]))
+    y = np.asarray(x, dtype=float).tolist()
+    _apply(spec, y, draws, 0.0, 0.0, False)
+    return np.array(y)
+
+
 def spec2(**kw):
     defaults = dict(n_agents=2, h=0.01, horizon=1.0, kernel=Constant(1.0))
     defaults.update(kw)
@@ -41,14 +52,14 @@ def spec2(**kw):
 
 def test_single_update_hand_example():
     spec = spec2()
-    new = abm_step([0.0, 1.0], spec, np.random.default_rng(0), pair=(0, 1))
+    new = one_step([0.0, 1.0], spec, np.random.default_rng(0), pair=(0, 1))
     assert new == pytest.approx([0.02, 1.0])
 
 
 def test_consensus_is_noop():
     spec = ModelSpec(n_agents=5, h=0.01, horizon=1.0, kernel=Constant(1.0))
     x = np.full(5, 0.3)
-    new = abm_step(x, spec, np.random.default_rng(1))
+    new = one_step(x, spec, np.random.default_rng(1))
     assert np.array_equal(new, x)
 
 
@@ -57,15 +68,15 @@ def test_degenerate_update_distance_matches_plain():
     noisy = spec2(noise=noise)
     plain = spec2()
     x = np.array([0.0, 1.0])
-    a = abm_step(x, noisy, np.random.default_rng(2), pair=(0, 1))
-    b = abm_step(x, plain, np.random.default_rng(3), pair=(0, 1))
+    a = one_step(x, noisy, np.random.default_rng(2), pair=(0, 1))
+    b = one_step(x, plain, np.random.default_rng(3), pair=(0, 1))
     assert np.array_equal(a, b)
 
 
 def test_external_noise_always_applied():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     spec = spec2(kernel=Constant(0.0), noise=noise)
-    new = abm_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
+    new = one_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
     assert new[0] != 0.0  # noise lands even though the interaction was rejected
     assert new[1] == 1.0
 
@@ -73,7 +84,7 @@ def test_external_noise_always_applied():
 def test_external_noise_reaches_both_agents_on_rejection():
     noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
     spec = spec2(kernel=Constant(0.0), noise=noise, selection=BOTH)
-    new = abm_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
+    new = one_step([0.0, 1.0], spec, np.random.default_rng(4), pair=(0, 1))
     assert new[0] != 0.0
     assert new[1] != 1.0
 
@@ -82,14 +93,14 @@ def test_adaptation_noise_only_on_acceptance():
     noise = NoiseFamily(NoiseKind.ADAPTATION, GaussianScaled(0.0, 0.05))
     spec = spec2(kernel=Constant(0.0), noise=noise)
     x = np.array([0.0, 1.0])
-    new = abm_step(x, spec, np.random.default_rng(5), pair=(0, 1))
+    new = one_step(x, spec, np.random.default_rng(5), pair=(0, 1))
     assert np.array_equal(new, x)
 
 
 def test_ambiguity_uses_perturbed_opinion():
     noise = NoiseFamily(NoiseKind.AMBIGUITY, Degenerate(10.0))
     spec = spec2(noise=noise)  # eta = 0.1 exactly
-    new = abm_step([0.0, 1.0], spec, np.random.default_rng(6), pair=(0, 1))
+    new = one_step([0.0, 1.0], spec, np.random.default_rng(6), pair=(0, 1))
     assert new[0] == pytest.approx(0.02 * 1.1)
 
 
@@ -98,7 +109,7 @@ def test_exactly_one_agent_changes():
     rng = np.random.default_rng(7)
     x = np.linspace(-1, 1, 10)
     for _ in range(50):
-        new = abm_step(x, spec, rng)
+        new = one_step(x, spec, rng)
         assert (new != x).sum() <= 1
         x = new
 
@@ -110,22 +121,9 @@ def test_both_update_preserves_mean():
     rng = np.random.default_rng(8)
     x = np.linspace(-1, 1, 6)
     for _ in range(200):
-        new = abm_step(x, spec, rng)
+        new = one_step(x, spec, rng)
         assert new.mean() == pytest.approx(x.mean(), abs=1e-12)
         x = new
-
-
-def test_abm_step_is_one_step_of_run_abm():
-    noise = NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05))
-    spec = ModelSpec(
-        n_agents=5, h=0.01, horizon=0.01, kernel=KERNEL, noise=noise,
-        selection=BOTH,
-    )
-    x0 = np.linspace(-0.4, 0.4, 5)
-    for seed in range(50):
-        step = abm_step(x0, spec, np.random.default_rng(seed))
-        run = run_abm(spec, x0, [spec.h], np.random.default_rng(seed))
-        assert np.array_equal(step, run.values[-1])
 
 
 def test_select_pair_degree_weighted_self_only():
@@ -173,7 +171,7 @@ def test_probability_proportional_zero_row_errors():
         selection=ProbabilityProportional(),
     )
     with pytest.raises(RuntimeError, match="agent"):
-        abm_step([0.0, 0.5, 1.0], spec, np.random.default_rng(12))
+        one_step([0.0, 0.5, 1.0], spec, np.random.default_rng(12))
 
 
 _CHI2_SIZE = 1e-3
@@ -246,10 +244,19 @@ def test_acceptance_rate_matches_kernel():
     m = 20000
     accepted = 0
     for _ in range(m):
-        new = abm_step(x, spec, rng, pair=(0, 1))
+        new = one_step(x, spec, rng, pair=(0, 1))
         accepted += new[0] != x[0]
     se = math.sqrt(p * (1 - p) / m)
     assert abs(accepted / m - p) <= 3 * se
+
+
+def test_sample_past_horizon_refused_at_a_fraction_of_a_step():
+    # at h = 1e-9 an absolute slack of 1e-9 let a sample up to a whole step past T
+    spec = ModelSpec(n_agents=2, h=1e-9, horizon=1e-8, kernel=Constant(1.0))
+    with pytest.raises(ValueError, match="within"):
+        run_abm(spec, [0.0, 1.0], [0.0, 1.09e-8], np.random.default_rng(15))
+    traj = run_abm(spec, [0.0, 1.0], [0.0, 1e-8], np.random.default_rng(15))
+    assert traj.values.shape == (2, 2)
 
 
 def test_run_abm_frozen_with_zero_kernel():

