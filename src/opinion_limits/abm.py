@@ -130,8 +130,9 @@ class ModelSpec:
             raise ValueError("n_agents must be at least 1")
         if not 0 < self.h < math.inf:
             raise ValueError(f"timestep must be positive and finite, got {self.h}")
-        # _plan sizes its draws for ceil(horizon/h - 1e-9) steps; NaN fails this test too
-        if not 1e-9 < self.horizon / self.h < math.inf:
+        # _plan counts horizon/h as 0 steps when it lies within 1e-6 of 0
+        # (_steps); NaN fails this test too
+        if not 1e-6 < self.horizon / self.h < math.inf:
             raise ValueError(
                 f"horizon must span at least one and finitely many steps of h={self.h}, "
                 f"got {self.horizon}"
@@ -168,9 +169,10 @@ def run_abm(
     """Run the steps up to the last sample and record the piecewise-constant
     state.
 
-    A sample at time s records the state after floor(s/h) steps; the
-    samples do not change the chain, which draws its steps in blocks of
-    _DRAW_BLOCK counted from step 0 and sized as for ceil(T/h) steps. With
+    A sample at time s records the state after floor(s/h) steps, or after
+    the nearest step when s/h lies within 1e-6 of it (_steps); the samples
+    do not change the chain, which draws its steps in blocks of _DRAW_BLOCK
+    counted from step 0 and sized as for the steps up to T. With
     check_hull enabled, an opinion that a step up to the last sample moves
     out of [min x0, max x0] raises RuntimeError. Only noise-free steps keep
     opinions in that hull, so check_hull on a noisy spec raises ValueError
@@ -230,10 +232,10 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
     The plan is a list of (samples, block, a, b): record the state at the
     sample indices samples, draw the next block of block steps if block is
     not 0, then take steps a..b-1 of the current block. Blocks hold
-    _DRAW_BLOCK steps counted from step 0, the last cut at step ceil(T/h)
-    whatever the last sample is, so a run that stops at its last sample
-    draws the values that a run to the horizon draws. A sample at time s
-    records the state after floor(s/h) steps.
+    _DRAW_BLOCK steps counted from step 0, the last cut at step
+    _steps(T, h, ceil) whatever the last sample is, so a run that stops at
+    its last sample draws the values that a run to the horizon draws. A
+    sample at time s records the state after _steps(s, h, floor) steps.
     """
     times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(times) < 0):
@@ -242,8 +244,8 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
     # a last sample past T by more than rounding, 1e-6 of a step, is refused
     if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-6 * h):
         raise ValueError("sample times must lie within [0, T]")
-    total = int(math.ceil(spec.horizon / h - 1e-9))
-    targets = [min(total, int(math.floor(s / h + 1e-9))) for s in times]
+    total = _steps(spec.horizon, h, math.ceil)
+    targets = [min(total, _steps(s, h, math.floor)) for s in times]
     cuts = sorted({*targets, *range(0, total, _DRAW_BLOCK), total})
     plan = []
     ti = 0
@@ -261,6 +263,16 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
     return times, plan
 
 
+def _steps(t: float, h: float, off_grid) -> int:
+    """The steps of h in time t: the nearest step when t/h lies within 1e-6
+    of it, the rounding tolerance of _plan's horizon bound, else
+    off_grid(t/h). A tolerance of 1e-9 is too tight: t/h rounds by a few
+    ulps of the step count, more than 1e-9 from about 4*10^7 steps on."""
+    r = t / h
+    n = round(r)
+    return n if abs(r - n) <= 1e-6 else off_grid(r)
+
+
 class _Draws(NamedTuple):
     """The random inputs of m steps, fields in the order they are drawn.
 
@@ -268,9 +280,11 @@ class _Draws(NamedTuple):
     on the state at each step. Step k then proposes j = jp[k, q] for q = 0,
     1, ... and takes the first with up[k, q] < p_ij (jp, up: (m, _PROPOSALS));
     if all are rejected, uj[k] resolves j over the cumulative sums of row i.
-    jp, up and uj are None under the other schemes. z holds agent i's noise
-    draws and z2 agent j's; z is None without noise, and z2 is None unless
-    both agents take their own draw.
+    A step reads its proposals only up to the first accepted, and up[k, q]
+    only where p_ij is neither exactly 1 nor exactly 0; every field is drawn
+    in full all the same. jp, up and uj are None under the other schemes.
+    z holds agent i's noise draws and z2 agent j's; z is None without
+    noise, and z2 is None unless both agents take their own draw.
     """
 
     ii: np.ndarray
@@ -360,7 +374,7 @@ def _row_mass(p: np.ndarray, agents: Sequence[int] | None = None) -> np.ndarray:
     stack of matrices (..., N, N) gives one row sum per state and agent.
     """
     norm = p.sum(axis=-1)
-    if np.any(norm <= 0.0):
+    if (norm <= 0.0).any():
         bad = int(np.argmin(norm)) % norm.shape[-1]
         agent = bad if agents is None else agents[bad]
         raise RuntimeError(f"agent {agent} has zero total interaction probability")
@@ -383,15 +397,26 @@ def _fallback_j(kernel, x, i, u):
     cumulative-sum resolution of row i, for a step whose proposals were all
     rejected. Conditioned on reaching it, this keeps the step exactly
     proportional to p_ij."""
-    w = kernel.eval(np.abs(np.asarray(x) - x[i]))
+    # array methods, not numpy functions: on a row of N=50 the function
+    # wrappers cost more than the arithmetic
+    w = kernel.eval(abs(np.array(x) - x[i]))
     _row_mass(w[None], [i])
-    cum = np.cumsum(w)
+    cum = w.cumsum()
     # _bisect_rows on the one row i, without its per-row bookkeeping
-    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(w) - 1)
+    return min(int(cum.searchsorted(u * cum[-1], side="right")), len(w) - 1)
 
 
 def _apply(spec, x, draws, lo, hi, check_hull):
-    """Execute the drawn steps in order, in place on the opinion list x."""
+    """Execute the drawn steps in order, in place on the opinion list x.
+
+    The fields a step reads are Python lists, converted once per call:
+    float arithmetic on numpy scalars costs several times as much. Under
+    thinning, the proposals become one list per column, and a proposal's
+    uniform up[k, q] is read from the array only when the proposal's
+    distance lies inside the saturation band (d_one, d_zero); a step reads
+    few of its proposals, and the uniforms of most of those it reads are
+    never compared.
+    """
     mu = spec.mu
     ambiguity, none, external, adaptation = _kinds(spec)
     p = spec.kernel.eval
@@ -399,16 +424,23 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     both = _both(spec)
     sel = spec.selection
     always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting
-    ii, jj, jp, up, uj, ua, z, z2 = (None if a is None else a.tolist() for a in draws)
+    ii, jj, uj, ua, z, z2 = (
+        None if a is None else a.tolist()
+        for a in (draws.ii, draws.jj, draws.uj, draws.ua, draws.z, draws.z2)
+    )
+    if jj is None:  # per proposal q: jp[:, q] as a list, up[:, q] as a view
+        cols = list(zip(draws.jp.T.tolist(), draws.up.T))
     m = len(ii)
 
     for k in range(m):
         i = ii[k]
         xi = x[i]
         if jj is None:  # thinning: the first proposal with up < p_ij
-            for j, u in zip(jp[k], up[k]):
+            for js, us in cols:
+                j = js[k]
                 ad = abs(x[j] - xi)
-                if ad <= d_one or (ad < d_zero and u < p(ad)):
+                # outside the band p_ij is exactly 1 or 0, whatever up is
+                if ad <= d_one or (ad < d_zero and us[k] < p(ad)):
                     break
             else:
                 j = _fallback_j(spec.kernel, x, i, uj[k])
@@ -420,8 +452,7 @@ def _apply(spec, x, draws, lo, hi, check_hull):
             d = xj + z[k] - xi
         else:
             d = xj - xi
-        ad = abs(d)
-        ok = always or ad <= d_one or (ad < d_zero and ua[k] < p(ad))
+        ok = always or (ad := abs(d)) <= d_one or (ad < d_zero and ua[k] < p(ad))
 
         if ambiguity:
             if ok:

@@ -170,7 +170,9 @@ def test_probability_proportional_zero_row_errors():
         n_agents=3, h=0.01, horizon=1.0, kernel=Constant(0.0),
         selection=ProbabilityProportional(),
     )
-    with pytest.raises(RuntimeError, match="agent"):
+    # the message names the agent drawn as i, not the row of the mass stack
+    i = _draw(spec, 1, np.random.default_rng(12)).ii[0]
+    with pytest.raises(RuntimeError, match=rf"^agent {i} has zero total interaction probability$"):
         one_step([0.0, 0.5, 1.0], spec, np.random.default_rng(12))
 
 
@@ -338,7 +340,8 @@ def test_spec_validation_errors():
         (lambda: spec2(h=math.inf), "timestep"),
         (lambda: spec2(horizon=math.nan), "horizon"),
         (lambda: spec2(horizon=math.inf), "horizon"),
-        # ceil(T/h - 1e-9) = 0: run_abm had no step to draw, run_abm_batch divided by 0
+        # T/h within 1e-6 of 0 is 0 steps: run_abm would have no step to draw,
+        # run_abm_batch would divide by 0
         (lambda: ModelSpec(n_agents=1, h=1.0, horizon=1e-10, kernel=Constant(1.0)), "one"),
         # T/h overflows to inf
         (lambda: spec2(h=1e-300, horizon=1e10), "finitely many"),

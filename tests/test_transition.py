@@ -219,6 +219,43 @@ def test_run_stops_at_its_last_sample_with_the_draws_of_a_full_run(scheme, kind,
         assert _bits(batch) == _bits(short)
 
 
+def _sample_steps(plan):
+    """The step count at which each sample of plan records the state."""
+    steps, done = [], 0
+    for samples, _, a, b in plan:
+        steps += [done] * (samples.stop - samples.start)
+        done += b - a
+    return steps
+
+
+def test_plan_takes_a_sample_within_rounding_of_a_step_at_that_step():
+    # from about 4e7 steps s/h rounds below its step by more than 1e-9, so
+    # floor(s/h + 1e-9) put 6 of these 4001 samples one step early
+    spec = ModelSpec(n_agents=N, h=1e-6, horizon=40.0, kernel=KERNEL)
+    grid = np.round(np.arange(4001) * 0.01, 12)  # cli._prelude's grid at dt = 0.01
+    assert _sample_steps(_plan(spec, grid)[1]) == [round(s / spec.h) for s in grid]
+    # a sample half a step off the grid records the step before it
+    off = [0.0, 2.5e-6, 30.0000005]
+    assert _sample_steps(_plan(spec, off)[1]) == [0, 2, 30_000_000]
+
+
+@pytest.mark.parametrize("scheme", ["proportional", "proportional_double", "proportional_fallback"])
+def test_thinning_block_gives_the_state_of_its_single_steps(scheme):
+    # _apply reads proposals per column of the slice it is given; one call,
+    # one call per step and uneven slices must take the same path
+    spec = ModelSpec(n_agents=N, h=0.01, horizon=4.0, **{"kernel": KERNEL, **_SCHEMES[scheme]})
+    x0 = np.random.default_rng(1).uniform(-1.0, 1.0, N).tolist()
+    draws = _draw(spec, 400, np.random.default_rng(47))
+    finals = []
+    for cuts in ([0, 400], range(401), [0, 1, 2, 9, 64, 65, 233, 399, 400]):
+        x = list(x0)
+        for a, b in zip(cuts, cuts[1:]):
+            _apply(spec, x, draws.steps(a, b), 0.0, 0.0, False)
+        finals.append(np.array(x).tobytes())
+    assert finals[0] != np.array(x0).tobytes()
+    assert finals[1] == finals[0] and finals[2] == finals[0]
+
+
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
 def test_batch_engine_both_update_with_i_equal_to_j(kind):
     # N=2: half of all draws pick i == j, where only the j-side update lands
