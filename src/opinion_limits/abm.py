@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .kernel import InteractionKernel, Network, saturation
+from .kernel import InteractionKernel, Network, bounds, saturation
 from .noise import NoiseFamily, NoiseKind
-from .trajectory import Trajectory, trajectories
+from .trajectory import Trajectory, _sample_times, trajectories
 
 __all__ = [
     "UniformWithReplacement",
@@ -43,8 +44,10 @@ __all__ = [
 # fields banded, which moves them by rounding; 7: coefficient fourth powers
 # are squared squares, not pow(d, 4), which moves them by rounding; 8: Monte
 # Carlo coefficients draw batches of limitcheck._MC_BATCH = 4096 steps, not
-# 200 000, which gives every Monte Carlo estimate other stream values.
-ENGINE_VERSION = 8
+# 200 000, which gives every Monte Carlo estimate other stream values; 9:
+# the normal CDF is kernel.ndtr, not scipy's, which moves the limit's
+# fields by rounding (the chain's decisions held on every golden case).
+ENGINE_VERSION = 9
 
 # Steps drawn at a time from a run's stream; the last block is cut at the
 # horizon. Larger blocks hold more memory for little speed: at 4096, a
@@ -237,9 +240,7 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
     its last sample draws the values that a run to the horizon draws. A
     sample at time s records the state after _steps(s, h, floor) steps.
     """
-    times = np.asarray(sample_times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("sample times must be sorted")
+    times = _sample_times(sample_times)
     h = spec.h
     # a last sample past T by more than rounding, 1e-6 of a step, is refused
     if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-6 * h):
@@ -397,13 +398,18 @@ def _fallback_j(kernel, x, i, u):
     cumulative-sum resolution of row i, for a step whose proposals were all
     rejected. Conditioned on reaching it, this keeps the step exactly
     proportional to p_ij."""
-    # array methods, not numpy functions: on a row of N=50 the function
-    # wrappers cost more than the arithmetic
-    w = kernel.eval(abs(np.array(x) - x[i]))
-    _row_mass(w[None], [i])
-    cum = w.cumsum()
-    # _bisect_rows on the one row i, without its per-row bookkeeping
-    return min(int(cum.searchsorted(u * cum[-1], side="right")), len(w) - 1)
+    # row i of pairwise_matrix, summed left to right as np.cumsum sums it
+    # in _increments; the kernel is exactly 1.0 or 0.0 outside its band
+    p = kernel.eval
+    d_one, d_zero = saturation(kernel)
+    xi = x[i]
+    cum = list(accumulate([
+        1.0 if (ad := abs(xj - xi)) <= d_one else (p(ad) if ad < d_zero else 0.0) for xj in x
+    ]))
+    total = cum[-1]
+    if total <= 0.0:  # as _row_mass refuses it
+        raise RuntimeError(f"agent {i} has zero total interaction probability")
+    return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
 def _apply(spec, x, draws, lo, hi, check_hull):
@@ -415,12 +421,15 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     uniform up[k, q] is read from the array only when the proposal's
     distance lies inside the saturation band (d_one, d_zero); a step reads
     few of its proposals, and the uniforms of most of those it reads are
-    never compared.
+    never compared. Inside the band a uniform is compared with the bounds
+    of the distance's cell first (kernel.bounds), and with p(d) only when
+    it falls between them.
     """
     mu = spec.mu
     ambiguity, none, external, adaptation = _kinds(spec)
     p = spec.kernel.eval
     d_one, d_zero = saturation(spec.kernel)
+    origin, scale, p_lo, p_hi, _ = bounds(spec.kernel)
     both = _both(spec)
     sel = spec.selection
     always = isinstance(sel, ProbabilityProportional) and not sel.double_weighting
@@ -440,8 +449,13 @@ def _apply(spec, x, draws, lo, hi, check_hull):
                 j = js[k]
                 ad = abs(x[j] - xi)
                 # outside the band p_ij is exactly 1 or 0, whatever up is
-                if ad <= d_one or (ad < d_zero and us[k] < p(ad)):
+                if ad <= d_one:
                     break
+                if ad < d_zero:
+                    c = int((ad - origin) * scale)
+                    u = us[k]
+                    if u < p_lo[c] or (u < p_hi[c] and u < p(ad)):
+                        break
             else:
                 j = _fallback_j(spec.kernel, x, i, uj[k])
         else:
@@ -452,7 +466,14 @@ def _apply(spec, x, draws, lo, hi, check_hull):
             d = xj + z[k] - xi
         else:
             d = xj - xi
-        ok = always or (ad := abs(d)) <= d_one or (ad < d_zero and ua[k] < p(ad))
+        if always or (ad := abs(d)) <= d_one:
+            ok = True
+        elif ad < d_zero:
+            c = int((ad - origin) * scale)
+            u = ua[k]
+            ok = u < p_lo[c] or (u < p_hi[c] and u < p(ad))
+        else:  # from d_zero on, and at a NaN distance
+            ok = False
 
         if ambiguity:
             if ok:
@@ -530,13 +551,53 @@ def _moved(x, terms, move):
     return new if move is None else np.where(move, new, x)
 
 
+def _accept(kernel):
+    """_apply's decision on arrays: (u, d) -> u < kernel.eval(|d|)
+    elementwise, and False where d is NaN.
+
+    Each distance reads the row of its cell in the kernel's bounds table,
+    whose rows past the cells decide d >= d_zero (and NaN) and d <= d_one;
+    eval runs only on the entries whose u falls between their row's
+    bounds. A kernel without a table decides by its saturation band and
+    eval, as _apply does."""
+    p = kernel.eval
+    origin, scale, _, _, table = bounds(kernel)
+    if table is None:
+        d_one, d_zero = saturation(kernel)
+
+        def accept_saturated(u, d):  # each comparison fails at NaN
+            ad = np.abs(d)
+            return (ad <= d_one) | ((ad < d_zero) & (u < p(ad)))
+
+        return accept_saturated
+    p_lo, p_hi = table.T.copy()
+    past = len(table) - 2.0  # the (0, 0) row; -1 indexes the (1, 1) row
+
+    def accept(u, d):
+        c = np.abs(d)
+        c -= origin
+        c *= scale
+        np.fmin(c, past, out=c)  # NaN too
+        np.maximum(c, -1.0, out=c)
+        c = c.astype(np.intp)
+        ok = u < p_lo[c]
+        unsure = u < p_hi[c]
+        unsure ^= ok  # lo <= hi, so ok implies u < hi
+        if np.count_nonzero(unsure):
+            k = np.flatnonzero(unsure)
+            ok[k] = u[k] < p(np.abs(d[k]))
+        return ok
+
+    return accept
+
+
 def _run_group(spec, x0, plan, rngs, out):
     """run_abm_batch for one group of runs, into out of shape (R, samples, N)."""
     n = spec.n_agents
     runs = len(rngs)
     both = _both(spec)
     rule = _update_rule(spec)
-    p = spec.kernel.eval
+    accept = _accept(spec.kernel)
     x = np.tile(x0, (runs, 1))
     flat = x.reshape(-1)
     offset = np.arange(runs) * n  # of each run's row in flat
@@ -569,9 +630,7 @@ def _run_group(spec, x0, plan, rngs, out):
         for fi, fj, uk, zk, z2k in zip(ii[a:b], jj[a:b], ua[a:b], zs, z2s):
             xi = flat[fi]
             xj = flat[fj]
-            # _apply's decision: outside the band the kernel is exactly 1.0
-            # or 0.0 and uk lies in [0, 1)
-            move, ti, tj = rule(xi, xj, zk, z2k, lambda d: uk < p(np.abs(d)))
+            move, ti, tj = rule(xi, xj, zk, z2k, lambda d: accept(uk, d))
             flat[fi] = _moved(xi, ti, move)
             if both:
                 flat[fj] = _moved(xj, tj, move)

@@ -18,7 +18,6 @@ from itertools import groupby
 from multiprocessing import get_context
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .abm import _BATCH_MIN_RUNS, ENGINE_VERSION, ProbabilityProportional, run_abm, run_abm_batch
@@ -173,7 +172,6 @@ def _versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "opinion_limits": __version__,
     }
 

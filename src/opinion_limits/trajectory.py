@@ -31,6 +31,19 @@ def write_csv(path, header: list[str], rows) -> None:
         f.writelines(line % tuple(row.tolist()) for row in rows)
 
 
+def _sample_times(times) -> np.ndarray:
+    """The sample times of a run as floats; raises ValueError unless they
+    are finite and sorted. A NaN passes every order and range comparison,
+    so it is named here rather than failing later as a step count."""
+    times = np.asarray(times, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if len(bad):
+        raise ValueError(f"sample times must be finite, got {bad.tolist()}")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("sample times must be sorted")
+    return times
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Opinions recorded at a sorted grid of sample times.

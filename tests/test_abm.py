@@ -16,6 +16,7 @@ from opinion_limits.abm import (
     _apply,
     _draw,
     run_abm,
+    run_abm_batch,
 )
 from opinion_limits.dem import IntegratorSpec
 from opinion_limits.kernel import (
@@ -305,6 +306,18 @@ def test_run_abm_unsorted_sample_times():
     spec = spec2()
     with pytest.raises(ValueError):
         run_abm(spec, np.zeros(2), [0.5, 0.2], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_times_are_named(bad):
+    # a NaN passes every order and range comparison; it was refused only
+    # when its step count was taken, with numpy's message
+    spec = spec2()
+    message = rf"sample times must be finite, got \[{bad}\]"
+    with pytest.raises(ValueError, match=message):
+        run_abm(spec, np.zeros(2), [0.0, bad, 0.5], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        run_abm_batch(spec, np.zeros(2), [0.0, bad, 0.5], [np.random.default_rng(0)])
 
 
 def test_run_abm_matches_step_semantics_mean_drift():

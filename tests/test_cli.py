@@ -2,7 +2,10 @@ import builtins
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -661,9 +664,20 @@ def test_manifest_records_versions(tmp_path):
     out = tmp_path / "out"
     assert main([str(_write(tmp_path, SMALL_COMPARE.format(out=out)))]) == 0
     versions = json.loads((out / "manifest.json").read_text())["versions"]
-    assert sorted(versions) == ["numpy", "opinion_limits", "python", "scipy"]
+    assert sorted(versions) == ["numpy", "opinion_limits", "python"]
     assert versions["numpy"] == np.__version__
     assert all(isinstance(v, str) and v for v in versions.values())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only: the runtime's one special function,
+    # the normal CDF, is kernel.ndtr
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, opinion_limits.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 _LIMITED = {

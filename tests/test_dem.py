@@ -224,6 +224,13 @@ def test_sample_times_validated():
         integrate(model, np.zeros(4), integrator, 1.0, [2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_batch_names_non_finite_sample_times(bad):
+    model = build_limit(make_spec())
+    with pytest.raises(ValueError, match=rf"sample times must be finite, got \[{bad}\]"):
+        dem.integrate_batch(model, np.zeros(4), IntegratorSpec(dt=0.01), 1.0, [0.0, bad], [None])
+
+
 def test_horizon_off_dt_grid_rejected():
     model = build_limit(make_spec())
     with pytest.raises(ValueError, match="1.005 is not a multiple of dt"):

@@ -1,18 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
-from scipy.special import ndtr
 
+from opinion_limits import abm
+from opinion_limits.abm import ModelSpec, _Draws
 from opinion_limits.kernel import (
+    _CDF_CELLS,
+    _CDF_TAIL,
     BoundedConfidence,
     Constant,
     MollifiedBC,
     Network,
     NormalMollifier,
     UniformMollifier,
+    bounds,
     erdos_renyi,
+    ndtr,
     pairwise_matrix,
     saturation,
 )
@@ -301,7 +308,173 @@ def test_normal_mollifier_cdf_equals_explicit_form(mean):
         np.linspace(-1.0, 1.0, 4001),
         [0.0, -0.0, mean, -mean, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf],
     ])
-    want = ndtr((z - mean) / 0.05)
+    want = ndtr((z - mean) / 0.05)  # the vendored CDF, through its array form
     assert m.cdf(z).tobytes() == want.tobytes()
     got = np.array([m.cdf(v) for v in z.tolist()])
     assert got.tobytes() == want.tobytes()
+
+
+# --- the vendored normal CDF --------------------------------------------------
+
+
+def _nudged(v, ulps):
+    """v and the floats up to ulps steps either side of each entry."""
+    out = [v]
+    for direction in (-np.inf, np.inf):
+        w = v
+        for _ in range(ulps):
+            w = np.nextafter(w, direction)
+            out.append(w)
+    return np.concatenate(out)
+
+
+def _cdf_points():
+    """At least 10^6 arguments of the CDF: every cell boundary of its table
+    +-1 ulp, zeros, infinities, NaN, subnormals, the tail cut +-1 ulp, and
+    random values across the table, the tails and every magnitude."""
+    rng = np.random.default_rng(7)
+    edges = np.arange(int(_CDF_TAIL * _CDF_CELLS) + 1) / _CDF_CELLS
+    special = np.array([
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1.1e-308,
+        _CDF_TAIL, -_CDF_TAIL, 1e300, -1e300, 1.7976931348623157e308,
+    ])
+    z = np.concatenate([
+        _nudged(np.concatenate([edges, -edges]), 1),
+        _nudged(np.array([_CDF_TAIL, -_CDF_TAIL]), 1),
+        special,
+        rng.uniform(-9.0, 9.0, 600_000),
+        rng.normal(0.0, 3.0, 200_000),
+        rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-320.0, 308.0, 200_000),
+    ])
+    assert len(z) >= 1_000_000
+    return z
+
+
+def test_ndtr_float_and_array_forms_agree_bit_for_bit():
+    # the chain evaluates the CDF on one float, the engines on arrays; both
+    # must accept on the same numbers
+    z = _cdf_points()
+    got = ndtr(z)
+    assert np.array([ndtr(v) for v in z.tolist()]).tobytes() == got.tobytes()
+    # a 2-D call is chunked over the flattened array and keeps its shape
+    square = z[:1000 * 1000].reshape(1000, 1000)
+    assert ndtr(square).tobytes() == got[:1000 * 1000].tobytes()
+    assert ndtr(square.T).tobytes() == got[:1000 * 1000].reshape(1000, 1000).T.tobytes()
+
+
+def test_ndtr_is_within_2_to_the_minus_52_of_scipy():
+    z = np.concatenate([_cdf_points(), np.linspace(-10.0, 10.0, 1_400_001)])
+    got, want = ndtr(z), scipy.special.ndtr(z)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.max(np.abs(got[~nan] - want[~nan])) <= 2.0**-52
+
+
+def test_ndtr_special_values_raise_no_warning():
+    z = [-math.inf, math.inf, -1e308, 1e308, -_CDF_TAIL, _CDF_TAIL, -0.0, 0.0]
+    want = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ndtr(np.array(z + [math.nan]))
+        scalar = [ndtr(v) for v in z + [math.nan]]
+    assert got[:6].tolist() == scalar[:6] == want
+    assert got[6] == got[7] == scalar[6] == scalar[7] == pytest.approx(0.5, abs=2.0**-52)
+    assert math.isnan(got[8]) and math.isnan(scalar[8])
+
+
+# --- the bounds of each kernel's band -----------------------------------------
+
+
+def _uniforms(u):
+    """u moved into [0, 1), where the engines' acceptance uniforms lie."""
+    return np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+
+
+def _cell(b, d):
+    """The cell the scalar loop reads for in-band distances d: the same IEEE
+    operations as int((d - origin) * scale) on each float."""
+    return ((d - b.origin) * b.scale).astype(np.intp)
+
+
+def _edges(kernel, ulps):
+    """Every cell edge of the kernel's bounds, with the floats up to ulps
+    steps either side; empty for a kernel without cells."""
+    b = bounds(kernel)
+    if b.table is None:
+        return np.empty(0)
+    k = np.arange(len(b.lo) + 1)
+    return np.abs(_nudged(b.origin + k / b.scale, ulps))
+
+
+def _distances(kernel, rng, count):
+    """count distances across the band and beyond it on both sides."""
+    d_one, d_zero = saturation(kernel)
+    start = min(max(d_one, 0.0), 4.0)
+    stop = min(d_zero, start + 4.0)
+    beyond = stop + 0.25 * (stop - start)
+    return np.concatenate([
+        rng.uniform(start, stop, count // 2), rng.uniform(0.0, beyond, count - count // 2)
+    ])
+
+
+@pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
+def test_bounds_hold_for_every_distance_in_their_cell(kernel):
+    d_one, d_zero = saturation(kernel)
+    b = bounds(kernel)
+    d = np.concatenate([_distances(kernel, np.random.default_rng(8), 1_000_000),
+                        _edges(kernel, 2)])
+    d = d[(d > d_one) & (d < d_zero)]
+    m = _cell(b, d)
+    p = kernel.eval(d)
+    assert np.all(np.array(b.lo)[m] <= p)
+    assert np.all(p <= np.array(b.hi)[m])
+
+
+@pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
+def test_bounded_decision_equals_the_kernel_decision(kernel):
+    # u < lo or (u < hi and u < eval(d)) is u < eval(d) exactly, so the
+    # engines accept as the Monte Carlo check does, and as before the bounds
+    accept = abm._accept(kernel)
+    rng = np.random.default_rng(9)
+    d = _distances(kernel, rng, 1_000_000)
+    p = kernel.eval(d)
+    u = rng.random(len(d))
+    # a third of the uniforms within 2 ulps of the kernel, between the bounds
+    near = rng.random(len(d)) < 1 / 3
+    u[near] = np.nextafter(p[near], rng.choice([-np.inf, np.inf], near.sum()))
+    u[near] = np.where(rng.random(near.sum()) < 0.5, np.nextafter(u[near], np.inf), u[near])
+    u = _uniforms(u)
+    assert np.array_equal(accept(u, d), u < p)
+    assert np.array_equal(accept(u, -d), u < p)  # the sign of d is ignored
+
+
+@pytest.mark.parametrize(
+    "kernel", [k for k in _SATURATING if bounds(k).table is not None], ids=repr
+)
+def test_bounded_decision_at_cell_edges_with_u_at_the_bounds(kernel):
+    d_one, d_zero = saturation(kernel)
+    b = bounds(kernel)
+    d = _edges(kernel, 2)
+    d = d[(d > d_one) & (d < d_zero)]
+    m = _cell(b, d)
+    at = np.concatenate([np.array(b.lo)[m], np.array(b.hi)[m]])
+    u = _uniforms(_nudged(at, 1))
+    d = np.tile(d, len(u) // len(d))
+    assert np.array_equal(abm._accept(kernel)(u, d), u < kernel.eval(d))
+
+
+@pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
+def test_nan_distance_is_rejected_by_both_engines(kernel):
+    assert not abm._accept(kernel)(np.zeros(3), np.full(3, math.nan)).any()
+    spec = ModelSpec(n_agents=2, h=0.01, horizon=1.0, kernel=kernel)
+    # the scalar loop: agent 0 meets agent 1 at a NaN opinion, with u = 0
+    step = _Draws(np.array([0]), np.array([1]), None, None, None, np.zeros(1), None, None)
+    x = [0.0, math.nan]
+    abm._apply(spec, x, step, 0.0, 0.0, False)
+    assert x[0] == 0.0
+    # the batched engine: 100 steps of two runs from the same state
+    _, plan = abm._plan(spec, [0.0, 1.0])
+    out = np.empty((2, 2, 2))
+    rngs = [np.random.default_rng([10, r]) for r in range(2)]
+    abm._run_group(spec, np.array([0.0, math.nan]), plan, rngs, out)
+    assert np.all(out[:, :, 0] == 0.0)
