@@ -87,8 +87,9 @@ _SINGLE = [(si, ki) for si, ki in _ALL if _SCHEMES[si][0] != "uwr_both"]
 # fields at N >= dem._BAND_MIN_AGENTS, none: every case here is smaller;
 # 7: fourth powers as squared squares, the sweep hashes whose gamma4 moved;
 # 8: Monte Carlo batches of 4096 steps, every mc_coefficients hash and the
-# noisy sweep hashes).
-GOLDEN_ENGINE = 8
+# noisy sweep hashes; 9: the vendored normal CDF, the integrate hashes whose
+# fields moved by rounding).
+GOLDEN_ENGINE = 9
 
 
 def test_golden_hashes_match_engine_version():
@@ -186,11 +187,11 @@ INTEGRATE_SHA256 = {
     "uwr_single-ambiguity": "8142ee28b5288040",
     "uwr_single-external": "717bc9e2c08bf4ca",
     "uwr_single-adaptation": "0c3b8d3924f69bcd",
-    "uwr_single-random_update_distance": "a06aaa297436aea5",
+    "uwr_single-random_update_distance": "2df8a5d80cd6c9dd",
     "uwr_both-none": "a2497c9dd37d53db",
     "uwor-none": "94b41b248848359c",
     "degree-none": "49bc07b346d4c2a9",
-    "proportional-none": "669e0a5e988127f7",
+    "proportional-none": "ce3fd1f825c8f7e5",
     "proportional_double-none": "3a9d12c914e7d14b",
 }
 
@@ -217,15 +218,15 @@ def test_integrate_golden_hash_degenerate_noise():
 # selection evaluates them banded; a random update distance keeps the
 # dense form
 INTEGRATE_BANDED_SHA256 = {
-    "uwr_single-none": "0bf47bea268962a2",
-    "uwr_single-ambiguity": "62e907203c9786d0",
-    "uwr_single-external": "912baab91d50baa9",
-    "uwr_single-adaptation": "2dc57632ee602e34",
-    "uwr_single-random_update_distance": "1dc639ac04407949",
-    "uwr_both-none": "37808ec99795d894",
-    "uwor-none": "f81aad9a89fec4f6",
-    "proportional-none": "bdae0954b507f49f",
-    "proportional_double-none": "297a04b820557df2",
+    "uwr_single-none": "9c8290931c5f209c",
+    "uwr_single-ambiguity": "67ae42b6ad144d58",
+    "uwr_single-external": "57b3524df5e1c977",
+    "uwr_single-adaptation": "bde69c9f509e2c42",
+    "uwr_single-random_update_distance": "22965240ca954e7f",
+    "uwr_both-none": "dc9818c273dcd0d5",
+    "uwor-none": "89a9a1f2b6842218",
+    "proportional-none": "6980d644006a7948",
+    "proportional_double-none": "433c27d8d21e2eda",
 }
 
 
