@@ -49,9 +49,9 @@ _EM_BLOCK = 16
 # one state from N = 150 (a mollifier of std 0.5) or 500 (Constant(0.5)).
 _BAND_MIN_AGENTS = 100
 # _band_sums works through the band pairs this many at a time. Temporaries
-# over every pair (about 15 500 per compare step at N = 500) were freed and
-# mapped afresh, and in some processes faulted their pages on every call:
-# about 6000 minor faults per compare run, against about 170 in chunks.
+# over every pair (about 15 500 per step of the benchmark's N = 500 compare)
+# were mapped afresh on every call in a process that had not yet freed a
+# large block: 4480-4510 minor faults per compare run, against 2-7 in chunks.
 _BAND_CHUNK = 4096
 
 

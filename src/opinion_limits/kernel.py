@@ -45,8 +45,8 @@ _INF_BITS = 0x7FF0000000000000
 # as a difference near 1.
 _CDF_CELLS = 128  # cells per unit of a
 _CDF_TAIL = 8.5
-# the array form works through this many elements at a time: temporaries
-# of whole large arrays made the allocator map and fault fresh pages
+# the array form works through this many elements at a time, so that its
+# temporaries stay small; see dem._BAND_CHUNK for what large ones cost
 _CDF_CHUNK = 4096
 
 
@@ -250,9 +250,9 @@ def saturation(kernel: InteractionKernel) -> tuple[float, float]:
     return d_one, math.inf if d_zero is None else d_zero
 
 
-# Cells of the saturation band in bounds(). With 4096, 0.07% of the
-# in-band acceptance decisions of the workloads fell between their cell's
-# bounds and called eval.
+# Cells of the saturation band in bounds(). With 4096, 0.06-0.09% of the
+# in-band acceptance decisions of the benchmark's three ABM workloads fell
+# between their cell's bounds and called eval.
 _BOUND_CELLS = 4096
 # Each bound is widened by this much, which covers the few ulps by which
 # rounding can make a kernel rise along the distance axis.
