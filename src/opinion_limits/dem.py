@@ -51,7 +51,7 @@ _BAND_MIN_AGENTS = 100
 # _band_sums works through the band pairs this many at a time. Temporaries
 # over every pair (about 15 500 per step of the benchmark's N = 500 compare)
 # were mapped afresh on every call in a process that had not yet freed a
-# large block: 4480-4510 minor faults per compare run, against 2-7 in chunks.
+# large block: 4477-4508 minor faults per compare run, against 1-7 in chunks.
 _BAND_CHUNK = 4096
 
 
