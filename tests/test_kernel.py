@@ -433,7 +433,7 @@ def test_bounds_hold_for_every_distance_in_their_cell(kernel):
 @pytest.mark.parametrize("kernel", _SATURATING, ids=repr)
 def test_bounded_decision_equals_the_kernel_decision(kernel):
     # u < lo or (u < hi and u < eval(d)) is u < eval(d) exactly, so the
-    # engines accept as the Monte Carlo check does, and as before the bounds
+    # engines accept as the Monte Carlo check, which compares with p itself
     accept = abm._accept(kernel)
     rng = np.random.default_rng(9)
     d = _distances(kernel, rng, 1_000_000)
