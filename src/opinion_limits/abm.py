@@ -192,11 +192,11 @@ def run_abm(
 
     x = x0.tolist()
     lo, hi = float(x0.min()), float(x0.max())
-    for samples, block, a, b in plan:
-        out[samples] = x
-        if block:
-            draws = _draw(spec, block, rng)
-        _apply(spec, x, draws.steps(a, b), lo, hi, check_hull)
+    # an entry that draws a block starts that block's segments
+    starts = [k for k, (_, block, _, _) in enumerate(plan) if block] + [len(plan)]
+    for s, e in zip(starts, starts[1:]):
+        segments = [(samples, a, b) for samples, _, a, b in plan[s:e]]
+        _apply(spec, x, _draw(spec, plan[s][1], rng), segments, out, lo, hi, check_hull)
 
     return Trajectory(times, out)
 
@@ -246,7 +246,8 @@ def _plan(spec: ModelSpec, sample_times: Sequence[float]):
     if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-6 * h):
         raise ValueError("sample times must lie within [0, T]")
     total = _steps(spec.horizon, h, math.ceil)
-    targets = [min(total, _steps(s, h, math.floor)) for s in times]
+    # float arithmetic on numpy scalars costs twice as much in _steps
+    targets = [min(total, _steps(s, h, math.floor)) for s in times.tolist()]
     cuts = sorted({*targets, *range(0, total, _DRAW_BLOCK), total})
     plan = []
     ti = 0
@@ -296,10 +297,6 @@ class _Draws(NamedTuple):
     ua: np.ndarray
     z: np.ndarray | None
     z2: np.ndarray | None
-
-    def steps(self, a: int, b: int) -> "_Draws":
-        """The draws of steps a..b-1."""
-        return _Draws(*(None if f is None else f[a:b] for f in self))
 
 
 def _draw(spec: ModelSpec, m: int, rng: np.random.Generator) -> _Draws:
@@ -393,15 +390,14 @@ def _bisect_rows(cum: np.ndarray, ii: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(jj, len(cum) - 1)
 
 
-def _fallback_j(kernel, x, i, u):
+def _fallback_j(p, d_one, d_zero, x, i, u):
     """j drawn with probability p_ij / sum_k p_ik by the uniform u: the
     cumulative-sum resolution of row i, for a step whose proposals were all
     rejected. Conditioned on reaching it, this keeps the step exactly
-    proportional to p_ij."""
+    proportional to p_ij. p is the kernel's eval and (d_one, d_zero) its
+    saturation band."""
     # row i of pairwise_matrix, summed left to right as np.cumsum sums it
     # in _increments; the kernel is exactly 1.0 or 0.0 outside its band
-    p = kernel.eval
-    d_one, d_zero = saturation(kernel)
     xi = x[i]
     cum = list(accumulate([
         1.0 if (ad := abs(xj - xi)) <= d_one else (p(ad) if ad < d_zero else 0.0) for xj in x
@@ -412,10 +408,12 @@ def _fallback_j(kernel, x, i, u):
     return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
-def _apply(spec, x, draws, lo, hi, check_hull):
-    """Execute the drawn steps in order, in place on the opinion list x.
+def _apply(spec, x, draws, segments, out, lo, hi, check_hull):
+    """Execute one drawn block segment by segment, in place on the opinion
+    list x: for each (samples, a, b) of segments, record out[samples] = x,
+    then take steps a..b-1 of draws.
 
-    The fields a step reads are Python lists, converted once per call:
+    The fields a step reads are Python lists, converted once per block:
     float arithmetic on numpy scalars costs several times as much. Under
     thinning, the proposals become one list per column, and a proposal's
     uniform up[k, q] is read from the array only when the proposal's
@@ -439,71 +437,74 @@ def _apply(spec, x, draws, lo, hi, check_hull):
     )
     if jj is None:  # per proposal q: jp[:, q] as a list, up[:, q] as a view
         cols = list(zip(draws.jp.T.tolist(), draws.up.T))
-    m = len(ii)
 
-    for k in range(m):
-        i = ii[k]
-        xi = x[i]
-        if jj is None:  # thinning: the first proposal with up < p_ij
-            for js, us in cols:
-                j = js[k]
-                ad = abs(x[j] - xi)
-                # outside the band p_ij is exactly 1 or 0, whatever up is
-                if ad <= d_one:
-                    break
-                if ad < d_zero:
-                    c = int((ad - origin) * scale)
-                    u = us[k]
-                    if u < p_lo[c] or (u < p_hi[c] and u < p(ad)):
+    for samples, a, b in segments:
+        out[samples] = x
+        for k in range(a, b):
+            i = ii[k]
+            xi = x[i]
+            if jj is None:  # thinning: the first proposal with up < p_ij
+                for js, us in cols:
+                    j = js[k]
+                    ad = abs(x[j] - xi)
+                    # outside the band p_ij is exactly 1 or 0, whatever up is
+                    if ad <= d_one:
                         break
+                    if ad < d_zero:
+                        c = int((ad - origin) * scale)
+                        u = us[k]
+                        if u < p_lo[c] or (u < p_hi[c] and u < p(ad)):
+                            break
+                else:
+                    j = _fallback_j(p, d_one, d_zero, x, i, uj[k])
             else:
-                j = _fallback_j(spec.kernel, x, i, uj[k])
-        else:
-            j = jj[k]
+                j = jj[k]
 
-        xj = x[j]
-        if ambiguity:  # i moves toward j's perturbed opinion
-            d = xj + z[k] - xi
-        else:
-            d = xj - xi
-        if always or (ad := abs(d)) <= d_one:
-            ok = True
-        elif ad < d_zero:
-            c = int((ad - origin) * scale)
-            u = ua[k]
-            ok = u < p_lo[c] or (u < p_hi[c] and u < p(ad))
-        else:  # from d_zero on, and at a NaN distance
-            ok = False
+            xj = x[j]
+            if ambiguity:  # i moves toward j's perturbed opinion
+                d = xj + z[k] - xi
+            else:
+                d = xj - xi
+            if always or (ad := abs(d)) <= d_one:
+                ok = True
+            elif ad < d_zero:
+                c = int((ad - origin) * scale)
+                u = ua[k]
+                ok = u < p_lo[c] or (u < p_hi[c] and u < p(ad))
+            else:  # from d_zero on, and at a NaN distance
+                ok = False
 
-        if ambiguity:
-            if ok:
-                x[i] = xi + mu * d
+            if ambiguity:
+                if ok:
+                    x[i] = xi + mu * d
+                    if both:
+                        x[j] = xj + mu * (xi + z2[k] - xj)
+            elif none:
+                if ok and d != 0.0:
+                    x[i] = xi + mu * d
+                    if both:
+                        x[j] = xj - mu * d
+                    if check_hull:
+                        for agent in (i, j):
+                            if not lo <= x[agent] <= hi:
+                                raise RuntimeError(
+                                    f"opinion of agent {agent} left the initial hull"
+                                )
+            elif external:
+                pull = mu * d if ok else 0.0
+                x[i] = xi + z[k] + pull
                 if both:
-                    x[j] = xj + mu * (xi + z2[k] - xj)
-        elif none:
-            if ok and d != 0.0:
-                x[i] = xi + mu * d
-                if both:
-                    x[j] = xj - mu * d
-                if check_hull:
-                    for a in (i, j):
-                        if not lo <= x[a] <= hi:
-                            raise RuntimeError(f"opinion of agent {a} left the initial hull")
-        elif external:
-            pull = mu * d if ok else 0.0
-            x[i] = xi + z[k] + pull
-            if both:
-                x[j] = xj + z2[k] - pull
-        elif adaptation:
-            if ok:
-                x[i] = xi + mu * d + z[k]
-                if both:
-                    x[j] = xj - mu * d + z2[k]
-        else:  # random update distance
-            if ok and d != 0.0:
-                x[i] = xi + z[k] * d
-                if both:
-                    x[j] = xj - z[k] * d
+                    x[j] = xj + z2[k] - pull
+            elif adaptation:
+                if ok:
+                    x[i] = xi + mu * d + z[k]
+                    if both:
+                        x[j] = xj - mu * d + z2[k]
+            else:  # random update distance
+                if ok and d != 0.0:
+                    x[i] = xi + z[k] * d
+                    if both:
+                        x[j] = xj - z[k] * d
 
 
 def _update_rule(spec):

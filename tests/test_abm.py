@@ -41,7 +41,7 @@ def one_step(x, spec, rng, pair=None):
         return run_abm(replace(spec, horizon=spec.h), x, [spec.h], rng).values[-1]
     draws = _draw(spec, 1, rng)._replace(ii=np.array([pair[0]]), jj=np.array([pair[1]]))
     y = np.asarray(x, dtype=float).tolist()
-    _apply(spec, y, draws, 0.0, 0.0, False)
+    _apply(spec, y, draws, [(slice(0, 0), 0, 1)], np.empty((0, len(y))), 0.0, 0.0, False)
     return np.array(y)
 
 
@@ -148,10 +148,11 @@ def test_select_pair_probability_proportional_uniform_for_constant():
     m = 4000
     draws = _draw(spec, m, np.random.default_rng(10))
     counts = np.zeros((4, 4))
+    segments, out = [(slice(0, 0), 0, 1)], np.empty((0, 4))
     for k, i in enumerate(draws.ii):
         y = x.tolist()
         step = type(draws)(*(None if a is None else a[k : k + 1] for a in draws))
-        _apply(spec, y, step, 0.0, 0.0, False)
+        _apply(spec, y, step, segments, out, 0.0, 0.0, False)
         target = x[i] + (y[i] - x[i]) / spec.mu
         counts[i, np.argmin(np.abs(x - target))] += 1
     freq = counts / m
@@ -219,10 +220,11 @@ def test_probability_proportional_pair_frequencies(case):
     assert spec.mu == 1.0
     draws = _draw(spec, samples, np.random.default_rng([14, n]))
     counts = np.zeros((n, n))
+    segments, out = [(slice(0, 0), 0, 1)], np.empty((0, n))
     for k, i in enumerate(draws.ii):
         y = x.tolist()
         _apply(spec, y, type(draws)(*(None if a is None else a[k : k + 1] for a in draws)),
-               0.0, 0.0, False)
+               segments, out, 0.0, 0.0, False)
         counts[i, np.argmin(np.abs(x - y[i]))] += 1
 
     p = pairwise_matrix(kernel, x)

@@ -470,7 +470,7 @@ def test_nan_distance_is_rejected_by_both_engines(kernel):
     # the scalar loop: agent 0 meets agent 1 at a NaN opinion, with u = 0
     step = _Draws(np.array([0]), np.array([1]), None, None, None, np.zeros(1), None, None)
     x = [0.0, math.nan]
-    abm._apply(spec, x, step, 0.0, 0.0, False)
+    abm._apply(spec, x, step, [(slice(0, 0), 0, 1)], np.empty((0, 2)), 0.0, 0.0, False)
     assert x[0] == 0.0
     # the batched engine: 100 steps of two runs from the same state
     _, plan = abm._plan(spec, [0.0, 1.0])

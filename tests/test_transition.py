@@ -78,9 +78,8 @@ def test_scalar_apply_matches_vectorised_increments(scheme, kind):
         vec[ii[k]] += di[k]
         if jj is not None:
             vec[jj[k]] += dj[k]
-        step = type(draws)(*(None if a is None else a[k : k + 1] for a in draws))
         out = x.tolist()
-        _apply(spec, out, step, 0.0, 0.0, False)
+        _apply(spec, out, draws, [(slice(0, 0), k, k + 1)], np.empty((0, N)), 0.0, 0.0, False)
         out = np.array(out)
         # the two forms associate xi + pull + noise differently
         tol = 4 * np.spacing(np.maximum(np.abs(x), np.abs(out)))
@@ -239,21 +238,58 @@ def test_plan_takes_a_sample_within_rounding_of_a_step_at_that_step():
     assert _sample_steps(_plan(spec, off)[1]) == [0, 2, 30_000_000]
 
 
-@pytest.mark.parametrize("scheme", ["proportional", "proportional_double", "proportional_fallback"])
-def test_thinning_block_gives_the_state_of_its_single_steps(scheme):
-    # _apply reads proposals per column of the slice it is given; one call,
-    # one call per step and uneven slices must take the same path
-    spec = ModelSpec(n_agents=N, h=0.01, horizon=4.0, **{"kernel": KERNEL, **_SCHEMES[scheme]})
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("scheme", list(_SCHEMES))
+def test_thinning_block_gives_the_state_of_its_single_steps(scheme, kind):
+    # _apply reads each field of the block it is given as one list, and the
+    # proposals per column; one call per step, and one call on a block cut
+    # into one, 512 or uneven segments, must take the same path
+    spec = ModelSpec(
+        n_agents=N, h=1e-3, horizon=1.3, noise=_noise(kind), **{"kernel": KERNEL, **_SCHEMES[scheme]}
+    )
     x0 = np.random.default_rng(1).uniform(-1.0, 1.0, N).tolist()
-    draws = _draw(spec, 400, np.random.default_rng(47))
+    rng = np.random.default_rng(47)
+    blocks = [_draw(spec, m, rng) for m in (_DRAW_BLOCK, _DRAW_BLOCK, 1300 - 2 * _DRAW_BLOCK)]
+    none = np.empty((0, N))
+    x, states = list(x0), [np.array(x0).tobytes()]  # states[k]: after k steps
+    for draws in blocks:
+        for k in range(len(draws.ua)):
+            step = type(draws)(*(None if a is None else a[k : k + 1] for a in draws))
+            _apply(spec, x, step, [(slice(0, 0), 0, 1)], none, 0.0, 0.0, False)
+            states.append(np.array(x).tobytes())
     finals = []
-    for cuts in ([0, 400], range(401), [0, 1, 2, 9, 64, 65, 233, 399, 400]):
+    for cuts in ([0, 512], range(513), [0, 1, 2, 9, 64, 65, 233, 511, 512]):
         x = list(x0)
-        for a, b in zip(cuts, cuts[1:]):
-            _apply(spec, x, draws.steps(a, b), 0.0, 0.0, False)
+        segments = [(slice(0, 0), a, b) for a, b in zip(cuts, cuts[1:])]
+        _apply(spec, x, blocks[0], segments, none, 0.0, 0.0, False)
         finals.append(np.array(x).tobytes())
     assert finals[0] != np.array(x0).tobytes()
     assert finals[1] == finals[0] and finals[2] == finals[0]
+    assert finals[0] == states[_DRAW_BLOCK]
+    # run_abm records the replay's states: at step 200, the first after 0,
+    # in mid-block, twice on the first block edge, on the second, and at
+    # 1200, where the run stops inside its last block
+    grid = [0.2, 0.3, 0.512, 0.512, 0.9, 1.024, 1.2]
+    traj = run_abm(spec, x0, grid, np.random.default_rng(47))
+    assert [row.tobytes() for row in traj.values] == [states[round(s / spec.h)] for s in grid]
+
+
+def test_run_abm_sets_up_the_step_loop_once_per_drawn_block(monkeypatch):
+    # 2000 steps sampled 51 times are 4 blocks and 54 segments; setting up
+    # _apply per segment cost a sixth of sweep_proportional's time
+    spec = ModelSpec(
+        n_agents=N, h=1e-3, horizon=2.0, kernel=KERNEL, selection=ProbabilityProportional()
+    )
+    apply, segments = _apply, []
+
+    def counted(spec, x, draws, segs, *rest):
+        segments.append(len(segs))
+        return apply(spec, x, draws, segs, *rest)
+
+    monkeypatch.setattr(abm, "_apply", counted)
+    x0 = np.random.default_rng(1).uniform(-1.0, 1.0, N)
+    run_abm(spec, x0, np.linspace(0.0, 2.0, 51), np.random.default_rng(49))
+    assert len(segments) == 4 and sum(segments) == 51 + 3
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
