@@ -11,6 +11,7 @@ from .abm import (
 )
 from .analysis import (
     EnsembleStats,
+    Moments,
     ensemble_stats,
     error_timeseries,
     sweep_error,

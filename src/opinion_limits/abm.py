@@ -206,14 +206,17 @@ def run_abm_batch(
     x0: Sequence[float],
     sample_times: Sequence[float],
     rngs: Sequence[np.random.Generator],
-) -> list[Trajectory]:
+    out=None,
+) -> list[Trajectory] | None:
     """run_abm from x0 once per stream in rngs, the runs advanced together.
 
     The result is bit-identical to run_abm(spec, x0, sample_times, rng) for
     each rng: every run draws the same blocks from its own stream, step k
     applies draw k of every run to an (R, N) state array, and acceptance is
     decided on the same kernel values. Probability-proportional selection
-    resolves j from each run's own state and is refused.
+    resolves j from each run's own state and is refused. Given out, an
+    array (runs, samples, N) or an analysis.Moments, the states are
+    recorded into it, group after group in run order, and None is returned.
     """
     if isinstance(spec.selection, ProbabilityProportional):
         raise ValueError("probability-proportional selection is not batched")
@@ -221,11 +224,11 @@ def run_abm_batch(
     if len(x0) != spec.n_agents:
         raise ValueError("x0 size does not match spec")
     times, plan = _plan(spec, sample_times)
-    out = np.empty((len(rngs), len(times), spec.n_agents))
+    values = np.empty((len(rngs), len(times), spec.n_agents)) if out is None else out
     group = max(1, _BATCH_STEPS // max(block for _, block, _, _ in plan))
     for a in range(0, len(rngs), group):
-        _run_group(spec, x0, plan, rngs[a : a + group], out[a : a + group])
-    return trajectories(times, out)
+        _run_group(spec, x0, plan, rngs[a : a + group], values[a : a + group])
+    return trajectories(times, values) if out is None else None
 
 
 def _plan(spec: ModelSpec, sample_times: Sequence[float]):
@@ -593,7 +596,8 @@ def _accept(kernel):
 
 
 def _run_group(spec, x0, plan, rngs, out):
-    """run_abm_batch for one group of runs, into out of shape (R, samples, N)."""
+    """run_abm_batch for one group of runs, into out of shape (R, samples, N)
+    or a Moments view."""
     n = spec.n_agents
     runs = len(rngs)
     both = _both(spec)

@@ -11,6 +11,7 @@ from .trajectory import Trajectory
 
 __all__ = [
     "EnsembleStats",
+    "Moments",
     "error_timeseries",
     "sweep_error",
     "ensemble_stats",
@@ -58,32 +59,108 @@ def sweep_error(
     raise ValueError(f"unknown error norm {norm!r}")
 
 
-def ensemble_stats(runs: Iterable[Trajectory]) -> EnsembleStats:
-    """Sample mean and unbiased variance per (time, agent), in one pass over the runs.
+class Moments:
+    """The run-order sums of an ensemble's states per (sample time, agent):
+    the total, and the sum and squared sum of deviations from run 0 (Chan,
+    Golub & LeVeque 1983), in O(samples x N) memory whatever the run count.
 
-    runs is any iterable, a generator included, and is not stacked. The mean
-    is the sum in run order over n, the bytes of the stacked runs' mean. The
-    variance sums deviations from the first run (Chan, Golub & LeVeque 1983):
-    it does not cancel at a large mean and is exactly 0 where all runs agree.
+    It stands in, write-only, for the (runs, samples, N) array that
+    abm.run_abm_batch and dem.integrate_batch record into: moments[a:b] is
+    the view of runs a, a + 1, ..., and view[:, samples] = states folds
+    states, (R, len(samples), N) or broadcast to it, or (R, N) at one
+    sample index, as runs a..a+R-1 of the view at those indices. Each index
+    takes its runs in run order, so each entry adds them in the order that
+    the stacked runs' sum adds them. A non-finite state is refused.
     """
-    n = 0
-    for n, run in enumerate(runs, 1):
-        if n == 1:
-            first = run
-            total, dev_sum, dev_sq = (np.zeros_like(run.values) for _ in range(3))
-        _check_grids(first, run)
-        dev = run.values - first.values
-        total += run.values
-        dev_sum += dev
-        dev_sq += dev * dev
+
+    def __init__(self, sample_times, n_agents: int):
+        self.sample_times = np.asarray(sample_times, dtype=float)
+        shape = (len(self.sample_times), n_agents)
+        self.sums = np.zeros((3, *shape))  # total, deviation sum, squared deviation sum
+        self.first = np.zeros(shape)  # run 0, which the deviations are taken from
+        self.count = np.zeros(shape[0], dtype=np.intp)  # runs folded per sample index
+        self.n = 0  # runs seen
+
+    def __getitem__(self, runs: slice) -> _RunView:
+        return _RunView(self, runs.start or 0)
+
+    def _fold(self, start: int, samples, states) -> None:
+        """Fold states as runs start, start + 1, ... at the sample indices samples."""
+        states = np.asarray(states, dtype=float)
+        if not isinstance(samples, slice):  # one sample index
+            samples, states = slice(samples, samples + 1), states[:, None]
+        count = self.count[samples]
+        if np.any(count != start):
+            raise ValueError("runs must be folded in run order")
+        if not np.isfinite(states).all():
+            raise ValueError("trajectory contains non-finite entries")
+        runs = len(states)
+        self.n = max(self.n, start + runs)
+        if not len(count):
+            return
+        if start == 0:
+            self.first[samples] = states[0]
+        sums = self.sums[:, samples]
+        terms = np.empty((runs + 1, *sums.shape))
+        terms[0] = sums
+        terms[1:, 0] = states
+        np.subtract(terms[1:, 0], self.first[samples], out=terms[1:, 1])
+        np.multiply(terms[1:, 1], terms[1:, 1], out=terms[1:, 2])
+        # a reduction over the outer axis adds row after row, so every entry
+        # sums its runs one at a time, in run order
+        np.add.reduce(terms, axis=0, out=sums)
+        count += runs
+
+
+class _RunView:
+    """Runs start, start + 1, ... of a Moments (Moments.__getitem__)."""
+
+    def __init__(self, moments: Moments, start: int):
+        self.moments, self.start = moments, start
+
+    def __setitem__(self, key, states) -> None:
+        every, samples = key
+        if every != slice(None):
+            raise IndexError("a view of Moments is recorded into at every one of its runs")
+        self.moments._fold(self.start, samples, states)
+
+
+def ensemble_stats(runs: Moments | Iterable[Trajectory]) -> EnsembleStats:
+    """Sample mean and unbiased variance per (time, agent) of an ensemble.
+
+    runs is the Moments the ensemble was folded into, or any iterable of
+    trajectories, a generator included, which is folded one run at a time
+    and is not stacked. The mean is the sum in run order over n, the bytes
+    of the stacked runs' mean. The variance sums deviations from the first
+    run: it does not cancel at a large mean and is exactly 0 where all
+    runs agree.
+    """
+    moments = runs if isinstance(runs, Moments) else _folded(runs)
+    n = moments.n
     if n < 2:
         raise ValueError("need at least 2 realizations")
+    if np.any(moments.count != n):
+        raise ValueError("every run must be folded at every sample time")
+    total, dev_sum, dev_sq = moments.sums
     return EnsembleStats(
-        sample_times=first.sample_times,
+        sample_times=moments.sample_times,
         mean=total / n,
         variance=(dev_sq - dev_sum * dev_sum / n) / (n - 1),
         n_realizations=n,
     )
+
+
+def _folded(runs: Iterable[Trajectory]) -> Moments:
+    """The trajectories runs folded into a Moments, one run at a time."""
+    moments = None
+    for r, run in enumerate(runs):
+        if moments is None:
+            first, moments = run, Moments(run.sample_times, run.n_agents)
+        _check_grids(first, run)
+        moments[r:][:, :] = run.values[None]
+    if moments is None:
+        raise ValueError("need at least 2 realizations")
+    return moments
 
 
 def quartile_summary(errors: Sequence[float]) -> dict[str, float]:

@@ -12,20 +12,19 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import replace
 from itertools import groupby
-from multiprocessing import get_context
 
 import numpy as np
 
 from . import __version__
 from .abm import _BATCH_MIN_RUNS, ENGINE_VERSION, ProbabilityProportional, run_abm, run_abm_batch
-from .analysis import ensemble_stats, error_timeseries, quartile_summary, sweep_error
+from .analysis import Moments, ensemble_stats, error_timeseries, quartile_summary, sweep_error
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate, integrate_batch
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
-from .trajectory import write_csv
+from .trajectory import Trajectory, write_csv
 
 __all__ = ["run_experiment", "main"]
 
@@ -44,35 +43,66 @@ def _prelude(cfg: ExperimentConfig):
     return spec, integrator, cfg.x0, times
 
 
-def _fan_out(block, n_runs: int, threads: int, *args) -> list:
-    """block(*args, start, stop) over contiguous blocks of range(n_runs), in run order.
+def _fan_out(block, n_runs: int, threads: int, *args):
+    """(start, block(*args, start, stop)) for min(threads, n_runs) contiguous
+    blocks of range(n_runs), in run order.
 
-    Each run seeds its own stream, so the result is the same for any threads.
+    The blocks run in spawned worker processes, one per usable CPU and at
+    most one per block, or in this process when that makes one. At most
+    one block per worker is submitted ahead of the block whose result is
+    read next, so at most workers + 1 results wait at a time. Each run
+    seeds its own stream, so the results are the same for any threads.
     """
     k = max(1, min(threads, n_runs))
-    if k == 1:
-        return block(*args, 0, n_runs)
     cuts = [n_runs * b // k for b in range(k + 1)]
-    with ProcessPoolExecutor(max_workers=k, mp_context=get_context("spawn")) as pool:
-        futures = [pool.submit(block, *args, a, b) for a, b in zip(cuts, cuts[1:])]
-        return [run for f in futures for run in f.result()]
+    blocks = list(zip(cuts, cuts[1:]))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(k, cpus or 1)
+    if workers == 1:
+        for a, b in blocks:
+            yield a, block(*args, a, b)
+        return
+    # imported here, so that a run in this process loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        pending = deque()
+        for a, b in blocks:
+            pending.append((a, pool.submit(block, *args, a, b)))
+            if len(pending) > workers:
+                start, future = pending.popleft()
+                yield start, future.result()
+        for start, future in pending:
+            yield start, future.result()
 
 
-def _abm_runs(spec, x0, times, rngs):
-    """One ABM trajectory per stream: batched, unless the block is too small
-    to gain or the selection depends on each run's state."""
-    if len(rngs) < _BATCH_MIN_RUNS or isinstance(spec.selection, ProbabilityProportional):
-        return [run_abm(spec, x0, times, rng) for rng in rngs]
-    return run_abm_batch(spec, x0, times, rngs)
+def _abm_runs(spec, x0, times, rngs, out=None):
+    """One ABM trajectory per stream, or with out the runs recorded into it
+    (run_abm_batch): batched, unless the block is too small to gain or the
+    selection depends on each run's state."""
+    if len(rngs) >= _BATCH_MIN_RUNS and not isinstance(spec.selection, ProbabilityProportional):
+        return run_abm_batch(spec, x0, times, rngs, out)
+    runs = (run_abm(spec, x0, times, rng) for rng in rngs)
+    if out is None:
+        return list(runs)
+    for r, run in enumerate(runs):
+        out[r : r + 1][:, :] = run.values[None]
+    return None
 
 
-def _paired_block(spec, integrator, x0, times, base_seed, start, stop):
-    """(ABM, limit) trajectory pairs of runs start..stop-1; compare is run 0 alone."""
+def _paired_block(spec, integrator, x0, times, base_seed, start, stop, out=None):
+    """The ABM and limit states of runs start..stop-1, recorded into
+    out = (ABM, limit), a pair of Moments, or else into a new array
+    (2, runs, samples, N); returns out."""
+    if out is None:
+        out = np.empty((2, stop - start, len(times), spec.n_agents))
     model = build_limit(spec)
     rngs = [np.random.default_rng([base_seed, _TAG_ABM, r]) for r in range(start, stop)]
-    abm_runs = _abm_runs(spec, x0, times, rngs)
+    _abm_runs(spec, x0, times, rngs, out[0])
     dem_rngs = [np.random.default_rng([base_seed, _TAG_DEM, r]) for r in range(start, stop)]
-    return list(zip(abm_runs, integrate_batch(model, x0, integrator, spec.horizon, times, dem_rngs)))
+    integrate_batch(model, x0, integrator, spec.horizon, times, dem_rngs, out[1])
+    return out
 
 
 def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
@@ -90,7 +120,8 @@ def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
 
 def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
     spec, integrator, x0, times = _prelude(cfg)
-    [(abm_traj, dem_traj)] = _paired_block(spec, integrator, x0, times, cfg.base_seed, 0, 1)
+    [abm], [lim] = _paired_block(spec, integrator, x0, times, cfg.base_seed, 0, 1)
+    abm_traj, dem_traj = Trajectory(times, abm), Trajectory(times, lim)
     err = error_timeseries(abm_traj, dem_traj)
 
     abm_traj.to_csv(os.path.join(out, "abm.csv"))
@@ -106,10 +137,11 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
     h_list = cfg.h_list
     runs_per_h = cfg.raw["experiment"]["runs_per_h"]
     specs = [replace(spec, h=float(h)) for h in h_list]
-    runs = _fan_out(
+    blocks = _fan_out(
         _sweep_block, len(h_list) * runs_per_h, threads, specs, runs_per_h, x0, times,
         cfg.base_seed,
     )
+    runs = [run for _, block in blocks for run in block]
     errors = [sweep_error(traj, dem_traj, spec.horizon, cfg.error_norm) for traj in runs]
     rows = [(h_list[k // runs_per_h], k % runs_per_h, e) for k, e in enumerate(errors)]
     write_csv(os.path.join(out, "errors.csv"), ["h", "run", "error"], rows)
@@ -123,14 +155,18 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
     spec, integrator, x0, times = _prelude(cfg)
-    pairs = _fan_out(
-        _paired_block, cfg.raw["experiment"]["n_runs"], threads, spec, integrator, x0,
-        times, cfg.base_seed,
-    )
-    abm_runs, dem_runs = zip(*pairs)
+    n_runs = cfg.raw["experiment"]["n_runs"]
+    moments = (Moments(times, spec.n_agents), Moments(times, spec.n_agents))
+    args = (spec, integrator, x0, times, cfg.base_seed)
+    if threads == 1:  # the runs stream into the moments; no trajectory is kept
+        _paired_block(*args, 0, n_runs, moments)
+    else:  # each block's stacked states, folded in run order as they arrive
+        for start, block in _fan_out(_paired_block, n_runs, threads, *args):
+            for m, states in zip(moments, block):
+                m[start:][:, :] = states
 
-    abm_stats = ensemble_stats(abm_runs)
-    dem_stats = ensemble_stats(dem_runs)
+    abm_stats = ensemble_stats(moments[0])
+    dem_stats = ensemble_stats(moments[1])
     abm_stats.write_csv(os.path.join(out, "abm_mean.csv"), os.path.join(out, "abm_var.csv"))
     dem_stats.write_csv(os.path.join(out, "dem_mean.csv"), os.path.join(out, "dem_var.csv"))
     mean_err = np.abs(abm_stats.mean - dem_stats.mean).sum(axis=1)

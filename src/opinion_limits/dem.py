@@ -336,7 +336,8 @@ def integrate_batch(
     horizon: float,
     sample_times: Sequence[float],
     rngs: Sequence[np.random.Generator | None],
-) -> list[Trajectory]:
+    out=None,
+) -> list[Trajectory] | None:
     """One trajectory from x0 per stream in rngs, as integrate gives it, bit for bit.
 
     The horizon and the sample times must fall on the dt grid. A model
@@ -345,7 +346,9 @@ def integrate_batch(
     model.fields once for the block and draws each run's normals from its
     own stream, in run order. A drift-only model is integrated once by
     forward Euler, that one Trajectory is returned for every run, and
-    rngs are not touched.
+    rngs are not touched. Given out, an array (runs, samples, N) or an
+    analysis.Moments, the states of every run are recorded into it, block
+    after block in run order, and None is returned.
     """
     rngs = list(rngs)
     stochastic = model.has_diffusion
@@ -360,17 +363,26 @@ def integrate_batch(
 
     x0 = np.asarray(x0, dtype=float)
     runs = rngs if stochastic else [None]
-    values = np.empty((len(runs), len(targets), len(x0)))
+    if out is None or not stochastic:
+        values = np.empty((len(runs), len(targets), len(x0)))
+    else:
+        values = out
     for a in range(0, len(runs), _EM_BLOCK):
         block = slice(a, a + _EM_BLOCK)
         _advance(model, x0, integrator.dt, steps, targets, runs[block], values[block])
-    out = trajectories(times, values)
-    return out if stochastic else out * len(rngs)
+    if out is None:
+        result = trajectories(times, values)
+        return result if stochastic else result * len(rngs)
+    if not stochastic:  # the one Euler run is every run's
+        for r in range(len(rngs)):
+            out[r : r + 1][:, :] = values
+    return None
 
 
 def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
     """Writes the states of one run per entry of rngs, from x0, at the
-    target step numbers into out, of shape (runs, len(targets), N).
+    target step numbers into out, of shape (runs, len(targets), N), or a
+    Moments view.
 
     Each step is x + (b dt + sigma sqrt(dt) z). For a model with diffusion,
     z holds one standard_normal(N) per run, from rngs[k] for run k; a

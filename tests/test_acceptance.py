@@ -17,7 +17,13 @@ from opinion_limits.abm import (
     run_abm,
     run_abm_batch,
 )
-from opinion_limits.analysis import EnsembleStats, ensemble_stats, quartile_summary, sweep_error
+from opinion_limits.analysis import (
+    EnsembleStats,
+    Moments,
+    ensemble_stats,
+    quartile_summary,
+    sweep_error,
+)
 from opinion_limits.dem import IntegratorSpec, build_limit, integrate, integrate_batch
 from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi, pairwise_matrix
 from opinion_limits.limitcheck import exact_coefficients, mc_coefficients
@@ -185,10 +191,11 @@ _TIMES = np.round(np.arange(1001) * 0.01, 12)
 _ENSEMBLES: dict[str, EnsembleStats] = {}
 
 
-# the ensembles advance this many runs at a time through run_abm_batch and
-# integrate_batch, which test_batched_ensemble_runs_match_run_abm and
-# test_batched_em_runs_match_integrate pin to the serial runs bit for bit
-_GROUP = 100
+# each ensemble is one batch of _N_RUNS runs through run_abm_batch or
+# integrate_batch, folded into Moments as it is recorded;
+# test_batched_ensemble_runs_match_run_abm and
+# test_batched_em_runs_match_integrate pin the batches to the serial runs
+# bit for bit
 _ABM_NOISE = {
     0: NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05)),
     1: NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, GaussianScaled(50.0, 5.0)),
@@ -203,12 +210,10 @@ def _abm_runs(tag, start, stop):
 
 
 def _abm_ensemble(tag):
-    def runs():
-        for start in range(0, _N_RUNS, _GROUP):
-            spec, x0, rngs = _abm_runs(tag, start, min(start + _GROUP, _N_RUNS))
-            yield from run_abm_batch(spec, x0, _TIMES, rngs)
-
-    return ensemble_stats(runs())
+    spec, x0, rngs = _abm_runs(tag, 0, _N_RUNS)
+    moments = Moments(_TIMES, 50)
+    run_abm_batch(spec, x0, _TIMES, rngs, moments)
+    return ensemble_stats(moments)
 
 
 def test_batched_ensemble_runs_match_run_abm():
@@ -234,12 +239,10 @@ def _em_runs(start, stop):
 
 
 def _em_ensemble():
-    def runs():
-        for start in range(0, _N_RUNS, _GROUP):
-            model, x0, em, rngs = _em_runs(start, min(start + _GROUP, _N_RUNS))
-            yield from integrate_batch(model, x0, em, _HORIZON, _TIMES, rngs)
-
-    return ensemble_stats(runs())
+    model, x0, em, rngs = _em_runs(0, _N_RUNS)
+    moments = Moments(_TIMES, 50)
+    integrate_batch(model, x0, em, _HORIZON, _TIMES, rngs, moments)
+    return ensemble_stats(moments)
 
 
 def test_batched_em_runs_match_integrate():

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from opinion_limits import abm
+from opinion_limits.abm import ModelSpec, run_abm_batch
 from opinion_limits.analysis import (
+    Moments,
     ensemble_stats,
     error_timeseries,
     quartile_summary,
     sweep_error,
 )
+from opinion_limits.dem import IntegratorSpec, build_limit, integrate_batch
+from opinion_limits.kernel import MollifiedBC, NormalMollifier
+from opinion_limits.noise import GaussianScaled, NoiseFamily, NoiseKind
 from opinion_limits.trajectory import Trajectory
 
 
@@ -101,6 +107,87 @@ def test_ensemble_csv_written(tmp_path):
     assert np.array_equal(mean_back[:, 1:], stats.mean)
     var_back = np.loadtxt(var_path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(var_back[:, 1:], stats.variance)
+
+
+def _per_run_stats(values):
+    """Mean and variance of the stacked runs values (runs, samples, N) by
+    the per-run loop that Moments replaced: one run at a time, in run order."""
+    first = values[0]
+    total, dev_sum, dev_sq = (np.zeros_like(first) for _ in range(3))
+    for run in values:
+        dev = run - first
+        total += run
+        dev_sum += dev
+        dev_sq += dev * dev
+    n = len(values)
+    return total / n, (dev_sq - dev_sum * dev_sum / n) / (n - 1)
+
+
+_SPEC = ModelSpec(
+    n_agents=6, h=0.05, horizon=1.0, kernel=MollifiedBC(0.5, NormalMollifier(0.0, 0.01)),
+    noise=NoiseFamily(NoiseKind.EXTERNAL, GaussianScaled(0.0, 0.05)),
+)
+_X0 = np.linspace(-1.0, 1.0, 6)
+# five samples on each ABM step of h = 0.05
+_TIMES = np.round(np.arange(101) * 0.01, 12)
+_RUNS = 40  # Euler-Maruyama blocks of 16 + 16 + 8
+
+
+def _streams(seed):
+    return [np.random.default_rng([seed, r]) for r in range(_RUNS)]
+
+
+def _assert_same_bytes(moments, values):
+    stats = ensemble_stats(moments)
+    mean, variance = _per_run_stats(values)
+    assert stats.n_realizations == _RUNS
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.variance.tobytes() == variance.tobytes()
+
+
+def test_moments_from_run_abm_batch_equal_the_per_run_sums(monkeypatch):
+    # groups of 16 runs of the 20-step block: 16 + 16 + 8, as the EM blocks
+    monkeypatch.setattr(abm, "_BATCH_STEPS", 16 * 20)
+    moments = Moments(_TIMES, 6)
+    assert run_abm_batch(_SPEC, _X0, _TIMES, _streams(1), moments) is None
+    stacked = np.stack([t.values for t in run_abm_batch(_SPEC, _X0, _TIMES, _streams(1))])
+    _assert_same_bytes(moments, stacked)
+
+
+def test_moments_from_integrate_batch_equal_the_per_run_sums():
+    model, em = build_limit(_SPEC), IntegratorSpec(dt=0.01)
+    moments = Moments(_TIMES, 6)
+    assert integrate_batch(model, _X0, em, 1.0, _TIMES, _streams(2), moments) is None
+    runs = integrate_batch(model, _X0, em, 1.0, _TIMES, _streams(2))
+    _assert_same_bytes(moments, np.stack([t.values for t in runs]))
+
+
+def test_moments_take_a_drift_only_limit_once_per_run():
+    model = build_limit(ModelSpec(n_agents=6, h=0.05, horizon=1.0, kernel=_SPEC.kernel))
+    moments = Moments(_TIMES, 6)
+    integrate_batch(model, _X0, IntegratorSpec(dt=0.01), 1.0, _TIMES, [None] * _RUNS, moments)
+    [run] = integrate_batch(model, _X0, IntegratorSpec(dt=0.01), 1.0, _TIMES, [None])
+    _assert_same_bytes(moments, np.stack([run.values] * _RUNS))
+    assert np.all(ensemble_stats(moments).variance == 0.0)
+
+
+def test_moments_refuse_runs_out_of_order():
+    moments = Moments([0.0, 1.0], 2)
+    moments[0:2][:, :] = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError, match="run order"):
+        moments[3:4][:, :] = np.zeros((1, 2, 2))
+    moments[2:3][:, 0] = np.zeros((1, 2))
+    with pytest.raises(ValueError, match="every sample time"):
+        ensemble_stats(moments)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_moments_refuse_a_non_finite_state(bad):
+    moments = Moments([0.0, 1.0], 2)
+    states = np.zeros((3, 2))
+    states[2, 1] = bad
+    with pytest.raises(ValueError, match="trajectory contains non-finite entries"):
+        moments[0:3][:, 1] = states
 
 
 def test_quartile_summary_hand_values():

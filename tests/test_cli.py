@@ -1,4 +1,6 @@
 import builtins
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opinion_limits import cli, dem
+from opinion_limits import abm, cli, dem
 from opinion_limits.abm import ENGINE_VERSION, ProbabilityProportional, UniformWithReplacement
 from opinion_limits.cli import main
 from opinion_limits.config import _SCHEMA, ConfigError, config_from_dict, parse_config
@@ -680,6 +683,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a --threads 1 run never starts a worker, so it does not pay for the imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, opinion_limits.cli; "
+        "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
+        "or m.split('.')[0] == 'multiprocessing'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 _LIMITED = {
     "ensemble": ("""
 [experiment]
@@ -857,6 +874,133 @@ def test_batched_and_serial_runs_write_the_same_bytes(tmp_path, monkeypatch, exp
     for p in outs[0].iterdir():
         if p.name != "manifest.json":
             assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each block when it is
+    submitted and records the worker count and the blocks; it starts no
+    process."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context):
+        self.workers, self.blocks, self.read = max_workers, [], 0
+        _InlinePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.blocks.append(args[-2:])
+        # a block is submitted only when at most one result per worker waits
+        assert len(self.blocks) - self.read <= self.workers + 1
+        return _Done(self, fn(*args))
+
+
+class _Done:
+    """A finished block's future; reading it counts as a read of the pool."""
+
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.read += 1
+        return self.value
+
+
+@pytest.mark.parametrize("threads, cpus, workers, blocks", [
+    (4, 2, 2, 4), (1000, 2, 2, 5), (3, 8, 3, 3), (2, 1, 1, 0),
+])
+def test_fan_out_caps_workers_at_usable_cpus(tmp_path, monkeypatch, threads, cpus, workers, blocks):
+    # 5 runs in min(threads, 5) contiguous blocks, in min(blocks, cpus)
+    # workers; one usable CPU runs the blocks in this process
+    path = _write(tmp_path, _THREADED["ensemble"])
+    _InlinePool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    outs = [tmp_path / "serial", tmp_path / "fanned"]
+    assert main([str(path), "--out", str(outs[0])]) == 0
+    assert main([str(path), "--out", str(outs[1]), "--threads", str(threads)]) == 0
+    if blocks:
+        [pool] = _InlinePool.made
+        assert pool.workers == workers
+        cuts = [5 * b // blocks for b in range(blocks + 1)]
+        assert pool.blocks == list(zip(cuts, cuts[1:]))
+    else:
+        assert _InlinePool.made == []
+    for p in outs[0].iterdir():
+        if p.name != "manifest.json":
+            assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name
+
+
+def test_ensemble_working_set_does_not_grow_with_samples(tmp_path):
+    # tracemalloc sees numpy's buffers. The runs stream into the moments, so
+    # 201 samples peak as 3 do, at about 0.8 MB; keeping every run's
+    # trajectory (48 runs x 2 engines x 201 samples x 20 agents) peaked at 3.4 MB
+    for dt in ("0.1", "0.001"):
+        cfg = parse_config(f"""
+[experiment]
+type = ensemble
+n_runs = 48
+output_dir = {tmp_path / dt}
+
+[model]
+n_agents = 20
+h = 1e-3
+horizon = 0.2
+
+[noise]
+kind = external
+var_per_h = 0.05
+
+[dem]
+dt = {dt}
+""")
+        tracemalloc.start()
+        try:
+            cli.run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_200_000, (dt, peak)
+
+
+def _poisoned_draw(monkeypatch):
+    original = abm._draw
+
+    def draw(spec, m, rng):
+        d = original(spec, m, rng)
+        d.z[0] = np.nan
+        return d
+
+    monkeypatch.setattr(abm, "_draw", draw)
+
+
+def _poisoned_limit(monkeypatch):
+    def build(spec):
+        model = build_limit(spec)
+
+        def fields(x):
+            b, sigma = model.fields(x)
+            return b + np.nan, sigma
+
+        return dataclasses.replace(model, fields=fields)
+
+    monkeypatch.setattr(cli, "build_limit", build)
+
+
+@pytest.mark.parametrize("poison", [_poisoned_draw, _poisoned_limit])
+@pytest.mark.parametrize("min_runs", [1, 10**9])
+def test_ensemble_refuses_a_non_finite_state(tmp_path, capsys, monkeypatch, poison, min_runs):
+    # through run_abm_batch and through run_abm alone, then the limit
+    monkeypatch.setattr(cli, "_BATCH_MIN_RUNS", min_runs)
+    poison(monkeypatch)
+    path = _write(tmp_path, _THREADED["ensemble"])
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "trajectory contains non-finite entries" in capsys.readouterr().err
 
 
 def test_em_block_size_does_not_change_outputs(tmp_path, monkeypatch):
