@@ -26,6 +26,7 @@ from opinion_limits.abm import (
     UniformWithReplacement,
     run_abm,
 )
+from opinion_limits.cli import main
 from opinion_limits.dem import IntegratorSpec, NoDerivedLimitError, build_limit, integrate
 from opinion_limits.kernel import MollifiedBC, NormalMollifier, erdos_renyi
 from opinion_limits.limitcheck import convergence_sweep, mc_coefficients
@@ -262,3 +263,107 @@ def test_convergence_sweep_golden_hash(label):
     rows = convergence_sweep(x0, spec, [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(seed))
     values = [(r.h, r.b_deviation, r.a_deviation, r.gamma4) for r in rows]
     assert _sha(values) == SWEEP_SHA256[label], label
+
+
+# One small config per CLI experiment. Each output file but manifest.json
+# (which records the software versions and the output directory) is pinned
+# by its sha256 under GOLDEN_ENGINE, so a refactor that moves an experiment
+# off its stream tags or its run order shows up here. sweep_h and ensemble
+# run at --threads 1 and 2 against the same hashes; 48 ensemble runs make
+# two blocks of 24, so both forms go through the batched engines.
+CLI_CONFIGS = {
+    "compare": """
+[experiment]
+type = compare
+base_seed = 5
+
+[model]
+n_agents = 6
+h = 1e-3
+horizon = 0.2
+
+[noise]
+kind = external
+var_per_h = 0.05
+""",
+    "sweep_h": """
+[experiment]
+type = sweep_h
+h_list = 1e-2,1e-3
+runs_per_h = 2
+base_seed = 5
+
+[model]
+n_agents = 6
+h = 1e-3
+horizon = 0.2
+""",
+    "ensemble": """
+[experiment]
+type = ensemble
+n_runs = 48
+base_seed = 5
+
+[model]
+n_agents = 5
+h = 1e-3
+horizon = 0.1
+
+[noise]
+kind = external
+var_per_h = 0.05
+""",
+    "limitcheck": """
+[experiment]
+type = limitcheck
+h_list = 1e-2,1e-3
+n_states = 1
+samples = 10000
+base_seed = 5
+
+[model]
+n_agents = 5
+h = 1e-3
+horizon = 1.0
+
+[noise]
+kind = adaptation
+var_per_h = 0.05
+""",
+}
+
+CLI_SHA256 = {
+    "compare": {
+        "abm.csv": "4cd38e41c03147c3",
+        "dem.csv": "9e4f0a0abafea3dc",
+        "error.csv": "984b4172767c4db4",
+    },
+    "sweep_h": {"errors.csv": "39ea424f7cfb1266"},
+    "ensemble": {
+        "abm_mean.csv": "2cbcac8feb6ce107",
+        "abm_var.csv": "02aca3d2c1b93663",
+        "dem_mean.csv": "2e0c529234539d0f",
+        "dem_var.csv": "4d0ad1e39324ee1b",
+        "mean_error.csv": "0c6c364ae49f176c",
+        "var_error.csv": "84aae8d645448828",
+    },
+    "limitcheck": {"limitcheck.csv": "3c802b94dc063e64", "summary.txt": "8901fb658e62ab2b"},
+}
+
+_CLI_CASES = [
+    ("compare", 1), ("sweep_h", 1), ("sweep_h", 2), ("ensemble", 1), ("ensemble", 2),
+    ("limitcheck", 1),
+]
+
+
+@pytest.mark.parametrize("experiment, threads", _CLI_CASES)
+def test_cli_outputs_golden_hash(tmp_path, experiment, threads):
+    config = tmp_path / "exp.ini"
+    config.write_text(CLI_CONFIGS[experiment])
+    out = tmp_path / "out"
+    assert main([str(config), "--out", str(out), "--threads", str(threads)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        for p in sorted(out.iterdir()) if p.name != "manifest.json"
+    }
+    assert got == CLI_SHA256[experiment]
