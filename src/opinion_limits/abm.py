@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernel import InteractionKernel, Network, bounds, saturation
 from .noise import NoiseFamily, NoiseKind
-from .trajectory import Trajectory, _sample_times, trajectories
+from .trajectory import Trajectory, _sample_times
 
 __all__ = [
     "UniformWithReplacement",
@@ -228,7 +228,7 @@ def run_abm_batch(
     group = max(1, _BATCH_STEPS // max(block for _, block, _, _ in plan))
     for a in range(0, len(rngs), group):
         _run_group(spec, x0, plan, rngs[a : a + group], values[a : a + group])
-    return trajectories(times, values) if out is None else None
+    return [Trajectory(times, v) for v in values] if out is None else None
 
 
 def _plan(spec: ModelSpec, sample_times: Sequence[float]):
@@ -367,17 +367,16 @@ def _kinds(spec: ModelSpec) -> tuple[bool, bool, bool, bool]:
     )
 
 
-def _row_mass(p: np.ndarray, agents: Sequence[int] | None = None) -> np.ndarray:
+def _row_mass(p: np.ndarray) -> np.ndarray:
     """Row sums of the pairwise matrix p, the normaliser of probability-
     proportional selection; raises if an agent has nobody to pick.
 
-    Row r of p belongs to agent agents[r], or to agent r by default; a
-    stack of matrices (..., N, N) gives one row sum per state and agent.
+    Row r of p belongs to agent r; a stack of matrices (..., N, N) gives
+    one row sum per state and agent.
     """
     norm = p.sum(axis=-1)
     if (norm <= 0.0).any():
-        bad = int(np.argmin(norm)) % norm.shape[-1]
-        agent = bad if agents is None else agents[bad]
+        agent = int(np.argmin(norm)) % norm.shape[-1]
         raise RuntimeError(f"agent {agent} has zero total interaction probability")
     return norm
 

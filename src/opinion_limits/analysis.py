@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,10 +67,10 @@ class Moments:
     It stands in, write-only, for the (runs, samples, N) array that
     abm.run_abm_batch and dem.integrate_batch record into: moments[a:b] is
     the view of runs a, a + 1, ..., and view[:, samples] = states folds
-    states, (R, len(samples), N) or broadcast to it, or (R, N) at one
-    sample index, as runs a..a+R-1 of the view at those indices. Each index
-    takes its runs in run order, so each entry adds them in the order that
-    the stacked runs' sum adds them. A non-finite state is refused.
+    states, (R, len(samples), N) or broadcast to it, as runs a..a+R-1 of
+    the view at the slice samples of sample indices. Each index takes its
+    runs in run order, so each entry adds them in the order that the
+    stacked runs' sum adds them. A non-finite state is refused.
     """
 
     def __init__(self, sample_times, n_agents: int):
@@ -84,11 +84,9 @@ class Moments:
     def __getitem__(self, runs: slice) -> _RunView:
         return _RunView(self, runs.start or 0)
 
-    def _fold(self, start: int, samples, states) -> None:
+    def _fold(self, start: int, samples: slice, states) -> None:
         """Fold states as runs start, start + 1, ... at the sample indices samples."""
         states = np.asarray(states, dtype=float)
-        if not isinstance(samples, slice):  # one sample index
-            samples, states = slice(samples, samples + 1), states[:, None]
         count = self.count[samples]
         if np.any(count != start):
             raise ValueError("runs must be folded in run order")
@@ -96,7 +94,7 @@ class Moments:
             raise ValueError("trajectory contains non-finite entries")
         runs = len(states)
         self.n = max(self.n, start + runs)
-        if not len(count):
+        if not (runs and len(count)):
             return
         if start == 0:
             self.first[samples] = states[0]
@@ -122,20 +120,19 @@ class _RunView:
         every, samples = key
         if every != slice(None):
             raise IndexError("a view of Moments is recorded into at every one of its runs")
+        if not isinstance(samples, slice):
+            raise IndexError("a view of Moments is recorded into at a slice of sample indices")
         self.moments._fold(self.start, samples, states)
 
 
-def ensemble_stats(runs: Moments | Iterable[Trajectory]) -> EnsembleStats:
-    """Sample mean and unbiased variance per (time, agent) of an ensemble.
+def ensemble_stats(moments: Moments) -> EnsembleStats:
+    """Sample mean and unbiased variance per (time, agent) of the ensemble
+    folded into moments.
 
-    runs is the Moments the ensemble was folded into, or any iterable of
-    trajectories, a generator included, which is folded one run at a time
-    and is not stacked. The mean is the sum in run order over n, the bytes
-    of the stacked runs' mean. The variance sums deviations from the first
-    run: it does not cancel at a large mean and is exactly 0 where all
-    runs agree.
+    The mean is the sum in run order over n, the bytes of the stacked
+    runs' mean. The variance sums deviations from the first run: it does
+    not cancel at a large mean and is exactly 0 where all runs agree.
     """
-    moments = runs if isinstance(runs, Moments) else _folded(runs)
     n = moments.n
     if n < 2:
         raise ValueError("need at least 2 realizations")
@@ -148,19 +145,6 @@ def ensemble_stats(runs: Moments | Iterable[Trajectory]) -> EnsembleStats:
         variance=(dev_sq - dev_sum * dev_sum / n) / (n - 1),
         n_realizations=n,
     )
-
-
-def _folded(runs: Iterable[Trajectory]) -> Moments:
-    """The trajectories runs folded into a Moments, one run at a time."""
-    moments = None
-    for r, run in enumerate(runs):
-        if moments is None:
-            first, moments = run, Moments(run.sample_times, run.n_agents)
-        _check_grids(first, run)
-        moments[r:][:, :] = run.values[None]
-    if moments is None:
-        raise ValueError("need at least 2 realizations")
-    return moments
 
 
 def quartile_summary(errors: Sequence[float]) -> dict[str, float]:

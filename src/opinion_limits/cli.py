@@ -24,7 +24,7 @@ from .analysis import Moments, ensemble_stats, error_timeseries, quartile_summar
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
 from .dem import build_limit, integrate, integrate_batch
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
-from .trajectory import Trajectory, write_csv
+from .trajectory import write_csv
 
 __all__ = ["run_experiment", "main"]
 
@@ -105,23 +105,26 @@ def _paired_block(spec, integrator, x0, times, base_seed, start, stop, out=None)
     return out
 
 
-def _sweep_block(specs, runs_per_h, x0, times, base_seed, start, stop):
-    """ABM trajectories of sweep runs start..stop-1.
+def _sweep_block(specs, runs_per_h, x0, times, base_seed, dem_traj, norm, start, stop):
+    """sweep_error of sweep runs start..stop-1 against the limit's trajectory dem_traj.
 
     Run k is run k % runs_per_h of the model specs[k // runs_per_h]; the
     runs of one model go through _abm_runs together.
     """
-    runs = []
+    errors = []
     for hi, ks in groupby(range(start, stop), key=lambda k: k // runs_per_h):
+        spec = specs[hi]
         rngs = [np.random.default_rng([base_seed, _TAG_SWEEP, *divmod(k, runs_per_h)]) for k in ks]
-        runs += _abm_runs(specs[hi], x0, times, rngs)
-    return runs
+        runs = _abm_runs(spec, x0, times, rngs)
+        errors += [sweep_error(run, dem_traj, spec.horizon, norm) for run in runs]
+    return errors
 
 
 def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
     spec, integrator, x0, times = _prelude(cfg)
-    [abm], [lim] = _paired_block(spec, integrator, x0, times, cfg.base_seed, 0, 1)
-    abm_traj, dem_traj = Trajectory(times, abm), Trajectory(times, lim)
+    abm_traj = run_abm(spec, x0, times, np.random.default_rng([cfg.base_seed, _TAG_ABM, 0]))
+    dem_rng = np.random.default_rng([cfg.base_seed, _TAG_DEM, 0])
+    dem_traj = integrate(cfg.limit, x0, integrator, spec.horizon, times, dem_rng)
     err = error_timeseries(abm_traj, dem_traj)
 
     abm_traj.to_csv(os.path.join(out, "abm.csv"))
@@ -139,10 +142,9 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
     specs = [replace(spec, h=float(h)) for h in h_list]
     blocks = _fan_out(
         _sweep_block, len(h_list) * runs_per_h, threads, specs, runs_per_h, x0, times,
-        cfg.base_seed,
+        cfg.base_seed, dem_traj, cfg.error_norm,
     )
-    runs = [run for _, block in blocks for run in block]
-    errors = [sweep_error(traj, dem_traj, spec.horizon, cfg.error_norm) for traj in runs]
+    errors = [e for _, block in blocks for e in block]
     rows = [(h_list[k // runs_per_h], k % runs_per_h, e) for k, e in enumerate(errors)]
     write_csv(os.path.join(out, "errors.csv"), ["h", "run", "error"], rows)
     for hi, h in enumerate(h_list):

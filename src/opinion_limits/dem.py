@@ -8,6 +8,7 @@ motion per agent).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,7 +23,7 @@ from .abm import (
 )
 from .kernel import pairwise_matrix, saturation
 from .noise import NoiseKind, analytic_mk
-from .trajectory import Trajectory, _sample_times, trajectories
+from .trajectory import Trajectory, _sample_times
 
 __all__ = [
     "LimitModel",
@@ -345,8 +346,8 @@ def integrate_batch(
     _EM_BLOCK at a time as one (B, N) state: each step evaluates
     model.fields once for the block and draws each run's normals from its
     own stream, in run order. A drift-only model is integrated once by
-    forward Euler, that one Trajectory is returned for every run, and
-    rngs are not touched. Given out, an array (runs, samples, N) or an
+    forward Euler, that one run is recorded as every run's, and rngs are
+    not touched. Given out, an array (runs, samples, N) or an
     analysis.Moments, the states of every run are recorded into it, block
     after block in run order, and None is returned.
     """
@@ -362,40 +363,34 @@ def integrate_batch(
         raise ValueError("sample times must lie within [0, T]")
 
     x0 = np.asarray(x0, dtype=float)
-    runs = rngs if stochastic else [None]
-    if out is None or not stochastic:
-        values = np.empty((len(runs), len(targets), len(x0)))
-    else:
-        values = out
-    for a in range(0, len(runs), _EM_BLOCK):
-        block = slice(a, a + _EM_BLOCK)
-        _advance(model, x0, integrator.dt, steps, targets, runs[block], values[block])
-    if out is None:
-        result = trajectories(times, values)
-        return result if stochastic else result * len(rngs)
-    if not stochastic:  # the one Euler run is every run's
-        for r in range(len(rngs)):
-            out[r : r + 1][:, :] = values
-    return None
+    values = np.empty((len(rngs), len(targets), len(x0))) if out is None else out
+    block = _EM_BLOCK if stochastic else max(1, len(rngs))
+    for a in range(0, len(rngs), block):
+        runs = slice(a, a + block)
+        _advance(model, x0, integrator.dt, steps, targets, rngs[runs], values[runs])
+    return [Trajectory(times, v) for v in values] if out is None else None
 
 
 def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
     """Writes the states of one run per entry of rngs, from x0, at the
     target step numbers into out, of shape (runs, len(targets), N), or a
-    Moments view.
+    Moments view; the samples on one step are one record.
 
     Each step is x + (b dt + sigma sqrt(dt) z). For a model with diffusion,
-    z holds one standard_normal(N) per run, from rngs[k] for run k; a
-    drift-only model leaves rngs unused.
+    z holds one standard_normal(N) per run, from rngs[k] for run k. A
+    drift-only model advances one state, recorded as every run's, and
+    leaves rngs unused.
     """
-    x = np.repeat(x0[None], len(rngs), axis=0)
+    runs = len(rngs)
+    x = np.repeat(x0[None], runs if model.has_diffusion else 1, axis=0)
     z = np.empty_like(x)
     sqrt_dt = math.sqrt(dt)
     ti = 0
     for m in range(steps + 1):
-        while ti < len(targets) and targets[ti] == m:
-            out[:, ti] = x
-            ti += 1
+        if ti < len(targets) and targets[ti] == m:
+            end = bisect_right(targets, m, ti)
+            out[:, ti:end] = np.broadcast_to(x[:, None], (runs, end - ti, len(x0)))
+            ti = end
         if m == steps:
             break
         b, sigma = model.fields(x)

@@ -46,7 +46,7 @@ class GaussianScaled:
         if not 0 <= self.var_per_h < math.inf:
             raise ValueError(f"var_per_h must be non-negative and finite, got {self.var_per_h}")
 
-    def sample(self, h: float, rng: np.random.Generator, size=None):
+    def sample(self, h: float, rng: np.random.Generator, size):
         return rng.normal(self.mean_per_h * h, math.sqrt(self.var_per_h * h), size)
 
     def mk(self, k: int) -> float:
@@ -69,9 +69,8 @@ class Degenerate:
         if not math.isfinite(self.value_per_h):
             raise ValueError(f"value_per_h must be finite, got {self.value_per_h}")
 
-    def sample(self, h: float, rng: np.random.Generator, size=None):
-        v = self.value_per_h * h
-        return v if size is None else np.full(size, v)
+    def sample(self, h: float, rng: np.random.Generator, size):
+        return np.full(size, self.value_per_h * h)
 
     def mk(self, k: int) -> float:
         return self.value_per_h if k == 1 else 0.0

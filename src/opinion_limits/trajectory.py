@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Trajectory", "trajectories", "write_csv"]
+__all__ = ["Trajectory", "write_csv"]
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -55,7 +55,12 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        t, v = _checked(self.sample_times, self.values, 2)
+        t = _sample_times(self.sample_times)
+        v = np.asarray(self.values, dtype=float)
+        if t.ndim != 1 or v.ndim != 2 or len(v) != len(t):
+            raise ValueError("values must have one row per sample time")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("trajectory contains non-finite entries")
         object.__setattr__(self, "sample_times", t)
         object.__setattr__(self, "values", v)
 
@@ -67,31 +72,3 @@ class Trajectory:
         header = ["t", *(f"x_{i}" for i in range(self.n_agents))]
         write_csv(path, header, np.column_stack((self.sample_times, self.values)))
 
-
-def _checked(sample_times, values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """sample_times and values as float arrays, refused unless the times are
-    sorted, values has ndim axes with one sample time per row (axis -2),
-    and every entry is finite."""
-    t = np.asarray(sample_times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or v.ndim != ndim or v.shape[-2] != t.shape[0]:
-        raise ValueError("values must have one row per sample time")
-    if np.any(np.diff(t) < 0):
-        raise ValueError("sample times must be sorted")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-        raise ValueError("trajectory contains non-finite entries")
-    return t, v
-
-
-def trajectories(sample_times, values) -> list[Trajectory]:
-    """One Trajectory per run of values (runs, samples, N), each equal to
-    Trajectory(sample_times, values[k]); the stack is checked once, not
-    once per run."""
-    t, v = _checked(sample_times, values, 3)
-    out = []
-    for run in v:
-        traj = object.__new__(Trajectory)
-        object.__setattr__(traj, "sample_times", t)
-        object.__setattr__(traj, "values", run)
-        out.append(traj)
-    return out

@@ -25,6 +25,14 @@ def traj(values, times=None):
     return Trajectory(np.asarray(times, dtype=float), values)
 
 
+def fold(runs):
+    """The trajectories runs folded into a Moments, one run at a time."""
+    moments = Moments(runs[0].sample_times, runs[0].n_agents)
+    for r, run in enumerate(runs):
+        moments[r:][:, :] = run.values[None]
+    return moments
+
+
 def test_error_timeseries_hand_value():
     a = traj([[0.0, 0.0], [1.0, 1.0]])
     b = traj([[0.5, 0.0], [0.0, 3.0]])
@@ -54,7 +62,7 @@ def test_sweep_error_zero_for_identical():
 
 def test_ensemble_stats_hand_values():
     runs = [traj([[0.0, 2.0]]), traj([[2.0, 4.0]]), traj([[4.0, 6.0]])]
-    stats = ensemble_stats(runs)
+    stats = ensemble_stats(fold(runs))
     np.testing.assert_allclose(stats.mean, [[2.0, 4.0]])
     np.testing.assert_allclose(stats.variance, [[4.0, 4.0]])  # unbiased, ddof=1
     assert stats.n_realizations == 3
@@ -62,36 +70,36 @@ def test_ensemble_stats_hand_values():
 
 def test_ensemble_stats_requires_two_runs():
     with pytest.raises(ValueError):
-        ensemble_stats([traj([[0.0]])])
+        ensemble_stats(fold([traj([[0.0]])]))
 
 
 def test_ensemble_stats_gaussian_sample():
     rng = np.random.default_rng(1)
     runs = [traj(rng.normal(0.5, 2.0, (4, 3))) for _ in range(2000)]
-    stats = ensemble_stats(runs)
+    stats = ensemble_stats(fold(runs))
     se_mean = 2.0 / math.sqrt(2000)
     assert np.all(np.abs(stats.mean - 0.5) <= 4 * se_mean)
     se_var = 4.0 * math.sqrt(2.0 / 1999)
     assert np.all(np.abs(stats.variance - 4.0) <= 4 * se_var)
 
 
-def test_ensemble_stats_reads_a_generator_in_one_pass():
+def test_ensemble_stats_of_runs_folded_one_at_a_time():
     values = np.random.default_rng(2).uniform(-1, 1, (200, 11, 50))  # the stacked runs
-    stats = ensemble_stats(traj(v) for v in values)
+    stats = ensemble_stats(fold([traj(v) for v in values]))
     assert stats.n_realizations == 200
     assert stats.mean.tobytes() == values.mean(axis=0).tobytes()
 
 
 def test_ensemble_stats_variance_exactly_zero_for_identical_runs():
     run = traj(np.random.default_rng(3).uniform(-1, 1, (11, 50)))
-    stats = ensemble_stats([run] * 200)
+    stats = ensemble_stats(fold([run] * 200))
     assert np.all(stats.variance == 0.0)
 
 
 def test_ensemble_stats_variance_with_large_mean():
     # a mean 1e4 x the spread, where s2/n - mean**2 cancels badly
     values = np.random.default_rng(4).normal(1e4, 1.0, (500, 11, 50))
-    stats = ensemble_stats(traj(v) for v in values)
+    stats = ensemble_stats(fold([traj(v) for v in values]))
     two_pass = ((values - values.mean(axis=0)) ** 2).sum(axis=0) / (len(values) - 1)
     assert np.all(stats.variance >= 0.0)
     np.testing.assert_allclose(stats.variance, two_pass, rtol=1e-12, atol=0)
@@ -99,7 +107,7 @@ def test_ensemble_stats_variance_with_large_mean():
 
 def test_ensemble_csv_written(tmp_path):
     runs = [traj([[0.0, 2.0]], times=[0.0]), traj([[2.0, 4.0]], times=[0.0])]
-    stats = ensemble_stats(runs)
+    stats = ensemble_stats(fold(runs))
     mean_path = tmp_path / "mean.csv"
     var_path = tmp_path / "var.csv"
     stats.write_csv(mean_path, var_path)
@@ -171,12 +179,37 @@ def test_moments_take_a_drift_only_limit_once_per_run():
     assert np.all(ensemble_stats(moments).variance == 0.0)
 
 
+@pytest.mark.parametrize("noisy", [True, False], ids=["euler_maruyama", "euler"])
+def test_moments_take_the_samples_on_one_step_as_one_record(noisy):
+    # three samples on each of 21 steps of dt = 0.01, recorded as one slice per step
+    spec = _SPEC if noisy else ModelSpec(n_agents=6, h=0.05, horizon=1.0, kernel=_SPEC.kernel)
+    model, em = build_limit(spec), IntegratorSpec(dt=0.01)
+    times = np.repeat(_TIMES[::5], 3)
+    rngs = _streams(3) if noisy else [None] * _RUNS
+    moments = Moments(times, 6)
+    assert integrate_batch(model, _X0, em, 1.0, times, rngs, moments) is None
+    rngs = _streams(3) if noisy else [None] * _RUNS
+    runs = integrate_batch(model, _X0, em, 1.0, times, rngs)
+    _assert_same_bytes(moments, np.stack([t.values for t in runs]))
+
+
+def test_moments_take_no_record_from_a_drift_only_limit_without_streams():
+    model = build_limit(ModelSpec(n_agents=6, h=0.05, horizon=1.0, kernel=_SPEC.kernel))
+    moments = Moments(_TIMES, 6)
+    assert integrate_batch(model, _X0, IntegratorSpec(dt=0.01), 1.0, _TIMES, [], moments) is None
+    moments[0:0][:, :] = np.zeros((0, len(_TIMES), 6))  # folding no runs is a no-op too
+    assert moments.n == 0
+    assert not moments.count.any() and not moments.sums.any() and not moments.first.any()
+
+
 def test_moments_refuse_runs_out_of_order():
     moments = Moments([0.0, 1.0], 2)
     moments[0:2][:, :] = np.zeros((2, 2, 2))
     with pytest.raises(ValueError, match="run order"):
         moments[3:4][:, :] = np.zeros((1, 2, 2))
-    moments[2:3][:, 0] = np.zeros((1, 2))
+    with pytest.raises(IndexError, match="slice of sample indices"):
+        moments[2:3][:, 0] = np.zeros((1, 2))
+    moments[2:3][:, 0:1] = np.zeros((1, 2))
     with pytest.raises(ValueError, match="every sample time"):
         ensemble_stats(moments)
 
@@ -187,7 +220,7 @@ def test_moments_refuse_a_non_finite_state(bad):
     states = np.zeros((3, 2))
     states[2, 1] = bad
     with pytest.raises(ValueError, match="trajectory contains non-finite entries"):
-        moments[0:3][:, 1] = states
+        moments[0:3][:, 1:2] = states
 
 
 def test_quartile_summary_hand_values():

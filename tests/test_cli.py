@@ -876,6 +876,32 @@ def test_batched_and_serial_runs_write_the_same_bytes(tmp_path, monkeypatch, exp
             assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name
 
 
+# bench/worker.py traces these names as cli binds them, so each experiment
+# must keep calling through them for its spans to read
+_TRACED = ("run_abm", "integrate", "sweep_error", "ensemble_stats")
+
+
+@pytest.mark.parametrize("experiment, calls", [
+    ("compare", {"run_abm": 1, "integrate": 1, "sweep_error": 0, "ensemble_stats": 0}),
+    ("sweep_h", {"run_abm": 6, "integrate": 1, "sweep_error": 6, "ensemble_stats": 0}),
+    ("ensemble", {"run_abm": 5, "integrate": 0, "sweep_error": 0, "ensemble_stats": 2}),
+])
+def test_experiments_call_through_the_traced_names(tmp_path, monkeypatch, experiment, calls):
+    counts = dict.fromkeys(_TRACED, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in _TRACED:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    text = SMALL_COMPARE.format(out="out") if experiment == "compare" else _THREADED[experiment]
+    assert main([str(_write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 0
+    assert counts == calls
+
+
 class _InlinePool:
     """A stand-in for ProcessPoolExecutor that runs each block when it is
     submitted and records the worker count and the blocks; it starts no

@@ -29,7 +29,7 @@ def moments(family, k, h_values, samples, rng):
 def test_degenerate_sample_is_exact():
     fam = NoiseFamily(NoiseKind.RANDOM_UPDATE_DISTANCE, Degenerate(50.0))
     rng = np.random.default_rng(0)
-    assert fam.law.sample(1e-5, rng) == 5e-4
+    assert np.all(fam.law.sample(1e-5, rng, 3) == 5e-4)
 
 
 def test_gaussian_sample_moments():
