@@ -80,6 +80,7 @@ class Moments:
         self.first = np.zeros(shape)  # run 0, which the deviations are taken from
         self.count = np.zeros(shape[0], dtype=np.intp)  # runs folded per sample index
         self.n = 0  # runs seen
+        self._scratch = np.empty(0)  # _fold's terms, kept between folds
 
     def __getitem__(self, runs: slice) -> _RunView:
         return _RunView(self, runs.start or 0)
@@ -99,7 +100,10 @@ class Moments:
         if start == 0:
             self.first[samples] = states[0]
         sums = self.sums[:, samples]
-        terms = np.empty((runs + 1, *sums.shape))
+        size = (runs + 1) * sums.size
+        if len(self._scratch) < size:
+            self._scratch = np.empty(size)
+        terms = self._scratch[:size].reshape(runs + 1, *sums.shape)
         terms[0] = sums
         terms[1:, 0] = states
         np.subtract(terms[1:, 0], self.first[samples], out=terms[1:, 1])

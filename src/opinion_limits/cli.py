@@ -91,13 +91,15 @@ def _abm_runs(spec, x0, times, rngs, out=None):
     return None
 
 
-def _paired_block(spec, integrator, x0, times, base_seed, start, stop, out=None):
+def _paired_block(spec, integrator, x0, times, base_seed, start, stop, out=None, model=None):
     """The ABM and limit states of runs start..stop-1, recorded into
     out = (ABM, limit), a pair of Moments, or else into a new array
-    (2, runs, samples, N); returns out."""
+    (2, runs, samples, N); returns out. model is the limit of spec; a block
+    in a spawned worker builds it, as the limit's closures do not pickle."""
     if out is None:
         out = np.empty((2, stop - start, len(times), spec.n_agents))
-    model = build_limit(spec)
+    if model is None:
+        model = build_limit(spec)
     rngs = [np.random.default_rng([base_seed, _TAG_ABM, r]) for r in range(start, stop)]
     _abm_runs(spec, x0, times, rngs, out[0])
     dem_rngs = [np.random.default_rng([base_seed, _TAG_DEM, r]) for r in range(start, stop)]
@@ -161,7 +163,7 @@ def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
     moments = (Moments(times, spec.n_agents), Moments(times, spec.n_agents))
     args = (spec, integrator, x0, times, cfg.base_seed)
     if threads == 1:  # the runs stream into the moments; no trajectory is kept
-        _paired_block(*args, 0, n_runs, moments)
+        _paired_block(*args, 0, n_runs, moments, cfg.limit)
     else:  # each block's stacked states, folded in run order as they arrive
         for start, block in _fan_out(_paired_block, n_runs, threads, *args):
             for m, states in zip(moments, block):

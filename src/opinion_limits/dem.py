@@ -34,12 +34,18 @@ __all__ = [
     "integrate_batch",
 ]
 
-# integrate_batch advances this many runs as one (B, N) state. On the
-# dense side (N < _BAND_MIN_AGENTS, degree-weighted selection, a random
-# update distance) its (B, N, N) temporaries stay small: one (R, N, N)
-# array for a whole ensemble was no faster than serial runs, and 16 was
-# fastest at N = 50.
+# integrate_batch evaluates model.fields on this many of its states at a
+# time (_fields). On the dense side (N < _BAND_MIN_AGENTS, degree-weighted
+# selection, a random update distance) the (B, N, N) temporaries stay
+# small: one (R, N, N) array for a whole ensemble was no faster than
+# serial runs, and 16 was fastest at N = 50.
 _EM_BLOCK = 16
+# integrate_batch advances at most this many runs as one state, so that its
+# working set (state, fields, normals and the Moments fold of one sample)
+# does not grow with the run count: a tracemalloc peak of 9.2 MB at N = 50,
+# at 2048 runs as at 5000. 2048 is the group run_abm_batch forms of runs
+# with a full draw block.
+_EM_GROUP = 2048
 # From this many agents on, distance-kernel selection evaluates the limit
 # banded (_band_sums) rather than through the N x N pairwise matrix. With
 # adaptation noise on uniform states in [-1, 1]: at N = 100 a 16-state
@@ -342,18 +348,16 @@ def integrate_batch(
     """One trajectory from x0 per stream in rngs, as integrate gives it, bit for bit.
 
     The horizon and the sample times must fall on the dt grid. A model
-    with diffusion needs a stream for every run and advances the runs
-    _EM_BLOCK at a time as one (B, N) state: each step evaluates
-    model.fields once for the block and draws each run's normals from its
-    own stream, in run order. A drift-only model is integrated once by
-    forward Euler, that one run is recorded as every run's, and rngs are
-    not touched. Given out, an array (runs, samples, N) or an
-    analysis.Moments, the states of every run are recorded into it, block
-    after block in run order, and None is returned.
+    with diffusion needs a stream for every run. The runs advance
+    _EM_GROUP at a time, each group as one state from x0 (_advance).
+    A drift-only model is integrated by forward Euler as one state per
+    group, recorded as every run's, and rngs are not touched. Given out,
+    an array (runs, samples, N) or an analysis.Moments, the states of
+    every run are recorded into it, one record per sample step and
+    group, in run order, and None is returned.
     """
     rngs = list(rngs)
-    stochastic = model.has_diffusion
-    if stochastic and any(rng is None for rng in rngs):
+    if model.has_diffusion and any(rng is None for rng in rngs):
         raise ValueError("a model with diffusion needs a random stream for Euler-Maruyama")
 
     times = _sample_times(sample_times)
@@ -364,26 +368,42 @@ def integrate_batch(
 
     x0 = np.asarray(x0, dtype=float)
     values = np.empty((len(rngs), len(targets), len(x0))) if out is None else out
-    block = _EM_BLOCK if stochastic else max(1, len(rngs))
-    for a in range(0, len(rngs), block):
-        runs = slice(a, a + block)
+    for a in range(0, len(rngs), _EM_GROUP):
+        runs = slice(a, a + _EM_GROUP)
         _advance(model, x0, integrator.dt, steps, targets, rngs[runs], values[runs])
     return [Trajectory(times, v) for v in values] if out is None else None
+
+
+def _fields(model, x):
+    """model.fields on the states x, (R, N), _EM_BLOCK states at a time;
+    each state keeps the bits of fields on that state alone."""
+    if len(x) <= _EM_BLOCK:
+        return model.fields(x)
+    b = np.empty_like(x)
+    sigma = np.empty_like(x) if model.has_diffusion else None
+    for a in range(0, len(x), _EM_BLOCK):
+        at = slice(a, a + _EM_BLOCK)
+        b[at], s = model.fields(x[at])
+        if sigma is not None:
+            sigma[at] = s
+    return b, sigma
 
 
 def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
     """Writes the states of one run per entry of rngs, from x0, at the
     target step numbers into out, of shape (runs, len(targets), N), or a
-    Moments view; the samples on one step are one record.
+    Moments view; the samples on one step are one record of every run.
 
-    Each step is x + (b dt + sigma sqrt(dt) z). For a model with diffusion,
-    z holds one standard_normal(N) per run, from rngs[k] for run k. A
-    drift-only model advances one state, recorded as every run's, and
-    leaves rngs unused.
+    The runs share one state, x0[None], until they part: the first step
+    evaluates model.fields once, and its normals make the state (runs, N).
+    Each step is x + (b dt + sigma sqrt(dt) z). For a model with
+    diffusion, z holds one standard_normal(N) per run, from rngs[k] for
+    run k, in run order. A drift-only model stays one state, recorded as
+    every run's, and leaves rngs unused.
     """
     runs = len(rngs)
-    x = np.repeat(x0[None], runs if model.has_diffusion else 1, axis=0)
-    z = np.empty_like(x)
+    x = x0[None]
+    z = np.empty((runs, len(x0)))
     sqrt_dt = math.sqrt(dt)
     ti = 0
     for m in range(steps + 1):
@@ -393,7 +413,7 @@ def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
             ti = end
         if m == steps:
             break
-        b, sigma = model.fields(x)
+        b, sigma = _fields(model, x)
         dx = b * dt
         if sigma is not None:
             for k, rng in enumerate(rngs):

@@ -202,6 +202,19 @@ def test_moments_take_no_record_from_a_drift_only_limit_without_streams():
     assert not moments.count.any() and not moments.sums.any() and not moments.first.any()
 
 
+def test_moments_keep_their_fold_scratch():
+    # each fold of no more terms than the largest so far reuses its buffer
+    states = np.random.default_rng(3).uniform(-1, 1, (5, 4, 3))
+    moments = Moments(np.arange(4.0), 3)
+    moments[0:][:, 0:2] = states[:, 0:2]
+    scratch = moments._scratch
+    moments[0:][:, 2:3] = states[:, 2:3]
+    moments[0:][:, 3:4] = states[:, 3:4]
+    assert moments._scratch is scratch
+    stats = ensemble_stats(moments)
+    assert stats.mean.tobytes() == (states.sum(axis=0) / 5).tobytes()
+
+
 def test_moments_refuse_runs_out_of_order():
     moments = Moments([0.0, 1.0], 2)
     moments[0:2][:, :] = np.zeros((2, 2, 2))

@@ -1006,6 +1006,7 @@ def _poisoned_draw(monkeypatch):
 
 
 def _poisoned_limit(monkeypatch):
+    # the limit an in-process ensemble integrates is the config's
     def build(spec):
         model = build_limit(spec)
 
@@ -1015,7 +1016,7 @@ def _poisoned_limit(monkeypatch):
 
         return dataclasses.replace(model, fields=fields)
 
-    monkeypatch.setattr(cli, "build_limit", build)
+    monkeypatch.setattr("opinion_limits.config.build_limit", build)
 
 
 @pytest.mark.parametrize("poison", [_poisoned_draw, _poisoned_limit])
@@ -1029,8 +1030,19 @@ def test_ensemble_refuses_a_non_finite_state(tmp_path, capsys, monkeypatch, pois
     assert "trajectory contains non-finite entries" in capsys.readouterr().err
 
 
+def test_in_process_ensemble_integrates_the_config_limit(tmp_path, monkeypatch):
+    # the config built the limit; an ensemble in this process builds no other
+    def build(spec):
+        raise AssertionError("built a second limit")
+
+    monkeypatch.setattr(cli, "build_limit", build)
+    monkeypatch.setattr(dem, "build_limit", build)
+    path = _write(tmp_path, _THREADED["ensemble"])
+    assert main([str(path), "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+
+
 def test_em_block_size_does_not_change_outputs(tmp_path, monkeypatch):
-    # blocks of one run are serial integrate; blocks of two split 5 runs 2-2-1
+    # fields on one state at a time, on slices of two (5 runs split 2-2-1), on 16
     path = _write(tmp_path, _THREADED["ensemble"])
     outs = []
     for block in (1, 2, dem._EM_BLOCK):

@@ -13,6 +13,7 @@ from opinion_limits.abm import (
     UniformWithReplacement,
 )
 from opinion_limits import dem
+from opinion_limits.analysis import Moments
 from opinion_limits.dem import (
     IntegratorSpec,
     NoDerivedLimitError,
@@ -340,17 +341,29 @@ def _streams(r, seed=11):
     return [np.random.default_rng([seed, k]) for k in range(r)]
 
 
+def _counted(model, calls):
+    """model with fields wrapped to append the shape of each state stack to calls."""
+
+    def fields(x):
+        calls.append(np.shape(x))
+        return model.fields(x)
+
+    return dataclasses.replace(model, fields=fields)
+
+
 @pytest.mark.parametrize("run", [0, 20, 36])
 def test_integrate_batch_refuses_a_run_gone_non_finite(run):
     # the stack of runs is checked once; a NaN in any one run is still refused
     model = build_limit(_VARIANTS["uwr_single-external"])
     block, row = divmod(run, dem._EM_BLOCK)
-    steps = 10  # of dt = 0.01 up to 0.1, per block
+    slices = -(-37 // dem._EM_BLOCK)  # 16 + 16 + 5 states
+    steps = 10  # of dt = 0.01 up to 0.1
     calls = []
 
     def fields(x):
         b, sigma = model.fields(x)
-        if len(calls) == block * steps:  # the first step of the run's block
+        # the second step, after the shared first: one call per slice of states
+        if len(calls) == 1 + block:
             b = b.copy()
             b[row, 0] = np.nan
         calls.append(len(x))
@@ -359,7 +372,70 @@ def test_integrate_batch_refuses_a_run_gone_non_finite(run):
     poisoned = dataclasses.replace(model, fields=fields)
     with pytest.raises(ValueError, match="non-finite"):
         dem.integrate_batch(poisoned, TIED, IntegratorSpec(dt=0.01), 0.1, [0.0, 0.1], _streams(37))
-    assert len(calls) == 3 * steps
+    assert calls == [1] + [16, 16, 5] * (steps - 1)
+    assert len(calls) == 1 + slices * (steps - 1)
+
+
+@pytest.mark.parametrize("label", ["uwr_single-external", "uwr_single-none"])
+def test_integrate_batch_evaluates_the_shared_first_step_once(label):
+    # every run starts from x0: the first drift is one state's, whatever the runs
+    calls = []
+    model = _counted(build_limit(_VARIANTS[label]), calls)
+    dem.integrate_batch(model, TIED, IntegratorSpec(dt=0.01), 0.01, [0.01], _streams(37))
+    assert calls == [(1, len(TIED))]
+
+
+def test_integrate_batch_evaluates_later_steps_in_slices_of_em_block(monkeypatch):
+    monkeypatch.setattr(dem, "_EM_BLOCK", 4)
+    calls = []
+    model = _counted(build_limit(_VARIANTS["uwr_single-adaptation"]), calls)
+    dem.integrate_batch(model, TIED, IntegratorSpec(dt=0.01), 0.03, [0.03], _streams(10))
+    n = len(TIED)
+    assert calls == [(1, n)] + [(4, n), (4, n), (2, n)] * 2
+
+
+def test_integrate_batch_folds_each_sample_index_once():
+    # 37 runs, 4 samples, one on the shared start: one fold of all runs per index
+    model = build_limit(_VARIANTS["uwr_single-external"])
+    times = [0.0, 0.05, 0.1, 0.1]
+    moments = Moments(times, len(TIED))
+    folds = []
+    fold = moments._fold
+
+    def counted(start, samples, states):
+        folds.append((start, samples, np.shape(states)))
+        fold(start, samples, states)
+
+    moments._fold = counted
+    em = IntegratorSpec(dt=0.01)
+    assert dem.integrate_batch(model, TIED, em, 0.1, times, _streams(37), moments) is None
+    n = len(TIED)
+    assert folds == [
+        (0, slice(0, 1), (37, 1, n)),
+        (0, slice(1, 2), (37, 1, n)),
+        (0, slice(2, 4), (37, 2, n)),
+    ]
+
+
+def test_integrate_batch_advances_groups_of_em_group_runs(monkeypatch):
+    # the working set is bounded in the run count: groups of _EM_GROUP runs, in
+    # run order, give the runs the bytes of one group
+    assert dem._EM_GROUP <= 2048
+    model = build_limit(_VARIANTS["uwr_single-adaptation"])
+    em, times = IntegratorSpec(dt=0.01), [0.0, 0.1]
+    whole = dem.integrate_batch(model, TIED, em, 0.1, times, _streams(37))
+    groups = []
+    advance = dem._advance
+
+    def counted(model, x0, dt, steps, targets, rngs, out):
+        groups.append(len(rngs))
+        advance(model, x0, dt, steps, targets, rngs, out)
+
+    monkeypatch.setattr(dem, "_advance", counted)
+    monkeypatch.setattr(dem, "_EM_GROUP", 16)
+    grouped = dem.integrate_batch(model, TIED, em, 0.1, times, _streams(37))
+    assert groups == [16, 16, 5]
+    assert [t.values.tobytes() for t in grouped] == [t.values.tobytes() for t in whole]
 
 
 @pytest.mark.parametrize("label", sorted(_VARIANTS))
@@ -423,6 +499,17 @@ def test_integrate_batch_integrates_a_drift_only_limit_once():
     alone = integrate(model, TIED, em, 0.25, [0.0, 0.25])
     assert len(runs) == 37
     assert all(t.values.tobytes() == alone.values.tobytes() for t in runs)
+
+
+def test_integrate_batch_records_nothing_without_streams():
+    # a drift-only call with no runs integrates nothing and leaves the moments as they were
+    calls = []
+    model = _counted(build_limit(_VARIANTS["uwr_single-none"]), calls)
+    moments = Moments([0.0, 0.1], len(TIED))
+    em = IntegratorSpec(dt=0.01)
+    assert dem.integrate_batch(model, TIED, em, 0.1, [0.0, 0.1], [], moments) is None
+    assert calls == []
+    assert moments.n == 0 and not moments.count.any() and not moments.sums.any()
 
 
 def test_integrate_batch_refuses_a_missing_stream():
