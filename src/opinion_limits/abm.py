@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernel import InteractionKernel, Network, bounds, saturation
 from .noise import NoiseFamily, NoiseKind
-from .trajectory import Trajectory, _sample_times
+from .trajectory import Trajectory, _sample_times, _walk
 
 __all__ = [
     "UniformWithReplacement",
@@ -192,11 +192,8 @@ def run_abm(
 
     x = x0.tolist()
     lo, hi = float(x0.min()), float(x0.max())
-    # an entry that draws a block starts that block's segments
-    starts = [k for k, (_, block, _, _) in enumerate(plan) if block] + [len(plan)]
-    for s, e in zip(starts, starts[1:]):
-        segments = [(samples, a, b) for samples, _, a, b in plan[s:e]]
-        _apply(spec, x, _draw(spec, plan[s][1], rng), segments, out, lo, hi, check_hull)
+    for m, segments in plan:
+        _apply(spec, x, _draw(spec, m, rng), segments, out, lo, hi, check_hull)
 
     return Trajectory(times, out)
 
@@ -225,47 +222,29 @@ def run_abm_batch(
         raise ValueError("x0 size does not match spec")
     times, plan = _plan(spec, sample_times)
     values = np.empty((len(rngs), len(times), spec.n_agents)) if out is None else out
-    group = max(1, _BATCH_STEPS // max(block for _, block, _, _ in plan))
+    group = max(1, _BATCH_STEPS // max((m for m, _ in plan), default=1))
     for a in range(0, len(rngs), group):
         _run_group(spec, x0, plan, rngs[a : a + group], values[a : a + group])
     return [Trajectory(times, v) for v in values] if out is None else None
 
 
 def _plan(spec: ModelSpec, sample_times: Sequence[float]):
-    """Validated sample times and the steps up to the last sample, cut at
-    sample steps and block edges.
-
-    The plan is a list of (samples, block, a, b): record the state at the
-    sample indices samples, draw the next block of block steps if block is
-    not 0, then take steps a..b-1 of the current block. Blocks hold
-    _DRAW_BLOCK steps counted from step 0, the last cut at step
-    _steps(T, h, ceil) whatever the last sample is, so a run that stops at
-    its last sample draws the values that a run to the horizon draws. A
-    sample at time s records the state after _steps(s, h, floor) steps.
+    """Validated sample times and the walk (_walk) of the steps up to the
+    last sample in blocks of _DRAW_BLOCK, cut as for the _steps(T, h, ceil)
+    steps up to T whatever the last sample is, so a run that stops at its
+    last sample draws the values that a run to the horizon draws. A sample
+    at time s records the state after _steps(s, h, floor) steps.
     """
     times = _sample_times(sample_times)
     h = spec.h
-    # a last sample past T by more than rounding, 1e-6 of a step, is refused
+    # T need not lie on the step grid, and a sample up to a step past it
+    # floors to a step within it; so a last sample past T by more than
+    # rounding, 1e-6 of a step, is refused here
     if len(times) and (times[0] < 0 or times[-1] > spec.horizon + 1e-6 * h):
         raise ValueError("sample times must lie within [0, T]")
-    total = _steps(spec.horizon, h, math.ceil)
     # float arithmetic on numpy scalars costs twice as much in _steps
-    targets = [min(total, _steps(s, h, math.floor)) for s in times.tolist()]
-    cuts = sorted({*targets, *range(0, total, _DRAW_BLOCK), total})
-    plan = []
-    ti = 0
-    for start, stop in zip(cuts, cuts[1:] + [total]):
-        first = ti
-        while ti < len(targets) and targets[ti] == start:
-            ti += 1
-        a = start % _DRAW_BLOCK
-        block = min(_DRAW_BLOCK, total - start) if a == 0 and start < total else 0
-        # steps after the last sample change nothing that is returned
-        last = ti == len(targets)
-        plan.append((slice(first, ti), block, a, a if last else a + stop - start))
-        if last:
-            break
-    return times, plan
+    targets = [_steps(s, h, math.floor) for s in times.tolist()]
+    return times, _walk(targets, _steps(spec.horizon, h, math.ceil), _DRAW_BLOCK)
 
 
 def _steps(t: float, h: float, off_grid) -> int:
@@ -608,33 +587,33 @@ def _run_group(spec, x0, plan, rngs, out):
 
     # row k of each buffer holds step k of the current block for every run;
     # ii and jj hold flat indices
-    size = max(block for _, block, _, _ in plan)
+    size = max((m for m, _ in plan), default=0)
     ii = np.empty((size, runs), dtype=np.int64)
     jj = np.empty_like(ii)
     ua = np.empty((size, runs))
     z = None if spec.noise.kind is NoiseKind.NONE else np.empty_like(ua)
     z2 = np.empty_like(ua) if _pair_noise(spec) else None
 
-    for samples, block, a, b in plan:
-        out[:, samples] = x[:, None, :]
-        if block:
-            for r, rng in enumerate(rngs):
-                d = _draw(spec, block, rng)
-                ii[:block, r] = d.ii
-                jj[:block, r] = d.jj
-                ua[:block, r] = d.ua
-                if z is not None:
-                    z[:block, r] = d.z
-                if z2 is not None:
-                    z2[:block, r] = d.z2
-            ii[:block] += offset
-            jj[:block] += offset
-        zs = repeat(None) if z is None else z[a:b]
-        z2s = repeat(None) if z2 is None else z2[a:b]
-        for fi, fj, uk, zk, z2k in zip(ii[a:b], jj[a:b], ua[a:b], zs, z2s):
-            xi = flat[fi]
-            xj = flat[fj]
-            move, ti, tj = rule(xi, xj, zk, z2k, lambda d: accept(uk, d))
-            flat[fi] = _moved(xi, ti, move)
-            if both:
-                flat[fj] = _moved(xj, tj, move)
+    for m, segments in plan:
+        for r, rng in enumerate(rngs):
+            d = _draw(spec, m, rng)
+            ii[:m, r] = d.ii
+            jj[:m, r] = d.jj
+            ua[:m, r] = d.ua
+            if z is not None:
+                z[:m, r] = d.z
+            if z2 is not None:
+                z2[:m, r] = d.z2
+        ii[:m] += offset
+        jj[:m] += offset
+        for samples, a, b in segments:
+            out[:, samples] = x[:, None, :]
+            zs = repeat(None) if z is None else z[a:b]
+            z2s = repeat(None) if z2 is None else z2[a:b]
+            for fi, fj, uk, zk, z2k in zip(ii[a:b], jj[a:b], ua[a:b], zs, z2s):
+                xi = flat[fi]
+                xj = flat[fj]
+                move, ti, tj = rule(xi, xj, zk, z2k, lambda d: accept(uk, d))
+                flat[fi] = _moved(xi, ti, move)
+                if both:
+                    flat[fj] = _moved(xj, tj, move)

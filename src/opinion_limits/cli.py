@@ -36,39 +36,32 @@ _TAG_STATES = 4
 _TAG_SWEEP = 5
 
 
-def _prelude(cfg: ExperimentConfig):
-    """Spec, integrator, x0 and the dt sample grid of an experiment."""
-    spec, integrator = cfg.spec, cfg.integrator
-    times = np.round(np.arange(integrator.steps(spec.horizon) + 1) * integrator.dt, 12)
-    return spec, integrator, cfg.x0, times
+def _fan_out(block, n_runs: int, threads: int, *args, **here):
+    """(start, block(*args, start, stop)) for contiguous blocks of
+    range(n_runs), in run order.
 
-
-def _fan_out(block, n_runs: int, threads: int, *args):
-    """(start, block(*args, start, stop)) for min(threads, n_runs) contiguous
-    blocks of range(n_runs), in run order.
-
-    The blocks run in spawned worker processes, one per usable CPU and at
-    most one per block, or in this process when that makes one. At most
-    one block per worker is submitted ahead of the block whose result is
-    read next, so at most workers + 1 results wait at a time. Each run
+    The runs go to min(threads, n_runs, usable CPUs) workers. With one,
+    range(n_runs) is one block, run in this process and called with the
+    keyword arguments here as well, which need not pickle. Otherwise
+    min(threads, n_runs) blocks run in spawned worker processes, and at
+    most one block per worker is submitted ahead of the block whose result
+    is read next, so at most workers + 1 results wait at a time. Each run
     seeds its own stream, so the results are the same for any threads.
     """
     k = max(1, min(threads, n_runs))
-    cuts = [n_runs * b // k for b in range(k + 1)]
-    blocks = list(zip(cuts, cuts[1:]))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(k, cpus or 1)
     if workers == 1:
-        for a, b in blocks:
-            yield a, block(*args, a, b)
+        yield 0, block(*args, 0, n_runs, **here)
         return
+    cuts = [n_runs * b // k for b in range(k + 1)]
     # imported here, so that a run in this process loads no process pool
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         pending = deque()
-        for a, b in blocks:
+        for a, b in zip(cuts, cuts[1:]):
             pending.append((a, pool.submit(block, *args, a, b)))
             if len(pending) > workers:
                 start, future = pending.popleft()
@@ -123,10 +116,10 @@ def _sweep_block(specs, runs_per_h, x0, times, base_seed, dem_traj, norm, start,
 
 
 def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec, integrator, x0, times = _prelude(cfg)
+    spec, x0, times = cfg.spec, cfg.x0, cfg.times
     abm_traj = run_abm(spec, x0, times, np.random.default_rng([cfg.base_seed, _TAG_ABM, 0]))
     dem_rng = np.random.default_rng([cfg.base_seed, _TAG_DEM, 0])
-    dem_traj = integrate(cfg.limit, x0, integrator, spec.horizon, times, dem_rng)
+    dem_traj = integrate(cfg.limit, x0, cfg.integrator, spec.horizon, times, dem_rng)
     err = error_timeseries(abm_traj, dem_traj)
 
     abm_traj.to_csv(os.path.join(out, "abm.csv"))
@@ -136,8 +129,8 @@ def _run_compare(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec, integrator, x0, times = _prelude(cfg)
-    dem_traj = integrate(cfg.limit, x0, integrator, spec.horizon, times)
+    spec, x0, times = cfg.spec, cfg.x0, cfg.times
+    dem_traj = integrate(cfg.limit, x0, cfg.integrator, spec.horizon, times)
 
     h_list = cfg.h_list
     runs_per_h = cfg.raw["experiment"]["runs_per_h"]
@@ -158,14 +151,15 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
 
 
 def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
-    spec, integrator, x0, times = _prelude(cfg)
+    spec, times = cfg.spec, cfg.times
     n_runs = cfg.raw["experiment"]["n_runs"]
     moments = (Moments(times, spec.n_agents), Moments(times, spec.n_agents))
-    args = (spec, integrator, x0, times, cfg.base_seed)
-    if threads == 1:  # the runs stream into the moments; no trajectory is kept
-        _paired_block(*args, 0, n_runs, moments, cfg.limit)
-    else:  # each block's stacked states, folded in run order as they arrive
-        for start, block in _fan_out(_paired_block, n_runs, threads, *args):
+    args = (spec, cfg.integrator, cfg.x0, times, cfg.base_seed)
+    # in this process the runs stream into the moments and no trajectory is
+    # kept; a worker's block returns its stacked states, folded in run order
+    blocks = _fan_out(_paired_block, n_runs, threads, *args, out=moments, model=cfg.limit)
+    for start, block in blocks:
+        if block is not moments:
             for m, states in zip(moments, block):
                 m[start:][:, :] = states
 

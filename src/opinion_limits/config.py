@@ -254,6 +254,9 @@ class ExperimentConfig:
     spec: ModelSpec
     # None for limitcheck, which integrates nothing and reads no [dem] dt
     integrator: IntegratorSpec | None
+    # the sample grid every run of the experiment records at: k * dt
+    # rounded to 12 decimals, from 0 to the horizon; None for limitcheck
+    times: np.ndarray | None = field(repr=False)
     x0: np.ndarray = field(repr=False)
     h_list: list[float]
     limit: LimitModel = field(repr=False)
@@ -302,12 +305,12 @@ def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
         limit = build_limit(spec)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    integrator = None
+    integrator = times = None
     if experiment != "limitcheck":
         dt = r["dem"]["dt"]
         with _section("dem"):
             integrator = IntegratorSpec(dt=dt)
-        # cli._prelude samples at k * dt rounded to 12 decimals, which moves a
+        # the grid samples at k * dt rounded to 12 decimals, which moves a
         # sample off the dt grid unless dt lies on that decimal grid
         if np.round(dt, 12) != dt:
             raise ConfigError(f"[dem] dt: must be a multiple of 1e-12, got {dt}")
@@ -315,14 +318,14 @@ def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
             steps = integrator.steps(spec.horizon)
         except ValueError as e:
             raise ConfigError(f"[model] horizon: {e}") from None
+        times = np.round(np.arange(steps + 1) * dt, 12)
         # run_abm refuses a last sample past the horizon by more than 1e-6 of
         # its step; the grid's end may pass it by rounding, 1e-15 relative,
         # which is less up to 10^9 steps
-        end = float(np.round(steps * dt, 12))
-        if end > spec.horizon * (1 + 1e-15):
+        if times[-1] > spec.horizon * (1 + 1e-15):
             raise ConfigError(
                 f"[model] horizon: {spec.horizon} is not a multiple of dt={dt}; "
-                f"the sample grid ends at {end}"
+                f"the sample grid ends at {times[-1]}"
             )
     if experiment == "sweep_h" and limit.has_diffusion:
         raise ConfigError(
@@ -347,7 +350,7 @@ def config_from_dict(data: dict[str, dict[str, Any]]) -> ExperimentConfig:
         got = exp[key]
         if got < low:
             raise ConfigError(f"[experiment] {key}: must be at least {low}, got {got}")
-    return ExperimentConfig(r, spec, integrator, x0, h_list, limit, network_sha256)
+    return ExperimentConfig(r, spec, integrator, times, x0, h_list, limit, network_sha256)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -8,7 +8,6 @@ motion per agent).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +22,7 @@ from .abm import (
 )
 from .kernel import pairwise_matrix, saturation
 from .noise import NoiseKind, analytic_mk
-from .trajectory import Trajectory, _sample_times
+from .trajectory import Trajectory, _sample_times, _walk
 
 __all__ = [
     "LimitModel",
@@ -325,7 +324,8 @@ def integrate(
     sample_times: Sequence[float],
     rng: np.random.Generator | None = None,
 ) -> Trajectory:
-    """Fixed-step integration of one run, recording states at the sample times.
+    """Fixed-step integration of one run up to its last sample, recording
+    states at the sample times.
 
     The horizon and the sample times must fall on the dt grid. A drift-only
     model is integrated by forward Euler and rng is not touched. A model
@@ -349,7 +349,8 @@ def integrate_batch(
 
     The horizon and the sample times must fall on the dt grid. A model
     with diffusion needs a stream for every run. The runs advance
-    _EM_GROUP at a time, each group as one state from x0 (_advance).
+    _EM_GROUP at a time, each group as one state from x0 (_advance), up
+    to the last sample.
     A drift-only model is integrated by forward Euler as one state per
     group, recorded as every run's, and rngs are not touched. Given out,
     an array (runs, samples, N) or an analysis.Moments, the states of
@@ -362,15 +363,13 @@ def integrate_batch(
 
     times = _sample_times(sample_times)
     steps = integrator.steps(horizon)
-    targets = [integrator.steps(s) for s in times]
-    if targets and (targets[0] < 0 or targets[-1] > steps):
-        raise ValueError("sample times must lie within [0, T]")
-
+    # one block of every step: the normals are drawn step by step
+    plan = _walk([integrator.steps(s) for s in times], steps, steps)
     x0 = np.asarray(x0, dtype=float)
-    values = np.empty((len(rngs), len(targets), len(x0))) if out is None else out
+    values = np.empty((len(rngs), len(times), len(x0))) if out is None else out
     for a in range(0, len(rngs), _EM_GROUP):
         runs = slice(a, a + _EM_GROUP)
-        _advance(model, x0, integrator.dt, steps, targets, rngs[runs], values[runs])
+        _advance(model, x0, integrator.dt, plan, rngs[runs], values[runs])
     return [Trajectory(times, v) for v in values] if out is None else None
 
 
@@ -389,10 +388,11 @@ def _fields(model, x):
     return b, sigma
 
 
-def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
-    """Writes the states of one run per entry of rngs, from x0, at the
-    target step numbers into out, of shape (runs, len(targets), N), or a
-    Moments view; the samples on one step are one record of every run.
+def _advance(model, x0, dt, plan, rngs, out) -> None:
+    """Writes the states of one run per entry of rngs, from x0, into out,
+    of shape (runs, samples, N), or a Moments view: for each segment
+    (samples, a, b) of the walk plan (_walk), the state as one record of
+    every run at the sample indices samples, then steps a..b-1.
 
     The runs share one state, x0[None], until they part: the first step
     evaluates model.fields once, and its normals make the state (runs, N).
@@ -405,18 +405,15 @@ def _advance(model, x0, dt, steps, targets, rngs, out) -> None:
     x = x0[None]
     z = np.empty((runs, len(x0)))
     sqrt_dt = math.sqrt(dt)
-    ti = 0
-    for m in range(steps + 1):
-        if ti < len(targets) and targets[ti] == m:
-            end = bisect_right(targets, m, ti)
-            out[:, ti:end] = np.broadcast_to(x[:, None], (runs, end - ti, len(x0)))
-            ti = end
-        if m == steps:
-            break
-        b, sigma = _fields(model, x)
-        dx = b * dt
-        if sigma is not None:
-            for k, rng in enumerate(rngs):
-                rng.standard_normal(out=z[k])
-            dx = dx + sigma * sqrt_dt * z
-        x = x + dx
+    for _, segments in plan:
+        for samples, a, b in segments:
+            k = samples.stop - samples.start
+            out[:, samples] = np.broadcast_to(x[:, None], (runs, k, len(x0)))
+            for _ in range(a, b):
+                drift, sigma = _fields(model, x)
+                dx = drift * dt
+                if sigma is not None:
+                    for r, rng in enumerate(rngs):
+                        rng.standard_normal(out=z[r])
+                    dx = dx + sigma * sqrt_dt * z
+                x = x + dx

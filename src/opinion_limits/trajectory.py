@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,41 @@ def _sample_times(times) -> np.ndarray:
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
     return times
+
+
+def _walk(targets: list[int], total: int, block: int) -> list[tuple[int, list]]:
+    """The steps of a run up to its last sample, as (m, segments) per drawn
+    block; raises ValueError unless every target lies within [0, total].
+
+    targets are the sorted step counts after which the samples record the
+    state, total the steps up to the horizon. Blocks hold m = min(block,
+    total - start) steps, counted from step 0, so a run that stops at its
+    last sample cuts its blocks as a run to the horizon does. Each segment
+    (samples, a, b) records the state at the sample indices samples, then
+    takes steps a..b-1 of its block, which start at step start + a of the
+    run. A sample at step 0 records at the first block's a = 0, any other
+    in the block where 0 < a <= m, a block's end included, so no block is
+    drawn past the last sample; the last segment is that sample's record,
+    with a == b.
+    """
+    if targets and (targets[0] < 0 or targets[-1] > total):
+        raise ValueError("sample times must lie within [0, T]")
+    blocks, ti, start = [], 0, 0
+    while ti < len(targets):
+        m = min(block, total - start)
+        segments, a = [], 0
+        while True:
+            end = bisect_right(targets, start + a, ti)
+            b = a if end == len(targets) else min(targets[end] - start, m)
+            if end > ti or a < b:  # a block's end without a sample records nothing
+                segments.append((slice(ti, end), a, b))
+            ti = end
+            if a == b:
+                break
+            a = b
+        blocks.append((m, segments))
+        start += m
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ _SPEC = ModelSpec(
 _X0 = np.linspace(-1.0, 1.0, 6)
 # five samples on each ABM step of h = 0.05
 _TIMES = np.round(np.arange(101) * 0.01, 12)
-_RUNS = 40  # Euler-Maruyama blocks of 16 + 16 + 8
+_RUNS = 40  # one Euler-Maruyama state, its fields taken in _EM_BLOCK slices of 16 + 16 + 8
 
 
 def _streams(seed):
@@ -154,7 +154,7 @@ def _assert_same_bytes(moments, values):
 
 
 def test_moments_from_run_abm_batch_equal_the_per_run_sums(monkeypatch):
-    # groups of 16 runs of the 20-step block: 16 + 16 + 8, as the EM blocks
+    # groups of 16 runs of the 20-step block: 16 + 16 + 8, as the EM's fields slices
     monkeypatch.setattr(abm, "_BATCH_STEPS", 16 * 20)
     moments = Moments(_TIMES, 6)
     assert run_abm_batch(_SPEC, _X0, _TIMES, _streams(1), moments) is None

@@ -962,10 +962,13 @@ def test_fan_out_caps_workers_at_usable_cpus(tmp_path, monkeypatch, threads, cpu
             assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name
 
 
-def test_ensemble_working_set_does_not_grow_with_samples(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_working_set_does_not_grow_with_samples(tmp_path, monkeypatch, threads):
     # tracemalloc sees numpy's buffers. The runs stream into the moments, so
     # 201 samples peak as 3 do, at about 0.8 MB; keeping every run's
-    # trajectory (48 runs x 2 engines x 201 samples x 20 agents) peaked at 3.4 MB
+    # trajectory (48 runs x 2 engines x 201 samples x 20 agents) peaked at 3.4 MB.
+    # With one usable CPU, --threads 2 runs in this process and streams too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for dt in ("0.1", "0.001"):
         cfg = parse_config(f"""
 [experiment]
@@ -987,7 +990,7 @@ dt = {dt}
 """)
         tracemalloc.start()
         try:
-            cli.run_experiment(cfg)
+            cli.run_experiment(cfg, threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1030,15 +1033,18 @@ def test_ensemble_refuses_a_non_finite_state(tmp_path, capsys, monkeypatch, pois
     assert "trajectory contains non-finite entries" in capsys.readouterr().err
 
 
-def test_in_process_ensemble_integrates_the_config_limit(tmp_path, monkeypatch):
-    # the config built the limit; an ensemble in this process builds no other
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_in_process_ensemble_integrates_the_config_limit(tmp_path, monkeypatch, threads):
+    # the config built the limit; an ensemble in this process builds no other,
+    # at --threads 2 too when one CPU is usable
     def build(spec):
         raise AssertionError("built a second limit")
 
     monkeypatch.setattr(cli, "build_limit", build)
     monkeypatch.setattr(dem, "build_limit", build)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     path = _write(tmp_path, _THREADED["ensemble"])
-    assert main([str(path), "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert main([str(path), "--out", str(tmp_path / "out"), "--threads", threads]) == 0
 
 
 def test_em_block_size_does_not_change_outputs(tmp_path, monkeypatch):

@@ -427,9 +427,9 @@ def test_integrate_batch_advances_groups_of_em_group_runs(monkeypatch):
     groups = []
     advance = dem._advance
 
-    def counted(model, x0, dt, steps, targets, rngs, out):
+    def counted(model, x0, dt, plan, rngs, out):
         groups.append(len(rngs))
-        advance(model, x0, dt, steps, targets, rngs, out)
+        advance(model, x0, dt, plan, rngs, out)
 
     monkeypatch.setattr(dem, "_advance", counted)
     monkeypatch.setattr(dem, "_EM_GROUP", 16)
@@ -457,6 +457,28 @@ def test_integrate_batch_equals_serial_integrate_bit_for_bit(label):
         assert a.bit_generator.state == b.bit_generator.state
     if model.has_diffusion:
         assert len({t.values.tobytes() for t in batch}) == 37
+
+
+# at dt = 0.01 and T = 0.1: no step, one step, and short of the horizon
+@pytest.mark.parametrize("last", [0.0, 0.01, 0.07])
+@pytest.mark.parametrize(
+    "label", ["uwr_single-none", "uwr_single-external", "uwr_single-adaptation"]
+)
+def test_run_stops_at_its_last_sample_with_the_steps_of_a_full_run(label, last):
+    # the Euler-Maruyama counterpart of the ABM's stop test in test_transition
+    model = build_limit(_VARIANTS[label])
+    em = IntegratorSpec(dt=0.01)
+    grid = [0.0, last]
+    full = dem.integrate_batch(model, TIED, em, 0.1, [*grid, 0.1], _streams(3))
+    rngs = _streams(3)
+    short = dem.integrate_batch(model, TIED, em, 0.1, grid, rngs)
+    assert [t.values.tobytes() for t in short] == [f.values[:2].tobytes() for f in full]
+    # each stream gave the normals of the steps up to the last sample, no more
+    steps = round(last / em.dt) if model.has_diffusion else 0
+    drawn = _streams(3)
+    for rng in drawn:
+        rng.standard_normal(steps * len(TIED))
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in drawn]
 
 
 @pytest.mark.parametrize(

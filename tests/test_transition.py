@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opinion_limits import abm
 from opinion_limits.abm import (
@@ -33,6 +34,7 @@ from opinion_limits.kernel import (
 )
 from opinion_limits.limitcheck import _increments, mc_coefficients
 from opinion_limits.noise import GaussianScaled, NoiseFamily, NoiseKind
+from opinion_limits.trajectory import _walk
 
 # the radius sits inside the opinion spread, so some steps are rejected
 KERNEL = MollifiedBC(0.5, NormalMollifier(0.0, 0.05))
@@ -128,6 +130,11 @@ _X0S = {
 }
 
 
+def _steps_taken(plan):
+    """The steps that the segments of plan take."""
+    return sum(b - a for _, segments in plan for _, a, b in segments)
+
+
 def _bits(trajs):
     # array_equal treats -0.0 and 0.0 as equal; the bytes do not
     return [t.values.tobytes() for t in trajs]
@@ -146,7 +153,7 @@ def test_batch_engine_matches_run_abm(scheme, kind, monkeypatch):
         n_agents=N, h=1e-3, horizon=1.0, kernel=KERNEL, noise=_noise(kind), **_SCHEMES[scheme]
     )
     # groups of 3 runs, so 4 runs straddle a group boundary
-    assert [block for _, block, _, _ in _plan(spec, _GRID)[1] if block] == [_DRAW_BLOCK, 488]
+    assert [m for m, _ in _plan(spec, _GRID)[1]] == [_DRAW_BLOCK, 488]
     monkeypatch.setattr(abm, "_BATCH_STEPS", 3 * _DRAW_BLOCK)
     for x0 in _X0S.values():
         for runs in (1, 4):
@@ -162,8 +169,8 @@ def test_batch_engine_matches_run_abm_beyond_one_chunk(kind):
         selection=UniformWithReplacement(both_update=True),
     )
     grid = [0.0, 1.1]
-    blocks = [block for _, block, _, _ in _plan(spec, grid)[1]]
-    assert blocks == [_DRAW_BLOCK, _DRAW_BLOCK, 1100 - 2 * _DRAW_BLOCK, 0]
+    blocks = [m for m, _ in _plan(spec, grid)[1]]
+    assert blocks == [_DRAW_BLOCK, _DRAW_BLOCK, 1100 - 2 * _DRAW_BLOCK]
     serial, batch = _serial_and_batch(spec, _X0S["ties"], grid, [[42, r] for r in range(2)])
     assert batch == serial
 
@@ -186,7 +193,7 @@ def test_final_state_does_not_depend_on_sample_grid(scheme, kind, horizon):
     ]
     total = round(horizon / spec.h)
     for grid in grids:
-        assert sum(b - a for _, _, a, b in _plan(spec, grid)[1]) == total
+        assert _steps_taken(_plan(spec, grid)[1]) == total
     seeds = [[44, r] for r in range(3)]
     finals = set()
     for grid in grids:
@@ -207,7 +214,7 @@ def test_run_stops_at_its_last_sample_with_the_draws_of_a_full_run(scheme, kind,
         **_SCHEMES[scheme],
     )
     grid = [0.0, last]
-    assert sum(b - a for _, _, a, b in _plan(spec, grid)[1]) == round(last / spec.h)
+    assert _steps_taken(_plan(spec, grid)[1]) == round(last / spec.h)
     x0 = np.random.default_rng(46).uniform(-0.5, 0.5, N)
     seeds = [[46, 0], [46, 1]]
     full = [run_abm(spec, x0, [*grid, 0.1025], np.random.default_rng(s)) for s in seeds]
@@ -220,18 +227,52 @@ def test_run_stops_at_its_last_sample_with_the_draws_of_a_full_run(scheme, kind,
 
 def _sample_steps(plan):
     """The step count at which each sample of plan records the state."""
-    steps, done = [], 0
-    for samples, _, a, b in plan:
-        steps += [done] * (samples.stop - samples.start)
-        done += b - a
+    steps, start = [], 0
+    for m, segments in plan:
+        for samples, a, _ in segments:
+            steps += [start + a] * (samples.stop - samples.start)
+        start += m
     return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=1, max_value=600),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+)
+def test_walk_takes_each_step_to_the_last_sample_once_and_records_each_sample_at_its_step(
+    total, block, fractions
+):
+    targets = sorted(round(f * total) for f in fractions)
+    walked, recorded, start = [], [], 0
+    for m, segments in _walk(targets, total, block):
+        # blocks of min(block, total - start) steps, counted from step 0
+        assert m == min(block, total - start)
+        for samples, a, b in segments:
+            assert 0 <= a <= b <= m
+            recorded += [(i, start + a) for i in range(samples.start, samples.stop)]
+            walked += range(start + a, start + b)
+        last, start = start, start + m
+    # steps 0 up to the last sample, each once and in order
+    assert walked == list(range(targets[-1] if targets else 0))
+    # each sample once, in order, at its step
+    assert recorded == list(enumerate(targets))
+    # no block is drawn past the one that holds the last sample
+    assert not targets or targets[-1] == 0 or last < targets[-1]
+
+
+def test_walk_refuses_a_target_outside_zero_to_total():
+    for targets in ([-1, 3], [0, 11]):
+        with pytest.raises(ValueError, match=r"within \[0, T\]"):
+            _walk(targets, 10, 4)
 
 
 def test_plan_takes_a_sample_within_rounding_of_a_step_at_that_step():
     # from about 4e7 steps s/h rounds below its step by more than 1e-9, so
     # floor(s/h + 1e-9) put 6 of these 4001 samples one step early
     spec = ModelSpec(n_agents=N, h=1e-6, horizon=40.0, kernel=KERNEL)
-    grid = np.round(np.arange(4001) * 0.01, 12)  # cli._prelude's grid at dt = 0.01
+    grid = np.round(np.arange(4001) * 0.01, 12)  # ExperimentConfig.times at dt = 0.01
     assert _sample_steps(_plan(spec, grid)[1]) == [round(s / spec.h) for s in grid]
     # a sample half a step off the grid records the step before it
     off = [0.0, 2.5e-6, 30.0000005]
