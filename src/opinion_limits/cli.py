@@ -22,7 +22,7 @@ from . import __version__
 from .abm import _BATCH_MIN_RUNS, ENGINE_VERSION, ProbabilityProportional, run_abm, run_abm_batch
 from .analysis import Moments, ensemble_stats, error_timeseries, quartile_summary, sweep_error
 from .config import ConfigError, ExperimentConfig, config_from_dict, parse_config
-from .dem import build_limit, integrate, integrate_batch
+from .dem import integrate, integrate_batch
 from .limitcheck import SweepRow, convergence_sweep, probe_states, sweep_summary, write_sweep_csv
 from .trajectory import write_csv
 
@@ -84,34 +84,33 @@ def _abm_runs(spec, x0, times, rngs, out=None):
     return None
 
 
-def _paired_block(spec, integrator, x0, times, base_seed, start, stop, out=None, model=None):
-    """The ABM and limit states of runs start..stop-1, recorded into
-    out = (ABM, limit), a pair of Moments, or else into a new array
-    (2, runs, samples, N); returns out. model is the limit of spec; a block
-    in a spawned worker builds it, as the limit's closures do not pickle."""
+def _paired_block(cfg, start, stop, out=None):
+    """The ABM and limit states of runs start..stop-1 of the ensemble cfg,
+    recorded into out = (ABM, limit), a pair of Moments, or else into a new
+    array (2, runs, samples, N); returns out."""
+    spec, x0, times = cfg.spec, cfg.x0, cfg.times
     if out is None:
         out = np.empty((2, stop - start, len(times), spec.n_agents))
-    if model is None:
-        model = build_limit(spec)
-    rngs = [np.random.default_rng([base_seed, _TAG_ABM, r]) for r in range(start, stop)]
+    rngs = [np.random.default_rng([cfg.base_seed, _TAG_ABM, r]) for r in range(start, stop)]
     _abm_runs(spec, x0, times, rngs, out[0])
-    dem_rngs = [np.random.default_rng([base_seed, _TAG_DEM, r]) for r in range(start, stop)]
-    integrate_batch(model, x0, integrator, spec.horizon, times, dem_rngs, out[1])
+    dem_rngs = [np.random.default_rng([cfg.base_seed, _TAG_DEM, r]) for r in range(start, stop)]
+    integrate_batch(cfg.limit, x0, cfg.integrator, spec.horizon, times, dem_rngs, out[1])
     return out
 
 
-def _sweep_block(specs, runs_per_h, x0, times, base_seed, dem_traj, norm, start, stop):
-    """sweep_error of sweep runs start..stop-1 against the limit's trajectory dem_traj.
+def _sweep_block(cfg, specs, dem_traj, start, stop):
+    """sweep_error of sweep runs start..stop-1 of cfg against the limit's trajectory dem_traj.
 
     Run k is run k % runs_per_h of the model specs[k // runs_per_h]; the
     runs of one model go through _abm_runs together.
     """
+    runs_per_h, seed = cfg.raw["experiment"]["runs_per_h"], cfg.base_seed
     errors = []
     for hi, ks in groupby(range(start, stop), key=lambda k: k // runs_per_h):
         spec = specs[hi]
-        rngs = [np.random.default_rng([base_seed, _TAG_SWEEP, *divmod(k, runs_per_h)]) for k in ks]
-        runs = _abm_runs(spec, x0, times, rngs)
-        errors += [sweep_error(run, dem_traj, spec.horizon, norm) for run in runs]
+        rngs = [np.random.default_rng([seed, _TAG_SWEEP, *divmod(k, runs_per_h)]) for k in ks]
+        runs = _abm_runs(spec, cfg.x0, cfg.times, rngs)
+        errors += [sweep_error(run, dem_traj, spec.horizon, cfg.error_norm) for run in runs]
     return errors
 
 
@@ -135,10 +134,7 @@ def _run_sweep_h(cfg: ExperimentConfig, out: str, threads: int) -> None:
     h_list = cfg.h_list
     runs_per_h = cfg.raw["experiment"]["runs_per_h"]
     specs = [replace(spec, h=float(h)) for h in h_list]
-    blocks = _fan_out(
-        _sweep_block, len(h_list) * runs_per_h, threads, specs, runs_per_h, x0, times,
-        cfg.base_seed, dem_traj, cfg.error_norm,
-    )
+    blocks = _fan_out(_sweep_block, len(h_list) * runs_per_h, threads, cfg, specs, dem_traj)
     errors = [e for _, block in blocks for e in block]
     rows = [(h_list[k // runs_per_h], k % runs_per_h, e) for k, e in enumerate(errors)]
     write_csv(os.path.join(out, "errors.csv"), ["h", "run", "error"], rows)
@@ -154,10 +150,9 @@ def _run_ensemble(cfg: ExperimentConfig, out: str, threads: int) -> None:
     spec, times = cfg.spec, cfg.times
     n_runs = cfg.raw["experiment"]["n_runs"]
     moments = (Moments(times, spec.n_agents), Moments(times, spec.n_agents))
-    args = (spec, cfg.integrator, cfg.x0, times, cfg.base_seed)
     # in this process the runs stream into the moments and no trajectory is
     # kept; a worker's block returns its stacked states, folded in run order
-    blocks = _fan_out(_paired_block, n_runs, threads, *args, out=moments, model=cfg.limit)
+    blocks = _fan_out(_paired_block, n_runs, threads, cfg, out=moments)
     for start, block in blocks:
         if block is not moments:
             for m, states in zip(moments, block):
@@ -182,7 +177,7 @@ def _run_limitcheck(cfg: ExperimentConfig, out: str, threads: int) -> None:
     )
     rng = np.random.default_rng([cfg.base_seed, _TAG_LIMITCHECK])
     h_list = sorted(cfg.h_list, reverse=True)
-    sweeps = [convergence_sweep(x, spec, h_list, exp["samples"], rng) for x in states]
+    sweeps = [convergence_sweep(x, spec, cfg.limit, h_list, exp["samples"], rng) for x in states]
     # worst deviations over the probe states, per h
     worst = np.max([[(r.b_deviation, r.a_deviation, r.gamma4) for r in s] for s in sweeps], axis=0)
     rows = [SweepRow(h, *map(float, w)) for h, w in zip(h_list, worst)]

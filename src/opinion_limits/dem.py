@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,8 +159,6 @@ def build_limit(spec: ModelSpec) -> LimitModel:
             "the hard bounded-confidence kernel is discontinuous and has no "
             "well-defined limiting system; use a mollified kernel"
         )
-    n = spec.n_agents
-    kernel = spec.kernel
     kind = spec.noise.kind
     if kind is not NoiseKind.NONE and spec.selection != UniformWithReplacement():
         raise NoDerivedLimitError(
@@ -185,41 +184,53 @@ def build_limit(spec: ModelSpec) -> LimitModel:
     else:
         gate, provenance = "mass", "interaction-gated additive-noise SDE"
 
-    def sigma_of(shape, sums):
-        """sigma for states of this shape; sums() gives the gate's per-agent sums."""
-        if gate is None:
-            return None
-        if gate == "external":
-            return np.full(shape, math.sqrt(m2 / n))
-        return np.sqrt(m2 / n**2 * sums())
-
-    def dense(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        x = np.asarray(x, dtype=float)
-        diff = x[..., None, :] - x[..., :, None]
-        p = pairwise_matrix(kernel, x, diff=diff)
-        # sigma before diff is overwritten
-        s = sigma_of(x.shape, lambda: (p * diff**2 if gate == "spread" else p).sum(axis=-1))
-        w, norm = weigh(p)
-        return np.multiply(w, diff, out=diff).sum(axis=-1) / norm, s
-
-    def banded(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        x = np.asarray(x, dtype=float)
-        pull, mass = _band_sums(kernel, x, weigh.power)
-        # rows of one column: _row_mass refuses the mass as the dense form does
-        norm = _row_mass(mass[..., None]) if weigh.norm is None else weigh.norm
-        return pull / norm, sigma_of(x.shape, lambda: mass)
-
     # the spread sums p_ij (x_j - x_i)^2, which vanishes on a tied cluster
     # only when summed pair by pair: from prefix sums it leaves a rounding
     # residue that the independent normals would pull apart
-    band = n >= _BAND_MIN_AGENTS and weigh.adjacency is None and gate != "spread"
-    fields = banded if band else dense
+    band = spec.n_agents >= _BAND_MIN_AGENTS and weigh.adjacency is None and gate != "spread"
+    # partials of module functions, so that a limit pickles
+    fields = partial(_banded if band else _dense, spec.kernel, weigh, gate, m2)
     return LimitModel(
         fields,
-        drift=lambda x: fields(x)[0],
-        diffusion=None if gate is None else (lambda x: fields(x)[1]),
+        drift=partial(_pick, fields, 0),
+        diffusion=None if gate is None else partial(_pick, fields, 1),
         provenance=provenance,
     )
+
+
+def _sigma(gate, m2, shape, sums):
+    """sigma for states of this shape, (..., N); sums() gives the gate's per-agent sums."""
+    if gate is None:
+        return None
+    n = shape[-1]
+    if gate == "external":
+        return np.full(shape, math.sqrt(m2 / n))
+    return np.sqrt(m2 / n**2 * sums())
+
+
+def _dense(kernel, weigh, gate, m2, x):
+    """fields through the N x N pairwise matrix."""
+    x = np.asarray(x, dtype=float)
+    diff = x[..., None, :] - x[..., :, None]
+    p = pairwise_matrix(kernel, x, diff=diff)
+    # sigma before diff is overwritten
+    s = _sigma(gate, m2, x.shape, lambda: (p * diff**2 if gate == "spread" else p).sum(axis=-1))
+    w, norm = weigh(p)
+    return np.multiply(w, diff, out=diff).sum(axis=-1) / norm, s
+
+
+def _banded(kernel, weigh, gate, m2, x):
+    """fields over the pairs in the kernel's saturation band (_band_sums)."""
+    x = np.asarray(x, dtype=float)
+    pull, mass = _band_sums(kernel, x, weigh.power)
+    # rows of one column: _row_mass refuses the mass as the dense form does
+    norm = _row_mass(mass[..., None]) if weigh.norm is None else weigh.norm
+    return pull / norm, _sigma(gate, m2, x.shape, lambda: mass)
+
+
+def _pick(fields, k, x):
+    """drift (k = 0) or diffusion (k = 1) of a limit: a view of its fields."""
+    return fields(x)[k]
 
 
 def _band_sums(kernel, x, power):

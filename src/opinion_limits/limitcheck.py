@@ -28,7 +28,7 @@ from .abm import (
     _row_mass,
     _update_rule,
 )
-from .dem import _normalisation, build_limit
+from .dem import LimitModel, _normalisation
 from .kernel import pairwise_matrix
 from .noise import NoiseKind
 from .trajectory import write_csv
@@ -245,20 +245,20 @@ class SweepRow:
 def convergence_sweep(
     x: Sequence[float],
     spec: ModelSpec,
+    limit: LimitModel,
     h_values: Sequence[float],
     samples: int,
     rng: np.random.Generator,
 ) -> list[SweepRow]:
-    """Coefficient deviations from the limiting system across an h grid.
+    """Coefficient deviations from the limiting system of spec, limit, across an h grid.
 
     Noise-free variants are enumerated exactly; samples is used for the
-    Monte Carlo fallback on noisy variants. Raises ValueError when the
-    variant has no derived limit to measure against.
+    Monte Carlo fallback on noisy variants.
     """
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
         raise ValueError("h_values must be decreasing")
     x = np.asarray(x, dtype=float)
-    b, sigma = build_limit(spec).fields(x)
+    b, sigma = limit.fields(x)
     a = np.zeros(spec.n_agents) if sigma is None else sigma**2
     rows = []
     for h in h_values:

@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -1040,11 +1042,125 @@ def test_in_process_ensemble_integrates_the_config_limit(tmp_path, monkeypatch, 
     def build(spec):
         raise AssertionError("built a second limit")
 
-    monkeypatch.setattr(cli, "build_limit", build)
     monkeypatch.setattr(dem, "build_limit", build)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     path = _write(tmp_path, _THREADED["ensemble"])
     assert main([str(path), "--out", str(tmp_path / "out"), "--threads", threads]) == 0
+
+
+class _PicklingPool(_InlinePool):
+    """An _InlinePool that sends each block and its arguments through
+    pickle, as a spawn pool does."""
+
+    def submit(self, fn, *args):
+        return super().submit(*pickle.loads(pickle.dumps((fn, *args))))
+
+
+def _refuse_limit_builds_after_load(monkeypatch):
+    # once main has built the config, every module of the package that binds
+    # build_limit refuses a call
+    load = cli._load_config
+
+    def build(spec):
+        raise AssertionError("built a second limit")
+
+    def load_then_refuse(*args):
+        cfg = load(*args)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "opinion_limits" and hasattr(module, "build_limit"):
+                monkeypatch.setattr(module, "build_limit", build)
+        return cfg
+
+    monkeypatch.setattr(cli, "_load_config", load_then_refuse)
+
+
+_NOISY_LIMITCHECK = """
+[experiment]
+type = limitcheck
+h_list = 1e-2,1e-3
+n_states = 1
+samples = 10000
+base_seed = 11
+
+[model]
+n_agents = 6
+
+[noise]
+kind = adaptation
+var_per_h = 0.05
+"""
+
+
+@pytest.mark.parametrize("experiment", ["ensemble", "sweep_h", "limitcheck"])
+def test_experiments_measure_against_the_config_limit_alone(tmp_path, monkeypatch, experiment):
+    # two usable CPUs send the ensemble and sweep blocks through a pool that
+    # pickles them; no block and no probe state builds a limit of its own
+    path = _write(tmp_path, _THREADED.get(experiment, _NOISY_LIMITCHECK))
+    outs = [tmp_path / "threads1", tmp_path / "threads2"]
+    assert main([str(path), "--out", str(outs[0])]) == 0
+    _InlinePool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _refuse_limit_builds_after_load(monkeypatch)
+    assert main([str(path), "--out", str(outs[1]), "--threads", "2"]) == 0
+    assert len(_InlinePool.made) == (experiment != "limitcheck")
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _bench_configs():
+    """The benchmark's four workload configs, as bench/workloads.py writes them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    return {name: w.config(7, "out") for name, w in workloads.items()}
+
+
+_N150 = """
+[experiment]
+type = compare
+
+[model]
+n_agents = 150
+h = 1e-3
+horizon = 0.1
+
+[selection]
+scheme = {scheme}
+
+[noise]
+{noise}
+"""
+
+_PICKLED = {
+    **_bench_configs(),
+    # dense, dense with the spread gate, banded
+    "degree_weighted": _N150.format(scheme="degree_weighted\np_conn = 0.2", noise=""),
+    "random_update_distance": _N150.format(
+        scheme="uniform_with_replacement",
+        noise="kind = random_update_distance\nmean_per_h = 150\nvar_per_h = 5",
+    ),
+    "proportional_double": _N150.format(scheme="probability_proportional_double", noise=""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PICKLED))
+def test_config_pickles_with_a_limit_of_the_same_bits(name):
+    cfg = parse_config(_PICKLED[name])
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back.limit.provenance == cfg.limit.provenance
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, cfg.spec.n_agents))
+    b, sigma = cfg.limit.fields(x)
+    b_back, sigma_back = back.limit.fields(x)
+    assert b_back.tobytes() == b.tobytes()
+    assert back.limit.drift(x).tobytes() == b.tobytes()
+    if sigma is None:
+        assert sigma_back is None and back.limit.diffusion is None
+    else:
+        assert sigma_back.tobytes() == sigma.tobytes()
+        assert back.limit.diffusion(x).tobytes() == sigma.tobytes()
 
 
 def test_em_block_size_does_not_change_outputs(tmp_path, monkeypatch):

@@ -260,7 +260,9 @@ def test_convergence_sweep_golden_hash(label):
     name, kind = label.split("-")
     si = [s[0] for s in _SCHEMES].index(name)
     label, spec, x0, seed = _case(si, _KINDS.index(NoiseKind(kind)))
-    rows = convergence_sweep(x0, spec, [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(seed))
+    rows = convergence_sweep(
+        x0, spec, build_limit(spec), [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(seed)
+    )
     values = [(r.h, r.b_deviation, r.a_deviation, r.gamma4) for r in rows]
     assert _sha(values) == SWEEP_SHA256[label], label
 

@@ -288,7 +288,10 @@ def test_mc_minimum_samples():
 
 def test_sweep_noise_free_decreasing_second_moment():
     x = np.random.default_rng(8).uniform(-1, 1, 5)
-    rows = convergence_sweep(x, make_spec(), [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(9))
+    spec = make_spec()
+    rows = convergence_sweep(
+        x, spec, build_limit(spec), [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(9)
+    )
     assert [r.h for r in rows] == [1e-2, 1e-3, 1e-4]
     assert rows[0].a_deviation > rows[1].a_deviation > rows[2].a_deviation
     assert rows[0].gamma4 > rows[2].gamma4
@@ -296,9 +299,10 @@ def test_sweep_noise_free_decreasing_second_moment():
 
 
 def test_sweep_requires_decreasing_h():
+    spec = make_spec()
     with pytest.raises(ValueError, match="decreasing"):
         convergence_sweep(
-            np.zeros(5), make_spec(), [1e-4, 1e-3], 10_000, np.random.default_rng(0)
+            np.zeros(5), spec, build_limit(spec), [1e-4, 1e-3], 10_000, np.random.default_rng(0)
         )
 
 
@@ -312,7 +316,10 @@ def test_probe_states_structure():
 
 def test_write_sweep_csv_roundtrip(tmp_path):
     x = np.random.default_rng(11).uniform(-1, 1, 5)
-    rows = convergence_sweep(x, make_spec(), [1e-2, 1e-3], 10_000, np.random.default_rng(12))
+    spec = make_spec()
+    rows = convergence_sweep(
+        x, spec, build_limit(spec), [1e-2, 1e-3], 10_000, np.random.default_rng(12)
+    )
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     data = np.genfromtxt(path, delimiter=",", names=True)
@@ -322,8 +329,9 @@ def test_write_sweep_csv_roundtrip(tmp_path):
 
 def test_sweep_summary_verdicts():
     x = np.random.default_rng(13).uniform(-1, 1, 5)
+    spec = make_spec()
     rows = convergence_sweep(
-        x, make_spec(), [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(14)
+        x, spec, build_limit(spec), [1e-2, 1e-3, 1e-4], 10_000, np.random.default_rng(14)
     )
     text = sweep_summary(rows, b_tol=1e-9)
     assert text.count("PASS") == 3
